@@ -96,7 +96,6 @@ def cmd_simulate(args) -> int:
 
 def cmd_moments(args) -> int:
     spec = _approx_spec(args.spec, args.k, args.n)
-    family = simulate.jump_rule_of(spec).family
     rule = simulate.jump_rule_of(spec)
     cfg = simulate.SimConfig(horizon=args.t, seed=args.seed, paths=args.paths)
     result = simulate.simulate_ensemble(rule, rule.initial_state(), cfg)
@@ -105,7 +104,7 @@ def cmd_moments(args) -> int:
     all_ok = True
     for order in (int(o) for o in args.orders.split(",")):
         est = mcstats.moment_ci(sample, order)
-        closed = mcstats.closed_moment(family, order, args.t)
+        closed = mcstats.closed_moment(rule.family, order, args.t)
         err = abs(est.mean - closed)
         if closed == 0.0:
             tol = 4.0 * est.se

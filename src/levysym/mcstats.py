@@ -5,12 +5,19 @@ moment estimates, empirical characteristic functions, the weighted
 sup-distance sup_u |phi_A(u) - phi_B(u)| / (1 + u^2) between two ensembles,
 exact lattice-support audits, and the martingale (Dynkin) residual
 E f(X(T)) - f(x0) - int_0^T E[Af(X(s))] ds.
+
+Every endpoint statistic runs on the counted view of a sample
+(:class:`Counted`): its distinct values, with their multiplicities, built
+once when the sample is made.  A finite-n endpoint law has few atoms (a
+10 000-path sample at n = 4 holds about 16 distinct states), so each cost
+scales with the number of distinct values rather than the number of paths.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -24,21 +31,77 @@ from .symbols import TestFunction, apply_generator
 DEFAULT_UGRID = np.linspace(-20.0, 20.0, 201)
 
 
+@dataclass(frozen=True, eq=False)
+class Counted:
+    """Distinct values of a sample with their multiplicities.
+
+    ``values[d]`` occurs ``counts[d]`` times; ``size`` is the number of
+    observations.  For an exact sample ``states[d]`` is the distinct
+    ExactState whose value is ``values[d]``; for a float sample it is None.
+    """
+
+    values: np.ndarray
+    counts: np.ndarray
+    states: tuple[ExactState, ...] | None
+    size: int
+
+    @staticmethod
+    def of(values: tuple) -> "Counted":
+        exact = {isinstance(v, ExactState) for v in values}
+        if len(exact) > 1:
+            raise RepresentationLost("sample mixes ExactState values with floats")
+        if exact == {True}:
+            tally = Counter(values)
+            states = tuple(tally)
+            xs = np.array([state.value for state in states], dtype=float)
+            counts = np.fromiter(tally.values(), dtype=np.int64, count=len(tally))
+        else:
+            states = None
+            xs, counts = np.unique(np.asarray(values, dtype=float), return_counts=True)
+        return Counted(xs, counts, states, len(values))
+
+    def mean(self, terms: np.ndarray) -> np.ndarray:
+        """Mean over the last axis of per-value terms, weighted by the counts.
+
+        Centred on the first column, so a row with a single distinct term
+        (a constant sample, or u = 0 in an ECF) averages to it exactly.
+        """
+        ref = terms[..., :1]
+        return ref[..., 0] + ((terms - ref) @ self.counts) / self.size
+
+    def se(self, terms: np.ndarray, mean: np.ndarray) -> np.ndarray:
+        """CLT standard error of ``mean``: sqrt(sum |term - mean|^2 / (N - 1) / N).
+
+        For complex terms this is the euclidean norm of the real and
+        imaginary standard errors.
+        """
+        dev = terms - mean[..., None]
+        sq = np.square(dev.real)
+        if np.iscomplexobj(dev):
+            sq += np.square(dev.imag)
+        return np.sqrt((sq @ self.counts) / (self.size - 1)) / math.sqrt(self.size)
+
+
 @dataclass(frozen=True)
 class Sample:
     """Endpoint sample of an ensemble at a fixed time.
 
     ``values`` holds ExactState objects when lattice information is retained
-    (required by :func:`support_audit`) or plain floats otherwise.
+    (required by :func:`support_audit`) or plain floats otherwise; a mix of
+    the two is rejected with RepresentationLost.  ``counted`` is the counted
+    view of the values, built once here; every statistic of this module runs
+    on it.  :meth:`to_floats` gives the per-path float array.
     """
 
     values: tuple
     horizon: float
     label: str = ""
+    counted: Counted = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.values) == 0:
             raise DegenerateSample("sample is empty")
+        object.__setattr__(self, "counted", Counted.of(self.values))
 
     @staticmethod
     def from_ensemble(result: simulate.EnsembleResult, label: str = "") -> "Sample":
@@ -46,7 +109,7 @@ class Sample:
 
     @property
     def exact(self) -> bool:
-        return isinstance(self.values[0], ExactState)
+        return self.counted.states is not None
 
     def to_floats(self) -> np.ndarray:
         if self.exact:
@@ -100,11 +163,12 @@ def moment_ci(sample: Sample, p: int) -> MomentEstimate:
     """Sample mean of X^p with its CLT standard error."""
     if p < 1:
         raise ValueError("moment order must be >= 1")
-    xs = sample.to_floats() ** p
-    if xs.size < 2:
+    view = sample.counted
+    if view.size < 2:
         raise DegenerateSample("need at least two observations for a standard error")
-    return MomentEstimate(float(xs.mean()), float(xs.std(ddof=1) / math.sqrt(xs.size)),
-                          int(xs.size))
+    ys = view.values ** p
+    mean = view.mean(ys)
+    return MomentEstimate(float(mean), float(view.se(ys, mean)), view.size)
 
 
 @dataclass(frozen=True)
@@ -118,18 +182,17 @@ class EcfEstimate:
 
 def ecf(sample: Sample, ugrid) -> EcfEstimate:
     u = np.asarray(ugrid, dtype=float)
-    xs = sample.to_floats()
-    z = np.exp(1j * np.outer(u, xs))
-    mean = z.mean(axis=1)
-    scale = 1.0 / math.sqrt(xs.size)
-    se_re = z.real.std(axis=1, ddof=1) * scale if xs.size > 1 else np.zeros_like(u)
-    se_im = z.imag.std(axis=1, ddof=1) * scale if xs.size > 1 else np.zeros_like(u)
-    return EcfEstimate(u, mean, np.hypot(se_re, se_im))
+    view = sample.counted
+    z = np.exp(1j * np.outer(u, view.values))
+    mean = view.mean(z)
+    se = view.se(z, mean) if view.size > 1 else np.zeros_like(u)
+    return EcfEstimate(u, mean, se)
 
 
 def _weighted_gap(sample_a: Sample, sample_b: Sample, u: float) -> float:
-    za = np.exp(1j * u * sample_a.to_floats()).mean()
-    zb = np.exp(1j * u * sample_b.to_floats()).mean()
+    va, vb = sample_a.counted, sample_b.counted
+    za = va.mean(np.exp(1j * u * va.values))
+    zb = vb.mean(np.exp(1j * u * vb.values))
     return abs(za - zb) / (1.0 + u * u)
 
 
@@ -214,29 +277,31 @@ def support_audit(sample: Sample, unit_tag: str, kind: str = "geometric",
     canonical mantissa is 0 or a power of two); ``dyadic`` audits against
     {k m 2^-scale : m in N}.  Zero belongs to every lattice; any nonzero
     state whose unit tag differs is off-lattice by incommensurability,
-    no float comparison involved.
+    no float comparison involved.  Each distinct state is tested once and
+    weighted by its count.
     """
     if not sample.exact:
         raise RepresentationLost(
             "support audit needs ExactState values; this sample was projected to floats"
         )
+    view = sample.counted
     off = 0
     nonzero = 0
-    for state in sample.values:
+    for state, count in zip(view.states, view.counts.tolist()):
         if state.is_zero:
             continue
-        nonzero += 1
+        nonzero += count
         if state.unit_tag != unit_tag:
-            off += 1
+            off += count
         elif kind == "geometric":
-            off += not state.in_geometric_lattice()
+            off += count * (not state.in_geometric_lattice())
         elif kind == "dyadic":
             if scale is None:
                 raise ValueError("dyadic audit needs the lattice scale")
-            off += state.s > scale or state.m < 0
+            off += count * (state.s > scale or state.m < 0)
         else:
             raise ValueError(f"unknown lattice kind {kind!r}")
-    return SupportAudit(off, len(sample.values), nonzero)
+    return SupportAudit(off, view.size, nonzero)
 
 
 # ----------------------------------------------------------------------
@@ -277,17 +342,11 @@ def dynkin_residual(spec, tf: TestFunction, x0: ExactState, horizon: float,
             g_ses.append(0.0)
             continue
         cfg = SimConfig(horizon=t_snap, seed=_split_seed(seed, i), paths=paths)
-        result = simulate.simulate_ensemble(rule, x0, cfg)
-        vals = np.array(
-            [apply_generator(spec, tf, state.value) for state in result.endpoints]
-        )
-        g_means.append(float(vals.mean()))
-        g_ses.append(float(vals.std(ddof=1) / math.sqrt(vals.size)))
+        mean, se = _endpoint_mean(rule, x0, cfg, lambda x: apply_generator(spec, tf, x))
+        g_means.append(mean)
+        g_ses.append(se)
     cfg = SimConfig(horizon=horizon, seed=_split_seed(seed, len(ts)), paths=paths)
-    result = simulate.simulate_ensemble(rule, x0, cfg)
-    f_vals = np.array([tf.f(state.value) for state in result.endpoints])
-    mean_f = float(f_vals.mean())
-    se_f = float(f_vals.std(ddof=1) / math.sqrt(f_vals.size))
+    mean_f, se_f = _endpoint_mean(rule, x0, cfg, tf.f)
 
     ts_arr = np.array(ts)
     g_arr = np.array(g_means)
@@ -308,6 +367,17 @@ def dynkin_residual(spec, tf: TestFunction, x0: ExactState, horizon: float,
         residual, se, quad, mean_f, tuple(g_means), tuple(ts),
         tf.finite_difference,
     )
+
+
+def _endpoint_mean(rule, x0: ExactState, cfg: SimConfig, fn) -> tuple[float, float]:
+    """Mean of fn(X(T)) over one ensemble, with its CLT standard error.
+
+    fn runs once per distinct endpoint value.
+    """
+    view = Sample.from_ensemble(simulate.simulate_ensemble(rule, x0, cfg)).counted
+    vals = np.array([fn(x) for x in view.values.tolist()])
+    mean = view.mean(vals)
+    return float(mean), float(view.se(vals, mean))
 
 
 def _split_seed(seed: int, index: int) -> int:

@@ -259,17 +259,20 @@ def simulate_ensemble(rule: JumpRule, x0: ExactState, cfg: SimConfig) -> Ensembl
     """N independent paths; endpoints always, trajectories on request.
 
     Built-in families route to a vectorized lock-step engine when only
-    endpoints are needed; the streams consumed are identical either way.
+    endpoints are needed; the streams consumed are identical either way.  An
+    input the lock-step engine cannot carry exactly runs per path instead.
     """
-    if (
-        rule.family == "symmetric_doubling"
-        and not cfg.store_paths
-        and cfg.paths > 1
-        and (x0.is_zero or abs(x0.m) * (1 << rule.family_params[0]) >= (1 << x0.s))
-    ):
-        return _ensemble_symmetric_doubling(rule, x0, cfg)
-    if rule.family == "increasing_doubling" and not cfg.store_paths and cfg.paths > 1:
-        return _ensemble_increasing_doubling(rule, x0, cfg)
+    lockstep = None
+    if not cfg.store_paths and cfg.paths > 1:
+        if rule.family == "symmetric_doubling":
+            lockstep = _ensemble_symmetric_doubling
+        elif rule.family == "increasing_doubling":
+            lockstep = _ensemble_increasing_doubling
+    if lockstep is not None:
+        try:
+            return lockstep(rule, x0, cfg)
+        except _LockstepUnfit:
+            pass
 
     keys = rng.path_keys(cfg.seed, np.arange(cfg.paths))
     endpoints = []
@@ -294,16 +297,30 @@ def simulate_ensemble(rule: JumpRule, x0: ExactState, cfg: SimConfig) -> Ensembl
 # ----------------------------------------------------------------------
 # vectorized lock-step engines (endpoint-only, built-in families)
 # ----------------------------------------------------------------------
+class _LockstepUnfit(Exception):
+    """The input leaves what a lock-step engine carries exactly.
+
+    The engines hold states in int64; the per-path engine, whose Python ints
+    never wrap, runs such inputs instead.
+    """
+
+
 def _ensemble_symmetric_doubling(rule: JumpRule, x0: ExactState,
                                  cfg: SimConfig) -> EnsembleResult:
     """Lock-step engine for the double-or-die family.
 
     Invariant: every reachable nonzero state is in the outer region, so the
-    inner branch only ever fires from m = 0 (checked by the dispatcher).
-    All active paths have executed exactly j jumps at iteration j, which
-    keeps their stream counters aligned with the per-path engine.
+    inner branch only ever fires from m = 0.  All active paths have executed
+    exactly j jumps at iteration j, which keeps their stream counters aligned
+    with the per-path engine.  The rate needs m * m in int64, so |m| must
+    stay below 2**31; |m| at most doubles per event, which bounds how long a
+    checked maximum stays safe.
     """
     (n,) = rule.family_params
+    if not (x0.is_zero or abs(x0.m) * (1 << n) >= (1 << x0.s)):
+        raise _LockstepUnfit("x0 is in the inner region")
+    if abs(x0.m) >= 1 << 31:
+        raise _LockstepUnfit("|m| of x0 reaches 2**31")
     kval = rule.k
     N = cfg.paths
     keys = rng.path_keys(cfg.seed, np.arange(N))
@@ -318,7 +335,13 @@ def _ensemble_symmetric_doubling(rule: JumpRule, x0: ExactState,
     rate_inner = math.ldexp(1.0, 2 * n) / (2.0 * kval * kval)
     total_inner = rate_inner + rate_inner
     j = 0
+    check_at = 0
     while idx.size:
+        if j >= check_at:
+            top = int(np.abs(m).max())
+            if top >= 1 << 31:
+                raise _LockstepUnfit("|m| reached 2**31")
+            check_at = j + 32 - top.bit_length()
         e1, u2 = _event_variates(keys[idx], j)
         zero = m == 0
         denom = 2.0 * kval * kval * np.where(zero, 1.0, (m * m).astype(float))
@@ -366,28 +389,38 @@ def _ensemble_increasing_doubling(rule: JumpRule, x0: ExactState,
                                   cfg: SimConfig) -> EnsembleResult:
     """Lock-step engine for the clamped pure-birth family.
 
-    States are carried at the fixed scale n (x = k * mm * 2**-n, mm >= 0);
-    the clamp becomes an integer clip of mm to [1, 4**n].
+    States are carried at the fixed scale n (x = k * mm * 2**-n); the clamp
+    becomes an integer clip of mm to [1, 4**n].  Each event adds at most
+    4**n to mm, which must stay below 2**63, so a checked maximum stays safe
+    for a known number of events.
     """
     (n,) = rule.family_params
+    if 2 * n > 62 or x0.s > n:
+        raise _LockstepUnfit("4**n or x0 is off the int64 scale-n lattice")
+    cap = 1 << (2 * n)
+    headroom = (1 << 63) - 1 - cap  # mm + hm is exact while mm <= headroom
+    mm0 = x0.m << (n - x0.s)
+    if not -(1 << 63) <= mm0 <= headroom:
+        raise _LockstepUnfit("x0 is outside int64 at scale n")
     kval = rule.k
     N = cfg.paths
     keys = rng.path_keys(cfg.seed, np.arange(N))
-    if x0.s > n:
-        raise UnsupportedSpec(
-            "lock-step increasing engine needs x0 on the scale-n lattice"
-        )
-    mm = np.full(N, x0.m << (n - x0.s), dtype=np.int64)
+    mm = np.full(N, mm0, dtype=np.int64)
     t = np.zeros(N)
     idx = np.arange(N)
-    out_mm = np.full(N, x0.m << (n - x0.s), dtype=np.int64)
+    out_mm = np.full(N, mm0, dtype=np.int64)
     out_events = np.zeros(N, dtype=np.int64)
     truncated = np.zeros(N, dtype=bool)
-    cap = np.int64(1) << np.int64(2 * n)
     j = 0
+    check_at = 0
     while idx.size:
+        if j >= check_at:
+            top = int(mm.max())
+            if top > headroom:
+                raise _LockstepUnfit("mm neared 2**63")
+            check_at = j + 1 + (headroom - top) // cap
         e1, _ = _event_variates(keys[idx], j)
-        hm = np.clip(mm, np.int64(1), cap)
+        hm = np.clip(mm, 1, cap)
         h = kval * np.ldexp(hm.astype(float), -n)
         rate = 1.0 / h
         t += e1 / rate

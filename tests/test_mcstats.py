@@ -7,8 +7,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from levysym import simulate
 from levysym.errors import DegenerateSample, RepresentationLost
 from levysym.mcstats import (
+    DEFAULT_UGRID,
     Sample,
     closed_moment,
     dynkin_residual,
@@ -25,6 +27,7 @@ from levysym.symbols import (
     LatticeUnit,
     SymmetricDoublingApprox,
     TestFunction,
+    apply_generator,
 )
 
 K1 = LatticeUnit.parse("1")
@@ -81,6 +84,13 @@ def test_moment_ci_constant_sample():
     est = moment_ci(_sample_of_floats([2.0] * 50), 3)
     assert est.mean == pytest.approx(8.0)
     assert est.se == 0.0
+    # 0.1 * 7 / 7 != 0.1 in floats; the counted mean still returns 0.1 itself
+    for sample in (_sample_of_floats([0.1] * 7),
+                   Sample((ExactState("sqrt2", math.sqrt(2.0), 3, 1),) * 9, 1.0)):
+        x = sample.to_floats()[0]
+        est = moment_ci(sample, 1)
+        assert (est.mean, est.se) == (x, 0.0)
+        assert np.all(ecf(sample, [0.0, 1.3, -7.0]).se == 0.0)
 
 
 def test_moment_ci_needs_two_points():
@@ -155,6 +165,10 @@ def test_support_audit_exactness():
     # cross-lattice: every nonzero state is off; zero belongs everywhere
     cross = support_audit(Sample(states, 1.0), "sqrt2")
     assert cross.off_lattice == 2
+    # repeated states count once per observation
+    many = Sample(states * 3 + (ExactState("1", 1.0, 3, 1),) * 4, 1.0)
+    audit3 = support_audit(many, "1")
+    assert (audit3.off_lattice, audit3.nonzero_total, audit3.total) == (4, 10, 13)
 
 
 def test_support_audit_dyadic_kind():
@@ -163,11 +177,141 @@ def test_support_audit_dyadic_kind():
     assert audit.clean
     neg = Sample((ExactState("1", 1.0, -1, 2),), 1.0)
     assert support_audit(neg, "1", kind="dyadic", scale=3).off_lattice == 1
+    mixed = Sample(neg.values * 3 + states, 1.0)
+    assert support_audit(mixed, "1", kind="dyadic", scale=3).off_lattice == 3
 
 
 def test_support_audit_rejects_floats():
     with pytest.raises(RepresentationLost):
         support_audit(_sample_of_floats([0.5, 1.0]), "1")
+
+
+def test_mixed_sample_rejected():
+    state = ExactState("1", 1.0, 1, 0)
+    for mixed in ((state, 0.5), (0.5, state)):
+        with pytest.raises(RepresentationLost):
+            Sample(mixed, 1.0)
+
+
+# ----------------------------------------------------------------------
+# counted statistics against per-path oracles
+# ----------------------------------------------------------------------
+def _simulated(unit, seed, paths=3000):
+    # n = 4: about 16 distinct endpoints among 3000 paths
+    rule = jump_rule_of(SymmetricDoublingApprox(unit, 4))
+    res = simulate_ensemble(
+        rule, rule.initial_state(), SimConfig(horizon=1.0, seed=seed, paths=paths)
+    )
+    return Sample.from_ensemble(res)
+
+
+def _repeated_floats(seed, counts):
+    atoms = [-1.5, -0.0, 0.0, 0.25, 2.0, 3.75]
+    xs = np.repeat(atoms, counts)
+    np.random.default_rng(seed).shuffle(xs)
+    return _sample_of_floats(xs.tolist())
+
+
+def _oracle_ecf(xs, u):
+    z = np.exp(1j * np.outer(np.atleast_1d(u), xs))
+    se = np.hypot(z.real.std(axis=1, ddof=1), z.imag.std(axis=1, ddof=1))
+    return z.mean(axis=1), se / math.sqrt(xs.size)
+
+
+def _close(got, want, rel=1e-12):
+    got, want = np.asarray(got), np.asarray(want)
+    return np.max(np.abs(got - want)) <= rel * np.max(np.abs(want))
+
+
+@pytest.fixture(scope="module")
+def sample_pairs():
+    return [(_simulated(K1, 61), _simulated(KS2, 62)),
+            (_repeated_floats(63, [40, 70, 90, 200, 60, 15]),
+             _repeated_floats(64, [90, 35, 25, 150, 110, 40]))]
+
+
+def test_counted_view_has_repeats(sample_pairs):
+    (sim, _), (flt, _) = sample_pairs
+    assert sim.counted.size == 3000 and len(sim.counted.values) < 30
+    assert sim.counted.counts.sum() == 3000
+    xs = flt.to_floats()
+    assert np.any((xs == 0.0) & np.signbit(xs)) and np.any((xs == 0.0) & ~np.signbit(xs))
+
+
+def test_counted_moments_match_per_path(sample_pairs):
+    for sample in (s for pair in sample_pairs for s in pair):
+        xs = sample.to_floats()
+        for p in (1, 2, 3, 4):
+            est = moment_ci(sample, p)
+            ys = xs**p
+            assert est.n == xs.size
+            assert _close(est.mean, ys.mean())
+            assert _close(est.se, ys.std(ddof=1) / math.sqrt(xs.size))
+
+
+def test_counted_ecf_matches_per_path(sample_pairs):
+    u = np.linspace(-20.0, 20.0, 81)
+    for sample in (s for pair in sample_pairs for s in pair):
+        est = ecf(sample, u)
+        mean, se = _oracle_ecf(sample.to_floats(), u)
+        assert _close(est.mean, mean)
+        assert _close(est.se, se)
+
+
+def test_counted_ecf_distance_matches_per_path(sample_pairs):
+    for a, b in sample_pairs:
+        xa, xb = a.to_floats(), b.to_floats()
+        ma, sa = _oracle_ecf(xa, DEFAULT_UGRID)
+        mb, sb = _oracle_ecf(xb, DEFAULT_UGRID)
+        gap = np.abs(ma - mb) / (1.0 + DEFAULT_UGRID**2)
+        i = int(np.argmax(gap))
+        grid = ecf_distance(a, b, refine=False)
+        assert _close(grid.weighted_gap, gap)
+        assert grid.u_at == DEFAULT_UGRID[i]
+        assert _close(grid.distance, gap[i])
+        assert _close(grid.se_bound, (sa[i] + sb[i]) / (1.0 + DEFAULT_UGRID[i] ** 2))
+
+        fine = ecf_distance(a, b)
+        (pa,), (ea,) = _oracle_ecf(xa, fine.u_at)
+        (pb,), (eb,) = _oracle_ecf(xb, fine.u_at)
+        weight = 1.0 / (1.0 + fine.u_at**2)
+        assert fine.distance >= grid.distance
+        assert _close(fine.distance, abs(pa - pb) * weight)
+        assert _close(fine.se_bound, (ea + eb) * weight)
+
+
+def test_counted_dynkin_matches_per_path(monkeypatch):
+    ensembles = []
+    real = simulate.simulate_ensemble
+
+    def recording(rule, x0, cfg):
+        result = real(rule, x0, cfg)
+        ensembles.append(result)
+        return result
+
+    monkeypatch.setattr(simulate, "simulate_ensemble", recording)
+    spec = SymmetricDoublingApprox(K1, 3)
+    tf = TestFunction(lambda x: x**4, lambda x: 4.0 * x**3, lambda x: 12.0 * x * x)
+    x0 = jump_rule_of(spec).initial_state()
+    ts = np.linspace(0.0, 1.0, 5)
+    rep = dynkin_residual(spec, tf, x0, 1.0, ts, 1500, 17)
+
+    assert len(ensembles) == ts.size  # one per nonzero grid time, plus the terminal
+    g = [np.array([apply_generator(spec, tf, e.value) for e in r.endpoints])
+         for r in ensembles[:-1]]
+    f = np.array([tf.f(e.value) for e in ensembles[-1].endpoints])
+    g_means = [apply_generator(spec, tf, 0.0)] + [v.mean() for v in g]
+    g_ses = [0.0] + [v.std(ddof=1) / math.sqrt(v.size) for v in g]
+    assert _close(rep.generator_means, g_means)
+    assert _close(rep.mean_f_terminal, f.mean())
+    w = np.full(ts.size, ts[1] - ts[0])
+    w[[0, -1]] /= 2.0
+    se = math.sqrt((f.std(ddof=1) / math.sqrt(f.size)) ** 2
+                   + float(np.sum((w * np.array(g_ses)) ** 2)))
+    assert _close(rep.se, se)
+    integral = float(np.trapezoid(g_means, ts))
+    residual = f.mean() - tf.f(0.0) - integral
+    assert abs(rep.residual - residual) <= 1e-12 * max(abs(f.mean()), abs(integral))
 
 
 def test_law_converges_as_resolution_grows():

@@ -111,6 +111,30 @@ def test_lockstep_engine_matches_generic(spec):
     assert fast.event_counts == slow.event_counts
 
 
+@pytest.mark.parametrize(
+    "spec, x0, horizon",
+    [
+        # 4**n does not fit int64
+        (IncreasingDoublingApprox(K1, 32), ExactState("1", 1.0, 0, 0), 1.0),
+        # mm passes 2**63 during the run
+        (IncreasingDoublingApprox(K1, 31), ExactState("1", 1.0, 0, 0), 1e10),
+        # m * m of x0 does not fit int64
+        (SymmetricDoublingApprox(K1, 4), ExactState("1", 1.0, 1 << 32, 0), 1.0),
+        # |m| doubles past 2**31 during the run
+        (SymmetricDoublingApprox(K1, 4), ExactState("1", 1.0, 1 << 30, 0), 1e20),
+    ],
+    ids=["inc-n32", "inc-n31-long", "sym-x0-2^32", "sym-long"],
+)
+def test_engines_agree_beyond_int64_range(spec, x0, horizon):
+    rule = jump_rule_of(spec)
+    cfg = dict(horizon=horizon, seed=3, paths=64, max_events=2000)
+    fast = simulate_ensemble(rule, x0, SimConfig(**cfg))
+    slow = simulate_ensemble(rule, x0, SimConfig(**cfg, store_paths=True))
+    assert fast.endpoints == slow.endpoints
+    assert fast.event_counts == slow.event_counts
+    assert fast.truncated_count == slow.truncated_count
+
+
 def test_single_path_equals_ensemble_member():
     rule = jump_rule_of(SymmetricDoublingApprox(K1, 5))
     x0 = rule.initial_state()
