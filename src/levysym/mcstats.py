@@ -328,6 +328,8 @@ def dynkin_residual(spec, tf: TestFunction, x0: ExactState, horizon: float,
     seeds are split off the master seed), plus one more for the terminal
     expectation, so all quantities are statistically independent.
     """
+    if paths < 2:
+        raise DegenerateSample("need at least two paths for a standard error")
     ts = [float(t) for t in timegrid]
     if ts[0] != 0.0 or ts[-1] != horizon or any(
         b <= a for a, b in zip(ts, ts[1:])

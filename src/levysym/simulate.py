@@ -9,10 +9,12 @@ inverse-CDF exponentials driven by the counter-based streams of
 stream keyed by (master seed, i), which makes ensembles reproducible and
 independent of scheduling.
 
-Two engines produce identical output for the built-in rules: a generic
-per-path loop that works for any ``JumpRule`` and retains trajectories, and
-a vectorized lock-step engine used for large endpoint-only ensembles of the
-doubling families.
+The generic per-path engine works for any ``JumpRule``, retains
+trajectories on request and is the oracle.  Endpoint-only ensembles of the
+two doubling families run instead in one vectorized lock-step loop,
+``_lockstep``, which each family drives with three small int64 array rules
+(how many events stay exact in int64, the total jump rate, one jump).  Both
+engines give identical endpoints, event counts and truncations.
 """
 
 from __future__ import annotations
@@ -112,8 +114,10 @@ class SimConfig:
     store_paths: bool = False
 
     def __post_init__(self):
-        if not self.horizon > 0.0:
-            raise ValueError("horizon must be positive")
+        if not 0.0 < self.horizon < math.inf:
+            raise ValueError("horizon must be positive and finite")
+        if self.max_events < 0:
+            raise ValueError("max_events must be nonnegative")
         if self.paths < 1:
             raise ValueError("need at least one path")
 
@@ -133,12 +137,6 @@ class Path:
     @property
     def endpoint(self) -> ExactState:
         return self.states[-1]
-
-    def value_at(self, t: float) -> float:
-        i = 0
-        while i < len(self.times) and self.times[i] <= t:
-            i += 1
-        return self.states[i].value
 
 
 @dataclass(frozen=True)
@@ -240,8 +238,6 @@ def _run_path(rule: JumpRule, x0: ExactState, horizon: float, max_events: int,
         if record:
             times.append(t)
             states.append(state)
-    if not record:
-        states = [x0, state] if events else [state]
     return state, events, truncated, times, states
 
 
@@ -295,67 +291,54 @@ def simulate_ensemble(rule: JumpRule, x0: ExactState, cfg: SimConfig) -> Ensembl
 
 
 # ----------------------------------------------------------------------
-# vectorized lock-step engines (endpoint-only, built-in families)
+# vectorized lock-step engine (endpoint-only, built-in families)
 # ----------------------------------------------------------------------
 class _LockstepUnfit(Exception):
-    """The input leaves what a lock-step engine carries exactly.
+    """The input leaves what the lock-step engine carries exactly.
 
-    The engines hold states in int64; the per-path engine, whose Python ints
+    The engine holds states in int64; the per-path engine, whose Python ints
     never wrap, runs such inputs instead.
     """
 
 
-def _ensemble_symmetric_doubling(rule: JumpRule, x0: ExactState,
-                                 cfg: SimConfig) -> EnsembleResult:
-    """Lock-step engine for the double-or-die family.
+def _lockstep(rule: JumpRule, m0: int, s0: int, cfg: SimConfig,
+              safe_events, total_rate, step) -> EnsembleResult:
+    """One loop over all active paths, one iteration per event index.
 
-    Invariant: every reachable nonzero state is in the outer region, so the
-    inner branch only ever fires from m = 0.  All active paths have executed
-    exactly j jumps at iteration j, which keeps their stream counters aligned
-    with the per-path engine.  The rate needs m * m in int64, so |m| must
-    stay below 2**31; |m| at most doubles per event, which bounds how long a
-    checked maximum stays safe.
+    The family supplies array functions over int64 ``(m, s)``:
+    ``safe_events(m)`` is how many more events keep every state exact in
+    int64 (below 1 the input is unfit), ``total_rate(m, s)`` the total jump
+    rate and ``step(m, s, u2)`` the state after one jump.  All active paths
+    have made exactly j jumps at iteration j, so event j of path i reads
+    counter j of stream i, as in the per-path engine.
     """
-    (n,) = rule.family_params
-    if not (x0.is_zero or abs(x0.m) * (1 << n) >= (1 << x0.s)):
-        raise _LockstepUnfit("x0 is in the inner region")
-    if abs(x0.m) >= 1 << 31:
-        raise _LockstepUnfit("|m| of x0 reaches 2**31")
-    kval = rule.k
     N = cfg.paths
     keys = rng.path_keys(cfg.seed, np.arange(N))
-    m = np.full(N, x0.m, dtype=np.int64)
-    s = np.full(N, x0.s, dtype=np.int64)
+    m = np.full(N, m0, dtype=np.int64)
+    s = np.full(N, s0, dtype=np.int64)
     t = np.zeros(N)
     idx = np.arange(N)
-    out_m = np.full(N, x0.m, dtype=np.int64)
-    out_s = np.full(N, x0.s, dtype=np.int64)
+    out_m = m.copy()
+    out_s = s.copy()
     out_events = np.zeros(N, dtype=np.int64)
     truncated = np.zeros(N, dtype=bool)
-    rate_inner = math.ldexp(1.0, 2 * n) / (2.0 * kval * kval)
-    total_inner = rate_inner + rate_inner
     j = 0
     check_at = 0
     while idx.size:
         if j >= check_at:
-            top = int(np.abs(m).max())
-            if top >= 1 << 31:
-                raise _LockstepUnfit("|m| reached 2**31")
-            check_at = j + 32 - top.bit_length()
-        e1, u2 = _event_variates(keys[idx], j)
-        zero = m == 0
-        denom = 2.0 * kval * kval * np.where(zero, 1.0, (m * m).astype(float))
-        rate_each = np.ldexp(1.0, 2 * s) / denom
-        total = np.where(zero, total_inner, rate_each + rate_each)
-        t += e1 / total
+            safe = safe_events(m)
+            if safe < 1:
+                raise _LockstepUnfit("the state nears the end of int64")
+            check_at = j + safe
+        u1, u2 = rng.event_uniforms(keys[idx], j)
+        t += -np.log(u1) / total_rate(m, s)
         done = t > cfg.horizon
         if done.any():
             fin = done.nonzero()[0]
             out_m[idx[fin]] = m[fin]
             out_s[idx[fin]] = s[fin]
             keep = ~done
-            idx, m, s, t = idx[keep], m[keep], s[keep], t[keep]
-            zero, u2 = zero[keep], u2[keep]
+            idx, m, s, t, u2 = idx[keep], m[keep], s[keep], t[keep], u2[keep]
             if not idx.size:
                 break
         if j >= cfg.max_events:
@@ -363,93 +346,83 @@ def _ensemble_symmetric_doubling(rule: JumpRule, x0: ExactState,
             out_s[idx] = s
             truncated[idx] = True
             break
-        up = u2 < 0.5
-        nonzero = ~zero
-        m = np.where(zero, np.where(up, 1, -1), m)
-        s = np.where(zero, n, s)
-        die = nonzero & ~up
-        dbl = nonzero & up
-        shift = dbl & (s > 0)
-        grow = dbl & (s == 0)
-        m = np.where(die, 0, m)
-        s = np.where(die, 0, s)
-        s = np.where(shift, s - 1, s)
-        m = np.where(grow, m * 2, m)
+        m, s = step(m, s, u2)
         out_events[idx] += 1
         j += 1
     endpoints = tuple(
-        ExactState(rule.unit_tag, kval, int(out_m[i]), int(out_s[i])) for i in range(N)
+        ExactState(rule.unit_tag, rule.k, int(out_m[i]), int(out_s[i])) for i in range(N)
     )
     return EnsembleResult(
         endpoints, cfg.horizon, int(truncated.sum()), tuple(int(c) for c in out_events)
     )
 
 
+def _ensemble_symmetric_doubling(rule: JumpRule, x0: ExactState,
+                                 cfg: SimConfig) -> EnsembleResult:
+    """Lock-step rule of the double-or-die family.
+
+    Invariant: every reachable nonzero state is in the outer region, so the
+    inner branch only ever fires from m = 0.  The rate needs m * m in int64,
+    so |m| must stay below 2**31; |m| at most doubles per event.
+    """
+    (n,) = rule.family_params
+    if not (x0.is_zero or abs(x0.m) * (1 << n) >= (1 << x0.s)):
+        raise _LockstepUnfit("x0 is in the inner region")
+    if abs(x0.m) >= 1 << 31:
+        raise _LockstepUnfit("|m| of x0 reaches 2**31")
+    kval = rule.k
+    rate_inner = math.ldexp(1.0, 2 * n) / (2.0 * kval * kval)
+    total_inner = rate_inner + rate_inner
+
+    def safe_events(m):
+        return 32 - int(np.abs(m).max()).bit_length()
+
+    def total_rate(m, s):
+        zero = m == 0
+        denom = 2.0 * kval * kval * np.where(zero, 1.0, (m * m).astype(float))
+        rate_each = np.ldexp(1.0, 2 * s) / denom
+        return np.where(zero, total_inner, rate_each + rate_each)
+
+    def step(m, s, u2):
+        # 0 moves to +-k 2^-n; x doubles (s drops, or m doubles at s = 0) or dies
+        up = u2 < 0.5
+        zero = m == 0
+        doubled = np.where(s == 0, m * 2, m)
+        m_next = np.where(zero, np.where(up, 1, -1), np.where(up, doubled, 0))
+        s_next = np.where(zero, n, np.where(up, np.maximum(s - 1, 0), 0))
+        return m_next, s_next
+
+    return _lockstep(rule, x0.m, x0.s, cfg, safe_events, total_rate, step)
+
+
 def _ensemble_increasing_doubling(rule: JumpRule, x0: ExactState,
                                   cfg: SimConfig) -> EnsembleResult:
-    """Lock-step engine for the clamped pure-birth family.
+    """Lock-step rule of the clamped pure-birth family.
 
-    States are carried at the fixed scale n (x = k * mm * 2**-n); the clamp
-    becomes an integer clip of mm to [1, 4**n].  Each event adds at most
-    4**n to mm, which must stay below 2**63, so a checked maximum stays safe
-    for a known number of events.
+    States are carried at the fixed scale s = n (x = k * m * 2**-n); the
+    clamp becomes an integer clip of m to [1, 4**n].  Each event adds at
+    most 4**n to m, which must stay below 2**63.
     """
     (n,) = rule.family_params
     if 2 * n > 62 or x0.s > n:
         raise _LockstepUnfit("4**n or x0 is off the int64 scale-n lattice")
     cap = 1 << (2 * n)
-    headroom = (1 << 63) - 1 - cap  # mm + hm is exact while mm <= headroom
-    mm0 = x0.m << (n - x0.s)
-    if not -(1 << 63) <= mm0 <= headroom:
+    headroom = (1 << 63) - 1 - cap  # m + jump is exact while m <= headroom
+    m0 = x0.m << (n - x0.s)
+    if not -(1 << 63) <= m0 <= headroom:
         raise _LockstepUnfit("x0 is outside int64 at scale n")
     kval = rule.k
-    N = cfg.paths
-    keys = rng.path_keys(cfg.seed, np.arange(N))
-    mm = np.full(N, mm0, dtype=np.int64)
-    t = np.zeros(N)
-    idx = np.arange(N)
-    out_mm = np.full(N, mm0, dtype=np.int64)
-    out_events = np.zeros(N, dtype=np.int64)
-    truncated = np.zeros(N, dtype=bool)
-    j = 0
-    check_at = 0
-    while idx.size:
-        if j >= check_at:
-            top = int(mm.max())
-            if top > headroom:
-                raise _LockstepUnfit("mm neared 2**63")
-            check_at = j + 1 + (headroom - top) // cap
-        e1, _ = _event_variates(keys[idx], j)
-        hm = np.clip(mm, 1, cap)
-        h = kval * np.ldexp(hm.astype(float), -n)
-        rate = 1.0 / h
-        t += e1 / rate
-        done = t > cfg.horizon
-        if done.any():
-            fin = done.nonzero()[0]
-            out_mm[idx[fin]] = mm[fin]
-            keep = ~done
-            idx, mm, t, hm = idx[keep], mm[keep], t[keep], hm[keep]
-            if not idx.size:
-                break
-        if j >= cfg.max_events:
-            out_mm[idx] = mm
-            truncated[idx] = True
-            break
-        mm = mm + hm
-        out_events[idx] += 1
-        j += 1
-    endpoints = tuple(
-        ExactState(rule.unit_tag, kval, int(out_mm[i]), n) for i in range(N)
-    )
-    return EnsembleResult(
-        endpoints, cfg.horizon, int(truncated.sum()), tuple(int(c) for c in out_events)
-    )
 
+    def safe_events(m):
+        return 1 + (headroom - int(m.max())) // cap
 
-def _event_variates(keys, counter):
-    u1, u2 = rng.event_uniforms(keys, counter)
-    return -np.log(u1), u2
+    def total_rate(m, s):
+        return 1.0 / (kval * np.ldexp(np.clip(m, 1, cap).astype(float), -n))
+
+    def step(m, s, u2):
+        return m + np.clip(m, 1, cap), s
+
+    return _lockstep(rule, m0, n, cfg, safe_events, total_rate, step)
 
 
 # ----------------------------------------------------------------------

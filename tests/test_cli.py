@@ -56,6 +56,15 @@ def test_moments_failure_exit_code(tmp_path):
     assert code == EXIT_INPUT
 
 
+def test_simulate_rejects_bad_config(tmp_path):
+    base = ["simulate", "--spec", "ex32approx", "--n", "2", "--paths", "3"]
+    code = main(base + ["--t", "inf", "--max-events", "50", "--out", str(tmp_path / "a")])
+    assert code == EXIT_INPUT
+    code = main(base + ["--t", "1", "--max-events", "-4", "--out", str(tmp_path / "b")])
+    assert code == EXIT_INPUT
+    assert not (tmp_path / "a").exists() and not (tmp_path / "b").exists()
+
+
 def test_nonuniq_small(tmp_path):
     out = tmp_path / "nu"
     code = main([

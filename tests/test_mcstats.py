@@ -402,6 +402,14 @@ def test_dynkin_grid_validation():
         dynkin_residual(spec, tf, x0, 1.0, [0.0, 0.5, 0.9], 100, 1)
 
 
+def test_dynkin_needs_two_paths():
+    spec = IncreasingDoublingApprox(K1, 0)
+    tf = TestFunction(lambda x: x, lambda x: 1.0, lambda x: 0.0)
+    x0 = jump_rule_of(spec).initial_state()
+    with pytest.raises(DegenerateSample):
+        dynkin_residual(spec, tf, x0, 1.0, np.linspace(0.0, 1.0, 3), 1, 1)
+
+
 # ----------------------------------------------------------------------
 # report formats
 # ----------------------------------------------------------------------

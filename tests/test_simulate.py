@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from levysym.errors import UnsupportedSpec
 from levysym.simulate import (
@@ -135,6 +137,32 @@ def test_engines_agree_beyond_int64_range(spec, x0, horizon):
     assert fast.truncated_count == slow.truncated_count
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    family=st.sampled_from([SymmetricDoublingApprox, IncreasingDoublingApprox]),
+    k=st.sampled_from([K1, KS2]),
+    n=st.integers(0, 8),
+    m=st.integers(-40, 40),
+    s=st.integers(0, 10),
+    horizon=st.sampled_from([0.05, 0.5, 1.0, 2.0]),
+    max_events=st.integers(0, 1000),
+    paths=st.integers(2, 64),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_lockstep_engine_agrees_with_per_path_engine(
+    family, k, n, m, s, horizon, max_events, paths, seed
+):
+    # nonzero, negative and symmetric inner-region starts; truncation
+    rule = jump_rule_of(family(k, n))
+    x0 = rule.initial_state(m, s)
+    cfg = dict(horizon=horizon, seed=seed, paths=paths, max_events=max_events)
+    fast = simulate_ensemble(rule, x0, SimConfig(**cfg))
+    slow = simulate_ensemble(rule, x0, SimConfig(**cfg, store_paths=True))
+    assert fast.endpoints == slow.endpoints
+    assert fast.event_counts == slow.event_counts
+    assert fast.truncated_count == slow.truncated_count
+
+
 def test_single_path_equals_ensemble_member():
     rule = jump_rule_of(SymmetricDoublingApprox(K1, 5))
     x0 = rule.initial_state()
@@ -209,6 +237,17 @@ def test_event_budget_truncates():
     ens = simulate_ensemble(rule, rule.initial_state(),
                             SimConfig(horizon=1e9, seed=2, paths=5, max_events=10))
     assert ens.truncated_count == 5
+
+
+def test_sim_config_validation():
+    for horizon in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            SimConfig(horizon=horizon, seed=1)
+    with pytest.raises(ValueError):
+        SimConfig(horizon=1.0, seed=1, max_events=-4)
+    with pytest.raises(ValueError):
+        SimConfig(horizon=1.0, seed=1, paths=0)
+    assert SimConfig(horizon=1.0, seed=1, max_events=0).max_events == 0
 
 
 def test_artifact_formats():
