@@ -353,11 +353,10 @@ class TermMeasureReport:
 def verify_term_measure(P: LatticeComplexMeasure, a: complex, b: complex,
                         kind: str, spacing: float, t: float, xgrid,
                         tol: float = 1e-8) -> TermMeasureReport:
-    trig = math.cos if kind == "cos" else math.sin
-    worst = 0.0
-    for x in xgrid:
-        target = cmath.exp(t * (complex(b) * trig(spacing * x) - complex(a)))
-        worst = max(worst, abs(P.fourier(x) - target))
+    x = np.asarray(xgrid, dtype=float)
+    trig = np.cos if kind == "cos" else np.sin
+    target = np.exp(t * (complex(b) * trig(spacing * x) - complex(a)))
+    worst = float(np.max(np.abs(P.fourier(x) - target), initial=0.0))
     tv = P.total_variation()
     tv_norm = P.tv_norm()
     m1 = abs(tv.moment(1))
@@ -440,13 +439,11 @@ def assemble_majorant(fs: FourierSymbol, u: float, t: float, ncut: int, xgrid,
             )
     P = convolve_sequence(parts)
 
-    def q_rec(x):
-        val = a0_val
-        for n, a_n, b_n in rows:
-            val += a_n * math.cos(fs.k * n * x) + b_n * math.sin(fs.k * n * x)
-        return val
-
-    worst = max(abs(P.fourier(x) - cmath.exp(t * q_rec(x))) for x in xgrid)
+    x = np.asarray(xgrid, dtype=float)
+    q_rec = np.full(x.shape, a0_val)
+    for n, a_n, b_n in rows:
+        q_rec += a_n * np.cos(fs.k * n * x) + b_n * np.sin(fs.k * n * x)
+    worst = float(np.max(np.abs(P.fourier(x) - np.exp(t * q_rec)), initial=0.0))
     tv = P.total_variation()
     mass = sum(
         (1.0 + (u + j * unit) ** 2) / (1.0 + u * u) * w.real

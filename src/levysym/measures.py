@@ -1,10 +1,15 @@
 """Finite atomic complex measures on a one-dimensional lattice.
 
-A measure stores finitely many complex weights on the grid ``{j * unit}``,
-indexed by integer ``j``.  The ``unit_tag`` is an opaque token naming the
-base lattice symbolically, so that e.g. the spacing-1 lattice and the
-spacing-sqrt(2) lattice stay incommensurable even when their floating
-units happen to collide; every binary operation requires matching tags.
+A measure holds its complex weights on the grid ``{j * unit}`` as one dense
+array: ``_a[i]`` is the weight at integer index ``_lo + i``.  The form is
+canonical: weights of modulus at most ``PRUNE_THRESHOLD`` are exact zeros,
+the first and last entries are atoms, and the zero measure is the empty
+array at ``_lo = 0``.  The array allocates the span, not the atoms, so no
+measure spans more than ``MAX_SPAN`` indices.  The ``unit_tag`` is an opaque
+token naming the base lattice symbolically, so that e.g. the spacing-1
+lattice and the spacing-sqrt(2) lattice stay incommensurable even when their
+floating units happen to collide; every binary operation requires matching
+tags.
 
 The class closes under the convolution Banach-algebra operations: addition,
 scalar multiple, convolution (exact integer index addition, which is why
@@ -17,7 +22,7 @@ bound.  Kept free of any symbol- or simulation-level concepts on purpose.
 from __future__ import annotations
 
 import cmath
-import math
+import warnings
 from dataclasses import dataclass
 from types import MappingProxyType
 
@@ -32,14 +37,31 @@ PRUNE_THRESHOLD = 1e-300
 #: hard cap on the number of power-series terms in ``exp_measure``
 EXP_TERM_CAP = 512
 
+#: hard cap on a measure's span (last index - first index + 1); the widest
+#: measure any check builds spans a few thousand indices
+MAX_SPAN = 1 << 20
+
 #: default relative tolerance for symmetry classification
 SYMMETRY_RTOL = 1e-12
 
 
-class LatticeComplexMeasure:
-    """Immutable finite complex measure on the lattice ``{j * unit : j in Z}``."""
+def _modulus(a: np.ndarray) -> np.ndarray:
+    """Entry-wise |a|, rounded as Python's abs(complex) rounds (np.abs is not)."""
+    return np.hypot(a.real, a.imag)
 
-    __slots__ = ("unit", "unit_tag", "_w")
+
+def _check_span(span: int) -> None:
+    if span > MAX_SPAN:
+        raise BudgetExceeded(f"measure span {span} exceeds MAX_SPAN = {MAX_SPAN}")
+
+
+class LatticeComplexMeasure:
+    """Immutable finite complex measure on the lattice ``{j * unit : j in Z}``.
+
+    Built from a mapping index -> weight; weights must be finite.
+    """
+
+    __slots__ = ("unit", "unit_tag", "_lo", "_a")
 
     def __init__(self, unit: float, unit_tag: str, weights):
         if not unit > 0.0:
@@ -48,31 +70,65 @@ class LatticeComplexMeasure:
             raise ValueError(f"unit_tag must be a non-empty token, got {unit_tag!r}")
         object.__setattr__(self, "unit", float(unit))
         object.__setattr__(self, "unit_tag", str(unit_tag))
-        w = {}
-        for j, z in dict(weights).items():
-            z = complex(z)
-            if abs(z) > PRUNE_THRESHOLD:
-                w[int(j)] = z
-        object.__setattr__(self, "_w", w)
+        weights = dict(weights)
+        keys = [int(j) for j in weights]
+        lo = min(keys, default=0)
+        span = max(keys) - lo + 1 if keys else 0
+        _check_span(span)
+        a = np.zeros(span, dtype=np.complex128)
+        a[[j - lo for j in keys]] = [complex(z) for z in weights.values()]
+        self._store(lo, a)
+
+    def _store(self, lo: int, a) -> None:
+        """Set the canonical form of the weights ``a`` starting at index ``lo``."""
+        a = np.asarray(a, dtype=np.complex128)
+        mod = _modulus(a)
+        if not np.isfinite(mod.max(initial=0.0)):
+            raise ValueError("measure weights must be finite")
+        keep = mod > PRUNE_THRESHOLD
+        nz = keep.nonzero()[0]
+        if nz.size:
+            first, last = int(nz[0]), int(nz[-1]) + 1
+            a = a[first:last]
+            if np.count_nonzero(a) > nz.size:  # nonzero weights to prune
+                a = np.where(keep[first:last], a, 0j)
+            lo += first
+        else:
+            lo, a = 0, np.zeros(0, dtype=np.complex128)
+        a.flags.writeable = False
+        object.__setattr__(self, "_lo", int(lo))
+        object.__setattr__(self, "_a", a)
+
+    def _of(self, lo: int, a) -> "LatticeComplexMeasure":
+        """Measure on this lattice with weights ``a`` starting at index ``lo``."""
+        mu = object.__new__(LatticeComplexMeasure)
+        object.__setattr__(mu, "unit", self.unit)
+        object.__setattr__(mu, "unit_tag", self.unit_tag)
+        mu._store(lo, a)
+        return mu
 
     def __setattr__(self, name, value):
         raise AttributeError("LatticeComplexMeasure is immutable")
 
     @property
     def weights(self):
-        """Read-only view of the index -> weight map (nonzero entries only)."""
-        return MappingProxyType(self._w)
+        """Read-only index -> weight map of the atoms, built on each access."""
+        nz = np.flatnonzero(self._a)
+        return MappingProxyType(
+            dict(zip((self._lo + i for i in nz.tolist()), self._a[nz].tolist()))
+        )
 
-    def location(self, j: int) -> float:
-        return j * self.unit
+    def _locations(self) -> np.ndarray:
+        """Location j * unit of every array entry."""
+        return np.arange(self._lo, self._lo + self._a.size, dtype=float) * self.unit
 
     def __len__(self) -> int:
-        return len(self._w)
+        return int(np.count_nonzero(self._a))
 
     def __repr__(self) -> str:
         return (
             f"LatticeComplexMeasure(unit={self.unit!r}, tag={self.unit_tag!r}, "
-            f"atoms={len(self._w)}, mass={self.total_mass():.6g})"
+            f"atoms={len(self)}, mass={self.total_mass():.6g})"
         )
 
     def __eq__(self, other) -> bool:
@@ -80,7 +136,8 @@ class LatticeComplexMeasure:
             isinstance(other, LatticeComplexMeasure)
             and self.unit == other.unit
             and self.unit_tag == other.unit_tag
-            and self._w == other._w
+            and self._lo == other._lo
+            and np.array_equal(self._a, other._a)
         )
 
     def _require_same_lattice(self, other: "LatticeComplexMeasure"):
@@ -95,33 +152,38 @@ class LatticeComplexMeasure:
     # ------------------------------------------------------------------
     def total_mass(self) -> complex:
         """Measure of the whole line, sum of all weights."""
-        return sum(self._w.values(), 0j)
+        return complex(self._a.sum())
 
     def total_variation(self) -> "LatticeComplexMeasure":
         """Atom-wise modulus measure |mu| (exact: atoms cannot be split)."""
-        return LatticeComplexMeasure(
-            self.unit, self.unit_tag, {j: abs(z) for j, z in self._w.items()}
-        )
+        return self._of(self._lo, _modulus(self._a))
 
     def tv_norm(self) -> float:
         """Total variation norm, sum of atom moduli."""
-        return sum(abs(z) for z in self._w.values())
+        return float(_modulus(self._a).sum())
 
     # ------------------------------------------------------------------
     # linear structure
     # ------------------------------------------------------------------
     def add(self, other: "LatticeComplexMeasure") -> "LatticeComplexMeasure":
         self._require_same_lattice(other)
-        w = dict(self._w)
-        for j, z in other._w.items():
-            w[j] = w.get(j, 0j) + z
-        return LatticeComplexMeasure(self.unit, self.unit_tag, w)
+        if not other._a.size:
+            return self
+        if not self._a.size:
+            return other
+        lo = min(self._lo, other._lo)
+        hi = max(self._lo + self._a.size, other._lo + other._a.size)
+        _check_span(hi - lo)
+        total = np.zeros(hi - lo, dtype=np.complex128)
+        for mu in (self, other):
+            total[mu._lo - lo:mu._lo - lo + mu._a.size] += mu._a
+        return self._of(lo, total)
 
     def scale(self, z: complex) -> "LatticeComplexMeasure":
         z = complex(z)
-        return LatticeComplexMeasure(
-            self.unit, self.unit_tag, {j: z * w for j, w in self._w.items()}
-        )
+        if not cmath.isfinite(z):
+            raise ValueError(f"scale factor must be finite, got {z!r}")
+        return self._of(self._lo, self._a * z)
 
     def __add__(self, other):
         return self.add(other)
@@ -140,51 +202,26 @@ class LatticeComplexMeasure:
     def convolve(self, other: "LatticeComplexMeasure") -> "LatticeComplexMeasure":
         """Convolution: weight at m is sum over j+l=m of self[j]*other[l]."""
         self._require_same_lattice(other)
-        if not self._w or not other._w:
-            return LatticeComplexMeasure(self.unit, self.unit_tag, {})
-        if len(self._w) * len(other._w) > 4096:
-            return self._convolve_dense(other)
-        w: dict[int, complex] = {}
-        for j, a in self._w.items():
-            for l, b in other._w.items():
-                m = j + l
-                w[m] = w.get(m, 0j) + a * b
-        return LatticeComplexMeasure(self.unit, self.unit_tag, w)
-
-    def _convolve_dense(self, other):
-        ja = np.array(list(self._w.keys()), dtype=np.int64)
-        wa = np.array(list(self._w.values()), dtype=np.complex128)
-        jb = np.array(list(other._w.keys()), dtype=np.int64)
-        wb = np.array(list(other._w.values()), dtype=np.complex128)
-        idx = np.add.outer(ja, jb).ravel()
-        val = np.multiply.outer(wa, wb).ravel()
-        lo = int(idx.min())
-        shifted = idx - lo
-        n = int(shifted.max()) + 1
-        acc = np.bincount(shifted, weights=val.real, minlength=n) + 1j * np.bincount(
-            shifted, weights=val.imag, minlength=n
-        )
-        nz = np.nonzero(np.abs(acc) > PRUNE_THRESHOLD)[0]
-        return LatticeComplexMeasure(
-            self.unit, self.unit_tag, {int(i) + lo: complex(acc[i]) for i in nz}
-        )
+        if not self._a.size or not other._a.size:
+            return self._of(0, ())
+        _check_span(self._a.size + other._a.size - 1)
+        return self._of(self._lo + other._lo, np.convolve(self._a, other._a))
 
     # ------------------------------------------------------------------
     # transforms and moments
     # ------------------------------------------------------------------
-    def fourier(self, u: float) -> complex:
-        """Fourier transform at frequency u: sum of w_j * exp(i*u*j*unit)."""
-        return sum(
-            z * cmath.exp(1j * u * (j * self.unit)) for j, z in self._w.items()
-        ) + 0j
+    def fourier(self, u):
+        """Fourier transform sum of w_j * exp(i*u*j*unit) at frequency u, a
+        number or an array of frequencies (then an array of u's shape)."""
+        phase = np.multiply.outer(u, self._locations())
+        value = np.exp(1j * phase) @ self._a
+        return complex(value) if np.ndim(u) == 0 else value
 
     def moment(self, p: int) -> complex:
         """p-th moment (p in {1, 2}); for p = 2 the location enters as |x|^2."""
-        if p == 1:
-            return sum(z * (j * self.unit) for j, z in self._w.items()) + 0j
-        if p == 2:
-            return sum(z * (j * self.unit) ** 2 for j, z in self._w.items()) + 0j
-        raise ValueError(f"only moments p in {{1, 2}} are supported, got {p}")
+        if p not in (1, 2):
+            raise ValueError(f"only moments p in {{1, 2}} are supported, got {p}")
+        return complex(self._a @ self._locations() ** p)
 
     # ------------------------------------------------------------------
     # symmetry
@@ -193,20 +230,17 @@ class LatticeComplexMeasure:
         """Classify as 'symmetric', 'antisymmetric' or 'neither'.
 
         Symmetric wins the tie on the zero measure.  Default tolerance is
-        SYMMETRY_RTOL relative to the total variation norm.
+        SYMMETRY_RTOL relative to the total variation norm.  The span cap
+        applies to the window about index 0 that holds the support.
         """
         if tol is None:
             tol = SYMMETRY_RTOL * self.tv_norm()
-        indices = set(self._w) | {-j for j in self._w}
-        symmetric = all(
-            abs(self._w.get(j, 0j) - self._w.get(-j, 0j)) <= tol for j in indices
-        )
-        if symmetric:
+        mirror = self._of(-(self._lo + self._a.size - 1), self._a[::-1])
+        if _modulus((self - mirror)._a).max(initial=0.0) <= tol:
             return "symmetric"
-        antisymmetric = all(
-            abs(self._w.get(j, 0j) + self._w.get(-j, 0j)) <= tol for j in indices
-        )
-        return "antisymmetric" if antisymmetric else "neither"
+        if _modulus((self + mirror)._a).max(initial=0.0) <= tol:
+            return "antisymmetric"
+        return "neither"
 
 
 # ----------------------------------------------------------------------
@@ -249,11 +283,8 @@ def _series_order(norm: float, tol: float, cap: int) -> tuple[int, float]:
 
 def _exp_series(mu: LatticeComplexMeasure, tol: float, cap: int, parity) -> tuple:
     order, tail = _series_order(mu.tv_norm(), tol, cap)
-    unit_tag, unit = mu.unit_tag, mu.unit
-    total = zero_measure(unit, unit_tag)
-    term = dirac(0, unit, unit_tag)
-    if parity(0):
-        total = total.add(term)
+    term = dirac(0, mu.unit, mu.unit_tag)
+    total = term if parity(0) else zero_measure(mu.unit, mu.unit_tag)
     for m in range(1, order + 1):
         term = term.convolve(mu).scale(1.0 / m)
         if parity(m):
@@ -318,8 +349,6 @@ def convolve_sequence(measures, tol: float = 1e-9, unit: float = 1.0,
         second_sum += tv.moment(2).real
         result = result.convolve(mu)
     if violations:
-        import warnings
-
         warnings.warn(
             f"convolve_sequence: |mu| not centered at positions {violations} "
             f"(first absolute moment above {tol:g})",
@@ -336,13 +365,14 @@ def convolve_sequence(measures, tol: float = 1e-9, unit: float = 1.0,
 def to_csv(mu: LatticeComplexMeasure) -> str:
     """Serialize: metadata comment line, header, one row per atom."""
     lines = [f"# unit={mu.unit:.17g} tag={mu.unit_tag}", "index,weight_re,weight_im"]
-    for j in sorted(mu.weights):
-        z = mu.weights[j]
+    for j, z in mu.weights.items():  # ascending index
         lines.append(f"{j},{z.real:.17g},{z.imag:.17g}")
     return "\n".join(lines) + "\n"
 
 
 def from_csv(text: str) -> LatticeComplexMeasure:
+    """Parse ``to_csv`` output; a repeated index or a non-finite weight is a
+    ``ValueError`` and a span beyond ``MAX_SPAN`` is ``BudgetExceeded``."""
     unit = None
     unit_tag = None
     weights: dict[int, complex] = {}
@@ -361,7 +391,10 @@ def from_csv(text: str) -> LatticeComplexMeasure:
         if line.startswith("index,"):
             continue
         j_s, re_s, im_s = line.split(",")
-        weights[int(j_s)] = complex(float(re_s), float(im_s))
+        j = int(j_s)
+        if j in weights:
+            raise ValueError(f"measure CSV repeats index {j}")
+        weights[j] = complex(float(re_s), float(im_s))
     if unit is None or unit_tag is None:
         raise ValueError("measure CSV is missing the '# unit=... tag=...' line")
     return LatticeComplexMeasure(unit, unit_tag, weights)

@@ -4,12 +4,15 @@ identities, symmetry, CSV round trip."""
 import cmath
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from levysym.errors import BudgetExceeded, UnitMismatch
 from levysym.measures import (
+    MAX_SPAN,
+    PRUNE_THRESHOLD,
     ConvolveSequenceReport,
     LatticeComplexMeasure,
     cosh_measure,
@@ -162,6 +165,39 @@ def test_csv_round_trip():
     assert from_csv(text) == mu
 
 
+def test_csv_rejects_repeated_index():
+    text = "# unit=1 tag=unit\nindex,weight_re,weight_im\n0,1,0\n0,2,0\n"
+    with pytest.raises(ValueError, match="repeats index 0"):
+        from_csv(text)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf)])
+def test_non_finite_weights_rejected(bad):
+    with pytest.raises(ValueError):
+        meas({0: bad, 1: 1.0})
+    with pytest.raises(ValueError):
+        dirac(0).scale(bad)
+    with pytest.raises(ValueError):
+        from_csv(f"# unit=1 tag=unit\n0,{bad.real!r},{bad.imag!r}\n")
+
+
+def test_span_guard():
+    # a dense array allocates the span: the guard must fire before NumPy
+    # is asked for 2**40 entries
+    with pytest.raises(BudgetExceeded):
+        meas({0: 1.0, 2**40: 1.0})
+    with pytest.raises(BudgetExceeded):
+        from_csv(f"# unit=1 tag=unit\n0,1,0\n{2**40},1,0\n")
+    with pytest.raises(BudgetExceeded):
+        dirac(0).add(dirac(MAX_SPAN))
+    half = meas({0: 1.0, MAX_SPAN // 2: 1.0})
+    with pytest.raises(BudgetExceeded):
+        half.convolve(half)
+    # far from the origin is fine: only the span counts
+    assert dirac(2**40).convolve(dirac(-(2**40))) == dirac(0)
+    assert dirac(2**40).add(dirac(2**40 + 3)).tv_norm() == 2.0
+
+
 # ----------------------------------------------------------------------
 # property tests
 # ----------------------------------------------------------------------
@@ -212,3 +248,90 @@ def test_tv_of_exp_of_odd_measure_is_symmetric(z, s):
         assert abs(tv.weights.get(j, 0j) - tv.weights.get(-j, 0j)) <= 1e-12 * max(
             1.0, tv.tv_norm()
         )
+
+
+# ----------------------------------------------------------------------
+# dict oracle: the index -> weight double loop, on wide sparse supports
+# ----------------------------------------------------------------------
+def _oracle_convolve(x, y):
+    w = {}
+    for j, a in x.items():
+        for l, b in y.items():
+            w[j + l] = w.get(j + l, 0j) + a * b
+    return w
+
+
+def _oracle_add(x, y):
+    w = dict(x)
+    for j, z in y.items():
+        w[j] = w.get(j, 0j) + z
+    return w
+
+
+def _oracle_symmetry(x):
+    tol = 1e-12 * sum(abs(z) for z in x.values())
+    indices = set(x) | {-j for j in x}
+    if all(abs(x.get(j, 0j) - x.get(-j, 0j)) <= tol for j in indices):
+        return "symmetric"
+    if all(abs(x.get(j, 0j) + x.get(-j, 0j)) <= tol for j in indices):
+        return "antisymmetric"
+    return "neither"
+
+
+def _atoms(w):
+    return {j: z for j, z in w.items() if abs(z) > PRUNE_THRESHOLD}
+
+
+def _gap(x, y):
+    return max((abs(x.get(j, 0j) - y.get(j, 0j)) for j in set(x) | set(y)), default=0.0)
+
+
+ORACLE_UNIT = 0.75
+# wide sparse supports mixed with clustered ones, so that products of atom
+# counts pass 4 096 and convolutions both overlap and leave gaps
+wide_dicts = st.integers(1, 100).flatmap(
+    lambda size: st.dictionaries(
+        st.one_of(st.integers(-5000, 5000), st.integers(-20, 20)),
+        complex_weights, min_size=size, max_size=size,
+    )
+)
+
+
+@st.composite
+def mirrored_dicts(draw):
+    w = draw(wide_dicts)
+    sign = draw(st.sampled_from([0, 1, -1]))
+    if sign:
+        w = {**w, **{-j: sign * z for j, z in w.items() if j > 0}}
+        if sign < 0:
+            w.pop(0, None)
+    return w
+
+
+@settings(max_examples=40, deadline=None)
+@given(mirrored_dicts(), wide_dicts, st.floats(-10, 10))
+def test_dense_measure_matches_dict_oracle(x, y, u):
+    mx = meas(x, unit=ORACLE_UNIT)
+    my = meas(y, unit=ORACLE_UNIT)
+    assert dict(mx.weights) == _atoms(x)
+    assert len(mx) == len(_atoms(x))
+    assert dict(mx.add(my).weights) == _atoms(_oracle_add(x, y))
+    assert dict(mx.total_variation().weights) == {j: abs(z) for j, z in x.items()}
+    assert mx.symmetry_class() == _oracle_symmetry(x)
+
+    conv = mx.convolve(my)
+    tv_x = sum(abs(z) for z in x.values())
+    tv_y = sum(abs(z) for z in y.values())
+    assert _gap(dict(conv.weights), _oracle_convolve(x, y)) <= 1e-12 * tv_x * tv_y
+
+    four = sum(z * cmath.exp(1j * u * (j * ORACLE_UNIT)) for j, z in x.items())
+    assert abs(mx.fourier(u) - four) <= 1e-12 * tv_x
+    us = [u, -u, 0.5 * u]
+    batch = mx.fourier(np.array(us))
+    assert batch.shape == (3,)
+    for got, v in zip(batch, us):
+        assert abs(got - mx.fourier(v)) <= 1e-12 * tv_x
+    for p in (1, 2):
+        moment = sum(z * (j * ORACLE_UNIT) ** p for j, z in x.items())
+        scale = sum(abs(z) * abs(j * ORACLE_UNIT) ** p for j, z in x.items())
+        assert abs(mx.moment(p) - moment) <= 1e-12 * scale
