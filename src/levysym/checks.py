@@ -3,9 +3,12 @@
 The pipeline mirrors the structure of the uniqueness argument:
 
 1.  A symbol is written as a trigonometric series in the state,
-    q(x,u) = sum_n a_n(u) cos(k n x) + b_n(u) sin(k n x)   (``FourierSymbol``),
-    either in closed form (product-cosine symbols) or by windowed
-    localization around a point plus periodic-trapezoid coefficients.
+    q(x,u) = a_0(u) + sum_n a_n(u) cos(k n x) + b_n(u) sin(k n x)
+    (``FourierSymbol``): an int array of the nonzero wavenumber indices n
+    and one function of u that returns a_0 and the a_n, b_n as complex
+    arrays aligned with n.  The series comes in closed form (product-cosine
+    symbols) or from windowed localization around a point: one array
+    evaluation of the symbol on the quadrature states and one FFT per u.
 2.  ``check_dominance`` tests that -Re a_0(u) dominates the absolute sum of
     all other coefficients, and ``compute_K`` evaluates the curvature
     constant K = k^2 sup_u sum |n|^2 (|a_n|+|b_n|) / (1+u^2).
@@ -24,7 +27,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -37,6 +40,7 @@ from .errors import (
 )
 from .measures import (
     LatticeComplexMeasure,
+    _modulus,
     convolve_sequence,
     dirac,
     exp_measure,
@@ -53,54 +57,38 @@ DEFAULT_UGRID = np.linspace(-20.0, 20.0, 201)
 class FourierSymbol:
     """Trigonometric series representation of a symbol in the state variable.
 
-    ``a0`` maps u to the constant coefficient; ``terms`` maps nonzero n to a
-    pair of coefficient functions (cosine, sine) at wavenumber k*n;
-    ``truncation_residual`` bounds the dropped coefficient tail (zero for
-    closed forms).
+    ``n`` is the sorted int array of the nonzero wavenumber indices (the
+    wavenumbers are k*n).  ``coefficients(u)`` returns ``(a0, a, b,
+    residual)`` at one frequency u: the constant coefficient, the complex
+    cosine and sine coefficient arrays aligned with ``n``, and a bound on
+    the dropped coefficient tail (zero for closed forms).
     """
 
     k: float
-    a0: Callable[[float], complex]
-    terms: dict
-    truncation_residual: Callable[[float], float] = field(
-        default=lambda u: 0.0
-    )
+    n: np.ndarray
+    coefficients: Callable[[float], tuple[complex, np.ndarray, np.ndarray, float]]
 
-    def reconstruct(self, x: float, u: float) -> complex:
-        """Evaluate the (truncated) series at (x, u)."""
-        val = complex(self.a0(u))
-        for n, (a_fn, b_fn) in self.terms.items():
-            val += complex(a_fn(u)) * math.cos(self.k * n * x)
-            val += complex(b_fn(u)) * math.sin(self.k * n * x)
-        return val
+    def reconstruct(self, x, u: float):
+        """Evaluate the (truncated) series at state(s) x and frequency u."""
+        a0, a, b, _ = self.coefficients(u)
+        kx = self.k * np.multiply.outer(x, self.n)
+        return a0 + np.cos(kx) @ a + np.sin(kx) @ b
 
     def coefficient_rows(self, u: float):
         """(n, a_n(u), b_n(u)) for all stored nonzero n."""
-        return [
-            (n, complex(a_fn(u)), complex(b_fn(u)))
-            for n, (a_fn, b_fn) in sorted(self.terms.items())
-        ]
+        _, a, b, _ = self.coefficients(u)
+        return list(zip(self.n.tolist(), a.tolist(), b.tolist()))
 
 
 def fourier_symbol_of_product_cosine(exponent_spec) -> FourierSymbol:
     """Closed-form series of q(x,u) = (1 - cos x) psi(u): a0 = psi,
     a_{+-1} = -psi/2, everything else zero, wavenumber 1."""
-    psi = exponent_spec.psi
 
-    def a0(u):
-        return psi(u)
+    def coefficients(u):
+        psi = complex(exponent_spec.psi(u))
+        return psi, np.full(2, -0.5 * psi), np.zeros(2, dtype=complex), 0.0
 
-    def half_neg(u):
-        return -0.5 * psi(u)
-
-    def zero(u):
-        return 0j
-
-    return FourierSymbol(
-        k=1.0,
-        a0=a0,
-        terms={1: (half_neg, zero), -1: (half_neg, zero)},
-    )
+    return FourierSymbol(k=1.0, n=np.array([-1, 1]), coefficients=coefficients)
 
 
 # ----------------------------------------------------------------------
@@ -124,40 +112,6 @@ def plateau_bump(y):
     return smoothstep(8.0 * (y - 0.125)) * smoothstep(8.0 * (0.875 - y))
 
 
-class _LocalizedCoefficients:
-    """Periodic-trapezoid Fourier coefficients of the windowed symbol,
-    cached per frequency u."""
-
-    def __init__(self, spec, x0: float, ell: int, nmax: int, quad_points: int):
-        self.spec = spec
-        self.x0 = x0
-        self.ell = ell
-        self.nmax = nmax
-        ys = np.arange(quad_points) / quad_points
-        self.ys = ys
-        self.bump = plateau_bump(ys)
-        self.states = (ys - 0.5) / ell + x0  # gamma_ell(y)
-        self.quad_points = quad_points
-        self._cache: dict[float, np.ndarray] = {}
-
-    def coefficients(self, u: float) -> np.ndarray:
-        """c_n(u) for n = -nmax..nmax (index shifted by nmax)."""
-        u = float(u)
-        hit = self._cache.get(u)
-        if hit is not None:
-            return hit
-        psi_u = eval_symbol(self.spec, self.x0, u)
-        vals = np.array(
-            [eval_symbol(self.spec, x, u) for x in self.states], dtype=complex
-        )
-        windowed = self.bump * (vals - psi_u) + psi_u
-        spectrum = np.fft.fft(windowed) / self.quad_points
-        idx = np.arange(-self.nmax, self.nmax + 1) % self.quad_points
-        c = spectrum[idx]
-        self._cache[u] = c
-        return c
-
-
 def localize_fourierize(spec, x0: float, ell: int, nmax: int = 64,
                         quad_points: int = 4096, ugrid=None) -> FourierSymbol:
     """Window the symbol around x0 and extract its Fourier series.
@@ -166,16 +120,17 @@ def localize_fourierize(spec, x0: float, ell: int, nmax: int = 64,
     interval, gamma(y) = (y - 1/2)/ell + x0 and psi = q(x0, .), computes
     c_n(u) by ``quad_points``-point periodic trapezoid for |n| <= nmax, and
     phases them into cosine/sine coefficients at wavenumber k = 2 pi ell:
-    a_n = e^{2 pi i n (1/2 - ell x0)} c_n, b_n = i a_n.
+    a_n = e^{2 pi i n (1/2 - ell x0)} c_n, b_n = i a_n.  Each call of the
+    returned ``coefficients(u)`` makes one array evaluation of the symbol on
+    the quadrature states and one FFT; nothing is cached.
 
-    The reported ``truncation_residual`` is the heuristic decay estimate
+    The reported residual is the heuristic decay estimate
     nmax * max(|c_{+-nmax}(u)|).  Raises QuadratureUnderresolved when the
     edge coefficients exceed 1e-3 of the total coefficient mass on the
     check grid.
     """
     if ell < 1:
         raise ValueError("window parameter ell must be a positive integer")
-    coeffs = _LocalizedCoefficients(spec, x0, ell, nmax, quad_points)
     # state-space precondition: the window must evaluate cleanly
     for x in (x0 - 0.5 / ell, x0 + 0.5 / ell):
         try:
@@ -185,9 +140,22 @@ def localize_fourierize(spec, x0: float, ell: int, nmax: int = 64,
                 f"localization window [{x0 - 0.5 / ell}, {x0 + 0.5 / ell}] leaves "
                 f"the symbol's state space: {err}"
             ) from err
+    ys = np.arange(quad_points) / quad_points
+    bump = plateau_bump(ys)
+    states = (ys - 0.5) / ell + x0  # gamma_ell(y)
+    idx = np.arange(-nmax, nmax + 1)
+    n = idx[idx != 0]
+    phase = np.exp(2j * math.pi * n * (0.5 - ell * x0))
+
+    def spectrum(u: float) -> np.ndarray:
+        """c_n(u) for n = -nmax..nmax (index shifted by nmax)."""
+        psi_u = eval_symbol(spec, x0, u)
+        windowed = bump * (eval_symbol(spec, states, u) - psi_u) + psi_u
+        return (np.fft.fft(windowed) / quad_points)[idx % quad_points]
+
     check_grid = [1.0, 5.0] if ugrid is None else [float(u) for u in ugrid]
     for u in check_grid:
-        c = coeffs.coefficients(u)
+        c = spectrum(u)
         total = float(np.sum(np.abs(c)))
         edge = max(abs(c[0]), abs(c[-1]))
         if total > 0.0 and edge > 1e-3 * total:
@@ -196,28 +164,13 @@ def localize_fourierize(spec, x0: float, ell: int, nmax: int = 64,
                 f"mass {total:.3g} at u = {u}"
             )
 
-    def a0(u, coeffs=coeffs, nmax=nmax):
-        return complex(coeffs.coefficients(u)[nmax])
+    def coefficients(u):
+        c = spectrum(float(u))
+        a = phase * np.delete(c, nmax)
+        residual = float(max(abs(c[0]), abs(c[-1])) * nmax)
+        return complex(c[nmax]), a, 1j * a, residual
 
-    def make_pair(n):
-        phase = cmath.exp(2j * math.pi * n * (0.5 - ell * x0))
-
-        def a_fn(u, n=n, phase=phase):
-            return phase * complex(coeffs.coefficients(u)[nmax + n])
-
-        def b_fn(u, n=n, phase=phase):
-            return 1j * phase * complex(coeffs.coefficients(u)[nmax + n])
-
-        return a_fn, b_fn
-
-    terms = {n: make_pair(n) for n in range(-nmax, nmax + 1) if n != 0}
-
-    def residual(u, coeffs=coeffs, nmax=nmax):
-        c = coeffs.coefficients(u)
-        return float(max(abs(c[0]), abs(c[-1])) * nmax)
-
-    return FourierSymbol(k=2.0 * math.pi * ell, a0=a0, terms=terms,
-                         truncation_residual=residual)
+    return FourierSymbol(k=2.0 * math.pi * ell, n=n, coefficients=coefficients)
 
 
 # ----------------------------------------------------------------------
@@ -239,18 +192,26 @@ def default_dominance_tol(u: float) -> float:
     return 1e-10 * (1.0 + u * u)
 
 
+def _coefficient_grid(fs: FourierSymbol, u: np.ndarray):
+    """a0, |a_n| + |b_n| (one row per u) and the residual on the grid,
+    computed one u at a time: the (u x state) grid is never held at once."""
+    a0, a, b, residual = zip(*(fs.coefficients(v) for v in u.tolist()))
+    weight = _modulus(np.array(a, dtype=complex)) + _modulus(np.array(b, dtype=complex))
+    return np.array(a0, dtype=complex), weight, np.array(residual, dtype=float)
+
+
 def check_dominance(fs: FourierSymbol, ugrid=None, tol_eq=None) -> DominanceReport:
+    """Margins -Re a0(u) - sum(|a_n(u)| + |b_n(u)|) - residual(u) on the grid.
+
+    ``tol_eq`` (default ``default_dominance_tol``) is called once, on the
+    array of grid frequencies, and must return the allowance per u; a
+    margin passes when it is at least -tol_eq(u).
+    """
     u = np.asarray(DEFAULT_UGRID if ugrid is None else ugrid, dtype=float)
     tol = default_dominance_tol if tol_eq is None else tol_eq
-    margins = np.empty(u.size)
-    ok = True
-    for i, uu in enumerate(u):
-        other = sum(
-            abs(a) + abs(b) for _, a, b in fs.coefficient_rows(uu)
-        )
-        margins[i] = -fs.a0(uu).real - other - fs.truncation_residual(uu)
-        if margins[i] < -tol(uu):
-            ok = False
+    a0, weight, residual = _coefficient_grid(fs, u)
+    margins = -a0.real - np.sum(weight, axis=1) - residual
+    ok = not np.any(margins < -tol(u))
     j = int(np.argmin(margins))
     return DominanceReport(u, margins, ok, float(u[j]), float(margins[j]))
 
@@ -268,16 +229,8 @@ class KReport:
 
 def compute_K(fs: FourierSymbol, ugrid=None) -> KReport:
     u = np.asarray(DEFAULT_UGRID if ugrid is None else ugrid, dtype=float)
-    vals = np.empty(u.size)
-    for i, uu in enumerate(u):
-        vals[i] = (
-            fs.k
-            * fs.k
-            * sum(
-                n * n * (abs(a) + abs(b)) for n, a, b in fs.coefficient_rows(uu)
-            )
-            / (1.0 + uu * uu)
-        )
+    _, weight, _ = _coefficient_grid(fs, u)
+    vals = fs.k * fs.k * np.sum(fs.n * fs.n * weight, axis=1) / (1.0 + u * u)
     j = int(np.argmax(vals))
     return KReport(float(vals[j]), float(u[j]), u, vals)
 
@@ -412,8 +365,10 @@ def assemble_majorant(fs: FourierSymbol, u: float, t: float, ncut: int, xgrid,
     against 1 + K_sigma t with the curvature constant
     K_sigma = k^2 sum |n|^2 (|a_n|+|b_n|) / (1+u^2).
     """
-    rows = [(n, a, b) for n, a, b in fs.coefficient_rows(u) if abs(n) <= ncut]
-    a0_val = complex(fs.a0(u))
+    a0, a, b, _ = fs.coefficients(u)
+    keep = np.abs(fs.n) <= ncut
+    rows = list(zip(fs.n[keep].tolist(), a[keep].tolist(), b[keep].tolist()))
+    a0_val = complex(a0)
     coeff_sum = sum(abs(a) + abs(b) for _, a, b in rows)
     rewritten = a0_val + coeff_sum
     if rewritten.real > default_dominance_tol(u):
@@ -469,25 +424,13 @@ _RICHARDSON_RTOL = 1e-4
 _FD_BASE_STEP = 2e-2
 
 
-def _stencil(order: int, h: float):
-    if order == 1:
-        return ((1.0, 0.5), (-1.0, -0.5)), h
-    if order == 2:
-        return ((1.0, 1.0), (0.0, -2.0), (-1.0, 1.0)), h * h
-    if order == 3:
-        return ((2.0, 0.5), (1.0, -1.0), (-1.0, 1.0), (-2.0, -0.5)), h**3
-    raise ValueError("finite differences implemented for orders 1..3")
-
-
-def _fd_once(f, x: float, order: int, h: float) -> tuple[complex, float]:
-    offsets, denom = _stencil(order, h)
-    acc = 0j
-    fmax = 0.0
-    for mult, coef in offsets:
-        val = f(x + mult * h)
-        fmax = max(fmax, abs(val))
-        acc += coef * val
-    return acc / denom, fmax
+#: order -> ((multiple of h, coefficient), ...) of the central stencil,
+#: whose weighted sum is divided by h**order
+_STENCILS = {
+    1: ((1.0, 0.5), (-1.0, -0.5)),
+    2: ((1.0, 1.0), (0.0, -2.0), (-1.0, 1.0)),
+    3: ((2.0, 0.5), (1.0, -1.0), (-1.0, 1.0), (-2.0, -0.5)),
+}
 
 
 def _fd_candidates(x: float, u_scale: float):
@@ -503,35 +446,44 @@ def fd_derivative(f, x: float, order: int, u_scale: float = 0.0,
                   abs_tol: float = 0.0) -> complex:
     """Central finite difference with Richardson halving and step adaptation.
 
-    A ladder of steps is tried (geometric rungs of 2e-2 (1+|x|), plus rungs
-    scaled by 1/(1+u) for symbols oscillating at frequency u in the state);
-    each candidate is judged by the relative disagreement of the halved
-    step against a rounding-noise floor, and the most self-consistent one
-    wins.  Raises DerivativeUnstable when no step agrees to 1e-4 relative
-    while sitting above its noise floor; values indistinguishable from zero
-    at noise level, or whose absolute disagreement is below ``abs_tol``
-    (too small to move whatever quotient the caller forms), are returned
-    as computed rather than rejected.
+    ``f`` maps an array of states to the array of its values (real or
+    complex); it is called once, on the stencil points of every step of
+    the ladder.  The ladder holds geometric rungs of 2e-2 (1+|x|), plus
+    rungs scaled by 1/(1+u) for symbols oscillating at frequency u in the
+    state; each candidate is judged by the relative disagreement of the
+    halved step against a rounding-noise floor, and the most
+    self-consistent one (the first, on ties) wins.  Raises
+    DerivativeUnstable when no step agrees to 1e-4 relative while sitting
+    above its noise floor; values indistinguishable from zero at noise
+    level, or whose absolute disagreement is below ``abs_tol`` (too small
+    to move whatever quotient the caller forms), are returned as computed
+    rather than rejected.
     """
+    if order not in _STENCILS:
+        raise ValueError("finite differences implemented for orders 1..3")
+    mults, coefs = np.array(_STENCILS[order]).T
+    ladder = np.array(_fd_candidates(x, u_scale))
+    hs = np.concatenate([ladder, ladder / 2.0])  # every rung, then its half step
+    vals = np.asarray(f(x + np.multiply.outer(hs, mults)), dtype=complex)
+    # real and imaginary parts apart: NumPy's complex / real rounds unlike Python's
+    parts = np.stack([vals.real, vals.imag])
+    denom = hs**order
+    d1, d2 = np.split(np.sum(coefs * parts, axis=2) / denom, 2, axis=1)
+    rich = (4.0 * d2 - d1) / 3.0
+    fmax = np.max(np.hypot(*parts), axis=1)
     eps = float(np.finfo(float).eps)
-    best = None  # (score, abs disagreement, value, above_floor)
-    for h in _fd_candidates(x, u_scale):
-        d1, fmax1 = _fd_once(f, x, order, h)
-        d2, fmax2 = _fd_once(f, x, order, h / 2.0)
-        rich = (4.0 * d2 - d1) / 3.0
-        _, denom = _stencil(order, h / 2.0)
-        noise_floor = 80.0 * eps * max(fmax1, fmax2) / abs(denom)
-        above = abs(rich) > 10.0 * noise_floor
-        score = abs(d1 - d2) / max(abs(rich), noise_floor, 1e-300)
-        if best is None or score < best[0]:
-            best = (score, abs(d1 - d2), rich, above)
-    score, disagreement, value, above = best
-    if score > _RICHARDSON_RTOL and disagreement > abs_tol and above:
+    noise_floor = 80.0 * eps * np.maximum(*np.split(fmax, 2)) / denom[ladder.size:]
+    disagreement = np.hypot(*(d1 - d2))
+    size = np.hypot(*rich)
+    score = disagreement / np.maximum(np.maximum(size, noise_floor), 1e-300)
+    j = int(np.argmin(score))
+    if (score[j] > _RICHARDSON_RTOL and disagreement[j] > abs_tol
+            and size[j] > 10.0 * noise_floor[j]):
         raise DerivativeUnstable(
             f"order-{order} derivative at x={x:.6g} (u={u_scale:.6g}): best "
-            f"step ladder disagreement is {score:.3g} relative"
+            f"step ladder disagreement is {score[j]:.3g} relative"
         )
-    return value
+    return complex(*rich[:, j])
 
 
 @dataclass(frozen=True)
@@ -582,26 +534,27 @@ def audit_ellipticity(spec, exponent_spec, x0: float, radius: float,
     )
     if np.any(us == 0.0):
         raise ValueError("u = 0 must be excluded from quotient grids")
-    psi = exponent_spec.psi
+    psi = exponent_spec.psi(us)
+    re_psi = np.abs(psi.real).tolist()
+    abs_psi = _modulus(psi)
+    q = eval_symbol(spec, xs, us[:, None])
+    elliptic_u = abs_psi > 0.0
+    floor = float(np.min(np.abs(q.real[elliptic_u]) / abs_psi[elliptic_u, None],
+                         initial=math.inf))
     elliptic: dict[int, float] = {o: 0.0 for o in range(1, min(1, max_order) + 1)}
     growth: dict[int, float] = {o: 0.0 for o in range(1, max_order + 1)}
-    floor = math.inf
     ratio1 = np.zeros(us.size)
-    for iu, u in enumerate(us):
-        re_psi = abs(psi(u).real)
-        abs_psi = abs(psi(u))
+    for iu, u in enumerate(us.tolist()):
         f = lambda x, u=u: eval_symbol(spec, x, u)
-        for x in xs:
-            if abs_psi > 0.0:
-                floor = min(floor, abs(eval_symbol(spec, x, u).real) / abs_psi)
+        for x in xs.tolist():
             for order in range(1, max_order + 1):
                 # disagreements below 1e-6 (1+u^2) cannot move any quotient
                 d = abs(
                     fd_derivative(f, x, order, u_scale=u,
                                   abs_tol=1e-6 * (1.0 + u * u))
                 )
-                if order in elliptic and re_psi > 0.0:
-                    r = d / re_psi
+                if order in elliptic and re_psi[iu] > 0.0:
+                    r = d / re_psi[iu]
                     elliptic[order] = max(elliptic[order], r)
                     if order == 1:
                         ratio1[iu] = max(ratio1[iu], r)

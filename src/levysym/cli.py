@@ -207,8 +207,9 @@ def cmd_fourier_check(args) -> int:
             args.x0, args.ell, nmax=args.nmax,
         )
     elif args.symbol == "constant":
-        fs = checks.fourier_symbol_of_product_cosine(symbols.BrownianNegative())
-        fs = checks.FourierSymbol(k=fs.k, a0=fs.a0, terms={})
+        psi, none = symbols.BrownianNegative().psi, np.zeros(0, dtype=complex)
+        fs = checks.FourierSymbol(1.0, np.zeros(0, dtype=int),
+                                  lambda u: (complex(psi(u)), none, none, 0.0))
     else:
         raise ValueError(f"unknown symbol {args.symbol!r}")
     ugrid = np.linspace(-args.umax, args.umax, args.upoints)

@@ -110,6 +110,13 @@ class LatticeComplexMeasure:
     def __setattr__(self, name, value):
         raise AttributeError("LatticeComplexMeasure is immutable")
 
+    def __reduce__(self):
+        # pickle and copy rebuild through _store, not the blocked __setattr__
+        return LatticeComplexMeasure, (self.unit, self.unit_tag, {}), (self._lo, self._a)
+
+    def __setstate__(self, state) -> None:
+        self._store(*state)
+
     @property
     def weights(self):
         """Read-only index -> weight map of the atoms, built on each access."""

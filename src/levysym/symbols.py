@@ -19,12 +19,12 @@ provides the built-in families used throughout the package:
 
 Evaluations use cancellation-free closed forms (sinc-squared and phased
 sinc), so the symbols stay accurate near x = 0 and for large |xu|; the
-finite-difference audits downstream rely on this.
+finite-difference audits downstream rely on this.  Every ``value(x, u)`` and
+``psi(u)`` broadcasts over NumPy arrays of x and u.
 """
 
 from __future__ import annotations
 
-import cmath
 import json
 import math
 from dataclasses import dataclass, field
@@ -51,9 +51,10 @@ def truncation(y: float) -> float:
     return y if abs(y) <= 1.0 else 0.0
 
 
-def _sinc(z: float) -> float:
-    # sin(z)/z, stable at 0
-    return math.sin(z) / z if z != 0.0 else 1.0
+def _sinc(z):
+    """sin(z)/z elementwise, 1 at z = 0."""
+    z = np.asarray(z, dtype=float)
+    return np.divide(np.sin(z), z, out=np.ones_like(z), where=z != 0.0)
 
 
 @dataclass(frozen=True)
@@ -117,11 +118,12 @@ class LevyTriplet:
         """True when the triplet is directly simulable (no diffusion part)."""
         return self.diffusion == 0.0
 
-    def exponent(self, u: float) -> complex:
-        """Levy-Khintchine exponent of this triplet at frequency u."""
+    def exponent(self, u):
+        """Levy-Khintchine exponent of this triplet at frequency u (or an
+        array of them)."""
         q = 1j * u * self.drift - 0.5 * u * u * self.diffusion
         for y, r in self.jumps:
-            q += r * (cmath.exp(1j * u * y) - 1.0 - 1j * u * truncation(y))
+            q += r * (np.exp(1j * u * y) - 1.0 - 1j * u * truncation(y))
         return q
 
     def second_jump_moment(self) -> float:
@@ -139,8 +141,9 @@ class LevyTriplet:
 class BrownianNegative:
     """psi(u) = -u^2/2, the exponent of standard Brownian motion."""
 
-    def psi(self, u: float) -> complex:
-        return complex(-0.5 * u * u)
+    def psi(self, u):
+        u = np.asarray(u, dtype=float)
+        return (-0.5 * u * u).astype(complex)
 
     def to_json(self) -> dict:
         return {"variant": "brownian"}
@@ -152,7 +155,7 @@ class TripletExponent:
 
     triplet: LevyTriplet
 
-    def psi(self, u: float) -> complex:
+    def psi(self, u):
         return self.triplet.exponent(u)
 
     def to_json(self) -> dict:
@@ -188,9 +191,9 @@ class SymmetricDoubling:
 
     wire_name = "ex31"
 
-    def value(self, x: float, u: float) -> complex:
+    def value(self, x, u):
         s = _sinc(0.5 * x * u)
-        return complex(-0.5 * u * u * s * s)
+        return (-0.5 * u * u * s * s).astype(complex)
 
     def triplet(self, x: float) -> LevyTriplet:
         if x == 0.0:
@@ -225,10 +228,9 @@ class SymmetricDoublingApprox:
     def floor(self) -> float:
         return self.k.value * 2.0 ** -self.n
 
-    def value(self, x: float, u: float) -> complex:
-        h = max(abs(x), self.floor)
-        s = _sinc(0.5 * h * u)
-        return complex(-0.5 * u * u * s * s)
+    def value(self, x, u):
+        s = _sinc(0.5 * np.maximum(np.abs(x), self.floor) * u)
+        return (-0.5 * u * u * s * s).astype(complex)
 
     def triplet(self, x: float) -> LevyTriplet:
         h = self.floor
@@ -248,11 +250,14 @@ class IncreasingDoubling:
 
     wire_name = "ex32"
 
-    def value(self, x: float, u: float) -> complex:
-        if x < 0.0:
-            raise DomainError(f"state space of the increasing symbol is x >= 0, got {x}")
+    def value(self, x, u):
+        x = np.asarray(x, dtype=float)
+        if np.any(x < 0.0):
+            raise DomainError(
+                f"state space of the increasing symbol is x >= 0, got {x.min()}"
+            )
         z = 0.5 * u * x
-        return 1j * u * cmath.exp(1j * z) * _sinc(z)
+        return 1j * u * np.exp(1j * z) * _sinc(z)
 
     def triplet(self, x: float) -> LevyTriplet:
         if x < 0.0:
@@ -283,10 +288,10 @@ class IncreasingDoublingApprox:
         hi = self.k.value * 2.0**self.n
         return min(max(x, lo), hi)
 
-    def value(self, x: float, u: float) -> complex:
-        h = self.clamp(x)
-        z = 0.5 * u * h
-        return 1j * u * cmath.exp(1j * z) * _sinc(z)
+    def value(self, x, u):
+        lo = self.k.value * 2.0 ** -self.n
+        hi = self.k.value * 2.0**self.n
+        return IncreasingDoubling().value(np.clip(x, lo, hi), u)
 
     def triplet(self, x: float) -> LevyTriplet:
         h = self.clamp(x)
@@ -306,8 +311,8 @@ class ProductCosine:
 
     wire_name = "prodcos"
 
-    def value(self, x: float, u: float) -> complex:
-        s = math.sin(0.5 * x)
+    def value(self, x, u):
+        s = np.sin(0.5 * x)
         return 2.0 * s * s * self.exponent_spec.psi(u)
 
     def triplet(self, x: float) -> LevyTriplet:
@@ -333,8 +338,8 @@ class ConstantSymbol:
 
     wire_name = "constant"
 
-    def value(self, x: float, u: float) -> complex:
-        return self.exponent_spec.psi(u)
+    def value(self, x, u):
+        return self.exponent_spec.psi(u) * np.ones_like(x, dtype=float)
 
     def triplet(self, x: float) -> LevyTriplet:
         return _base_triplet(self.exponent_spec)
@@ -351,8 +356,12 @@ class TripletField:
 
     wire_name = "tripletfield"
 
-    def value(self, x: float, u: float) -> complex:
-        return self.triplet(x).exponent(u)
+    def value(self, x, u):
+        # the user's map takes one state at a time
+        xb, ub = np.broadcast_arrays(np.asarray(x, dtype=float),
+                                     np.asarray(u, dtype=float))
+        q = [self.triplet(float(xi)).exponent(ui) for xi, ui in zip(xb.flat, ub.flat)]
+        return np.array(q, dtype=complex).reshape(xb.shape)[()]
 
     def triplet(self, x: float) -> LevyTriplet:
         return self.triplet_fn(x)
@@ -372,8 +381,11 @@ def _base_triplet(exponent_spec) -> LevyTriplet:
 # ----------------------------------------------------------------------
 # spec-level operations
 # ----------------------------------------------------------------------
-def eval_symbol(spec, x: float, u: float) -> complex:
-    """Evaluate q(x, u).  Always q(x, 0) = 0 and Re q <= 0."""
+def eval_symbol(spec, x, u):
+    """Evaluate q(x, u), elementwise over the broadcast of x and u.
+
+    Always q(x, 0) = 0 and Re q <= 0.
+    """
     return spec.value(x, u)
 
 
@@ -460,17 +472,16 @@ def hoelder_modulus(spec, xpairs, ugrid, sup_q_norm: float | None = None,
     sup |d_x q|/(1+u^2), the closed-form bound
     min(2 sup_q_norm, |x-y| sup_dq_norm) is evaluated alongside.
     """
+    u = np.asarray(ugrid, dtype=float)
+    pairs = np.array(list(xpairs), dtype=float).reshape(-1, 2)
+    gap = eval_symbol(spec, pairs[:, :1], u) - eval_symbol(spec, pairs[:, 1:], u)
+    worst = np.max(np.hypot(gap.real, gap.imag) / (1.0 + u * u), axis=1)
     rows = []
-    us = [float(u) for u in ugrid]
-    for x, y in xpairs:
-        worst = max(
-            abs(eval_symbol(spec, x, u) - eval_symbol(spec, y, u)) / (1.0 + u * u)
-            for u in us
-        )
+    for (x, y), w in zip(pairs.tolist(), worst):
         bound = None
         if sup_q_norm is not None and sup_dq_norm is not None:
             bound = min(2.0 * sup_q_norm, abs(x - y) * sup_dq_norm)
-        rows.append(HoelderRow(float(x), float(y), worst, bound))
+        rows.append(HoelderRow(float(x), float(y), float(w), bound))
     return rows
 
 

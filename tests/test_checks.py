@@ -23,7 +23,7 @@ from levysym.checks import (
     term_measure,
     verify_term_measure,
 )
-from levysym.errors import ViolatedDominance
+from levysym.errors import DerivativeUnstable, ViolatedDominance
 from levysym.symbols import (
     BrownianNegative,
     ConstantSymbol,
@@ -36,9 +36,21 @@ PRODCOS = ProductCosine(BrownianNegative())
 XGRID = np.linspace(-math.pi, math.pi, 101)
 
 
+def series(k, a0, terms):
+    """FourierSymbol from a0(u) and {n: (a_n(u), b_n(u))} given per u."""
+    n = sorted(terms)
+
+    def coefficients(u):
+        a = np.array([terms[m][0](u) for m in n], dtype=complex)
+        b = np.array([terms[m][1](u) for m in n], dtype=complex)
+        return complex(a0(u)), a, b, 0.0
+
+    return FourierSymbol(k=k, n=np.array(n, dtype=int), coefficients=coefficients)
+
+
 def constant_fourier_symbol(psi=None):
     psi = BrownianNegative() if psi is None else psi
-    return FourierSymbol(k=1.0, a0=lambda u: psi.psi(u), terms={})
+    return series(1.0, psi.psi, {})
 
 
 # ----------------------------------------------------------------------
@@ -46,11 +58,14 @@ def constant_fourier_symbol(psi=None):
 # ----------------------------------------------------------------------
 def test_product_cosine_coefficients():
     fs = fourier_symbol_of_product_cosine(BrownianNegative())
-    assert fs.a0(2.0) == pytest.approx(-2.0)
-    assert fs.terms[1][0](2.0) == pytest.approx(1.0)
-    assert fs.terms[-1][0](2.0) == pytest.approx(1.0)
-    assert fs.terms[1][1](2.0) == 0j
-    assert fs.a0(0.0) == 0.0
+    a0, a, b, residual = fs.coefficients(2.0)
+    assert fs.n.tolist() == [-1, 1]
+    assert a0 == pytest.approx(-2.0)
+    assert a[1] == pytest.approx(1.0)
+    assert a[0] == pytest.approx(1.0)
+    assert b[1] == 0j
+    assert residual == 0.0
+    assert fs.coefficients(0.0)[0] == 0.0
     rng = np.random.default_rng(0)
     for _ in range(30):
         x = float(rng.uniform(-4, 4))
@@ -71,9 +86,7 @@ def test_dominance_constant_and_product():
 
 
 def test_dominance_constructed_violation():
-    fs = FourierSymbol(
-        k=1.0, a0=lambda u: 0j, terms={1: (lambda u: 1.0 + 0j, lambda u: 0j)}
-    )
+    fs = series(1.0, lambda u: 0j, {1: (lambda u: 1.0 + 0j, lambda u: 0j)})
     rep = check_dominance(fs)
     assert not rep.passed
     assert rep.worst_margin == pytest.approx(-1.0)
@@ -87,10 +100,9 @@ def test_dominance_and_K_invariant_under_reindexing():
     def b1(u):
         return 0.05 * u + 0j
 
-    fs = FourierSymbol(k=1.3, a0=lambda u: -u * u + 0j, terms={2: (a1, b1)})
-    flipped = FourierSymbol(
-        k=1.3, a0=fs.a0, terms={-2: (a1, lambda u: -b1(u))}
-    )
+    a0 = lambda u: -u * u + 0j
+    fs = series(1.3, a0, {2: (a1, b1)})
+    flipped = series(1.3, a0, {-2: (a1, lambda u: -b1(u))})
     u = np.linspace(-10, 10, 41)
     da = check_dominance(fs, u)
     db = check_dominance(flipped, u)
@@ -198,9 +210,7 @@ def test_majorant_product_cosine_cross_validated():
 
 
 def test_majorant_rejects_broken_dominance():
-    fs = FourierSymbol(
-        k=1.0, a0=lambda u: 1.0 + 0j, terms={1: (lambda u: 0.5 + 0j, lambda u: 0j)}
-    )
+    fs = series(1.0, lambda u: 1.0 + 0j, {1: (lambda u: 0.5 + 0j, lambda u: 0j)})
     with pytest.raises(ViolatedDominance):
         assemble_majorant(fs, 1.0, 1.0, 1, XGRID)
 
@@ -225,13 +235,12 @@ def test_bump_plateau_and_support():
 
 def test_localize_constant_symbol():
     fs = localize_fourierize(ConstantSymbol(BrownianNegative()), 0.3, 2, nmax=16)
-    assert fs.a0(2.0) == pytest.approx(-2.0, abs=1e-12)
-    worst = max(
-        abs(a_fn(2.0)) + abs(b_fn(2.0)) for a_fn, b_fn in fs.terms.values()
-    )
+    a0, a, b, residual = fs.coefficients(2.0)
+    assert a0 == pytest.approx(-2.0, abs=1e-12)
+    worst = max(np.abs(a) + np.abs(b))
     assert worst < 1e-12
     assert check_dominance(fs).passed
-    assert fs.truncation_residual(2.0) < 1e-10
+    assert residual < 1e-10
 
 
 def test_localize_plateau_reconstruction():
@@ -248,7 +257,7 @@ def test_localize_reconstruction_consistent_with_reported_residual():
             abs(fs.reconstruct(x, u) - eval_symbol(PRODCOS, x, u))
             for x in np.linspace(-0.25, 0.25, 17)
         )
-        assert worst <= 3.0 * fs.truncation_residual(u) + 1e-12
+        assert worst <= 3.0 * fs.coefficients(u)[3] + 1e-12
 
 
 def test_localize_away_from_degenerate_point():
@@ -256,6 +265,139 @@ def test_localize_away_from_degenerate_point():
     fs = localize_fourierize(PRODCOS, math.pi, 1, nmax=64)
     for x in np.linspace(math.pi - 0.25, math.pi + 0.25, 9):
         assert abs(fs.reconstruct(x, 1.0) - eval_symbol(PRODCOS, x, 1.0)) <= 1e-6
+
+
+def _scalar_localized_coefficients(x0, ell, nmax, u, quad_points=4096):
+    """The per-state scalar loop plus FFT for the product-cosine symbol:
+    (a0, n, a_n, b_n, residual) with q(x, u) = 2 sin^2(x/2) (-u^2/2)."""
+    q = lambda x: 2.0 * math.sin(0.5 * x) ** 2 * (-0.5 * u * u)
+    ys = np.arange(quad_points) / quad_points
+    bump = plateau_bump(ys)
+    states = (ys - 0.5) / ell + x0
+    vals = np.array([q(float(x)) for x in states], dtype=complex)
+    spectrum = np.fft.fft(bump * (vals - q(x0)) + q(x0)) / quad_points
+    c = {n: complex(spectrum[n % quad_points]) for n in range(-nmax, nmax + 1)}
+    ns = [n for n in range(-nmax, nmax + 1) if n != 0]
+    phase = {n: cmath.exp(2j * math.pi * n * (0.5 - ell * x0)) for n in ns}
+    a = [phase[n] * c[n] for n in ns]
+    b = [1j * phase[n] * c[n] for n in ns]
+    return c[0], ns, a, b, max(abs(c[-nmax]), abs(c[nmax])) * nmax
+
+
+@pytest.mark.parametrize("ell", [1, 2])
+@pytest.mark.parametrize("x0", [0.0, 1.0, math.pi])
+def test_localized_coefficients_match_scalar_oracle(x0, ell):
+    fs = localize_fourierize(PRODCOS, x0, ell, nmax=64)
+    assert fs.k == 2.0 * math.pi * ell
+    for u in (0.5, -3.0, 20.0):
+        a0, ns, a, b, residual = _scalar_localized_coefficients(x0, ell, 64, u)
+        got_a0, got_a, got_b, got_residual = fs.coefficients(u)
+        scale = max(1.0, abs(a0))
+        assert fs.n.tolist() == ns
+        assert abs(got_a0 - a0) <= 1e-12 * scale
+        assert np.max(np.abs(got_a - np.array(a))) <= 1e-12 * scale
+        assert np.max(np.abs(got_b - np.array(b))) <= 1e-12 * scale
+        assert abs(got_residual - residual) <= 1e-12 * scale
+
+
+def test_dominance_and_K_match_row_sum_oracle():
+    rng = np.random.default_rng(11)
+    coef = rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2))
+    random_series = series(
+        0.7, lambda u: -(u * u) - 1.0 + 0.3j,
+        {n: (lambda u, c=c: c[0] * u, lambda u, c=c: c[1] * u * u / 4.0)
+         for n, c in zip((-3, 1, 2, 5), coef)},
+    )
+    ugrid = np.linspace(-20.0, 20.0, 41)
+    for fs in (
+        localize_fourierize(PRODCOS, math.pi, 1, nmax=64),
+        localize_fourierize(PRODCOS, 0.0, 2, nmax=32),
+        fourier_symbol_of_product_cosine(BrownianNegative()),
+        constant_fourier_symbol(),
+        random_series,
+    ):
+        dom = check_dominance(fs, ugrid)
+        kr = compute_K(fs, ugrid)
+        margins, ks = [], []
+        for i, u in enumerate(ugrid):
+            a0, _, _, residual = fs.coefficients(u)
+            rows = fs.coefficient_rows(u)
+            other = sum(abs(a) + abs(b) for _, a, b in rows)
+            margins.append(-a0.real - other - residual)
+            scale = abs(a0.real) + other + residual
+            assert abs(dom.margin[i] - margins[-1]) <= 1e-12 * scale
+            k_row = sum(n * n * (abs(a) + abs(b)) for n, a, b in rows)
+            ks.append(fs.k * fs.k * k_row / (1.0 + u * u))
+            assert abs(kr.integrand[i] - ks[-1]) <= 1e-12 * ks[-1]
+        assert dom.passed == all(m >= -1e-10 * (1.0 + u * u) for m, u in zip(margins, ugrid))
+        assert kr.K == pytest.approx(max(ks), rel=1e-12)
+    # the tolerance is one call on the whole u array
+    seen = []
+    loose = check_dominance(random_series, ugrid,
+                            tol_eq=lambda u: seen.append(u.shape) or np.full(u.shape, 1e9))
+    assert loose.passed and seen == [ugrid.shape]
+
+
+def _scalar_fd_derivative(f, x, order, u_scale=0.0, abs_tol=0.0):
+    """The step ladder evaluated one stencil point at a time."""
+    stencil = {
+        1: (((1.0, 0.5), (-1.0, -0.5)), lambda h: h),
+        2: (((1.0, 1.0), (0.0, -2.0), (-1.0, 1.0)), lambda h: h * h),
+        3: (((2.0, 0.5), (1.0, -1.0), (-1.0, 1.0), (-2.0, -0.5)), lambda h: h**3),
+    }[order]
+
+    def once(h):
+        acc, fmax = 0j, 0.0
+        for mult, coef in stencil[0]:
+            val = f(x + mult * h)
+            fmax = max(fmax, abs(val))
+            acc += coef * val
+        return acc / stencil[1](h), fmax
+
+    base = 2e-2 * (1.0 + abs(x))
+    steps = {base / 4.0**j for j in range(7)}
+    steps |= {base / (1.0 + abs(u_scale)), base / (4.0 * (1.0 + abs(u_scale)))}
+    eps = float(np.finfo(float).eps)
+    best = None
+    for h in sorted(steps, reverse=True):
+        (d1, fmax1), (d2, fmax2) = once(h), once(h / 2.0)
+        rich = (4.0 * d2 - d1) / 3.0
+        noise_floor = 80.0 * eps * max(fmax1, fmax2) / stencil[1](h / 2.0)
+        score = abs(d1 - d2) / max(abs(rich), noise_floor, 1e-300)
+        if best is None or score < best[0]:
+            best = (score, abs(d1 - d2), rich, abs(rich) > 10.0 * noise_floor)
+    score, disagreement, value, above = best
+    if score > 1e-4 and disagreement > abs_tol and above:
+        raise DerivativeUnstable("scalar ladder found no stable step")
+    return value
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_fd_derivative_matches_scalar_ladder(order):
+    ex31 = SymmetricDoubling()
+    cases = [  # (scalar f, array f, x, u_scale, abs_tol)
+        (lambda x: x**3 + 2.0 * x, lambda x: x**3 + 2.0 * x, 1.5, 0.0, 0.0),
+        (lambda x: math.cos(300.0 * x), lambda x: np.cos(300.0 * x), 0.001, 300.0, 0.0),
+        (lambda x: 1.0 + 1e-6 * math.sin(x), lambda x: 1.0 + 1e-6 * np.sin(x),
+         0.0, 0.0, 1e-6),
+        (lambda x: complex(eval_symbol(ex31, x, 40.0)),
+         lambda x: eval_symbol(ex31, x, 40.0), 2e-4, 40.0, 1e-6 * 1601.0),
+        (lambda x: complex(eval_symbol(PRODCOS, x, 7.0)),
+         lambda x: eval_symbol(PRODCOS, x, 7.0), 1.0, 7.0, 0.0),
+        # slope 1 on the long rungs, 2 on the short ones: every rung scores 0,
+        # and the first (longest) one wins the tie
+        (lambda x: 2.0 * x if abs(x) < 1e-4 else x,
+         lambda x: np.where(np.abs(x) < 1e-4, 2.0 * x, x), 0.0, 0.0, 0.0),
+    ]
+    for scalar_f, array_f, x, u, tol in cases:
+        want = _scalar_fd_derivative(scalar_f, x, order, u, tol)
+        got = fd_derivative(array_f, x, order, u_scale=u, abs_tol=tol)
+        assert abs(got - want) <= 1e-12 * max(abs(want), 1e-300)
+    # a kink has no second derivative: both ladders reject it
+    with pytest.raises(DerivativeUnstable):
+        _scalar_fd_derivative(abs, 0.0, 2)
+    with pytest.raises(DerivativeUnstable):
+        fd_derivative(np.abs, 0.0, 2)
 
 
 def test_localize_rejects_domain_exit():
@@ -270,7 +412,7 @@ def test_localize_rejects_domain_exit():
 # ellipticity audit
 # ----------------------------------------------------------------------
 def test_fd_derivative_polynomial():
-    f = lambda x: x**3 + 2.0 * x
+    f = lambda x: x**3 + 2.0 * x  # evaluated on arrays of states
     assert fd_derivative(f, 1.5, 1) == pytest.approx(3 * 1.5**2 + 2.0, rel=1e-9)
     assert fd_derivative(f, 1.5, 2) == pytest.approx(9.0, rel=1e-7)
     assert fd_derivative(f, 1.5, 3) == pytest.approx(6.0, rel=1e-5)
@@ -279,13 +421,13 @@ def test_fd_derivative_polynomial():
 def test_fd_derivative_oscillatory_needs_u_scaling():
     # cos(xu) at u = 300: resolved by the u-scaled ladder rungs
     u = 300.0
-    f = lambda x: math.cos(x * u)
+    f = lambda x: np.cos(x * u)
     d = fd_derivative(f, 0.001, 1, u_scale=u)
     assert d == pytest.approx(-u * math.sin(0.3), rel=1e-6)
 
 
 def test_fd_derivative_zero_function_stable():
-    assert fd_derivative(lambda x: 0.0, 0.5, 2) == 0.0
+    assert fd_derivative(np.zeros_like, 0.5, 2) == 0.0
 
 
 def test_audit_counterexample_fails_smoothness():
@@ -336,7 +478,7 @@ def test_audit_order3_near_degenerate_point():
 def test_fd_derivative_abs_tol_accepts_noise_level():
     # derivative ~1e-6 of the function scale: relative certification is
     # impossible in double precision, absolute tolerance accepts it
-    f = lambda x: 1.0 + 1e-6 * math.sin(x)
+    f = lambda x: 1.0 + 1e-6 * np.sin(x)
     val = fd_derivative(f, 0.0, 3, abs_tol=1e-6)
     assert abs(val - (-1e-6)) < 1e-7
 

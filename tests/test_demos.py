@@ -1,4 +1,4 @@
-"""The demos that drive the measure API run to completion."""
+"""The demos that drive the measure and audit APIs run to completion."""
 
 import runpy
 from pathlib import Path
@@ -13,6 +13,8 @@ DEMOS = Path(__file__).resolve().parents[1] / "demos"
     [
         ("demo_measure_algebra.py", "symmetric: symmetric"),
         ("demo_fourier_conditions.py", "dominance: pass"),
+        # the audit's ratio tables hold Python floats, printed as plain numbers
+        ("demo_ellipticity_audit.py", "growth ratios   {1: 0.24, 2: 0.5, 3: 0.241}"),
     ],
 )
 def test_demo_runs(name, expected, capsys):

@@ -2,7 +2,9 @@
 identities, symmetry, CSV round trip."""
 
 import cmath
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -163,6 +165,25 @@ def test_csv_round_trip():
     assert text.splitlines()[0] == f"# unit={math.sqrt(2.0):.17g} tag=sqrt2"
     assert text.splitlines()[1] == "index,weight_re,weight_im"
     assert from_csv(text) == mu
+
+
+@pytest.mark.parametrize(
+    "round_trip",
+    [lambda m: pickle.loads(pickle.dumps(m)), copy.copy, copy.deepcopy],
+    ids=["pickle", "copy", "deepcopy"],
+)
+def test_pickle_and_copy_round_trip(round_trip):
+    for mu in (
+        dirac(1),
+        zero_measure(),
+        meas({-3: 0.1 + 0.25j, 7: -1.75e-5}, unit=math.sqrt(2.0), tag="sqrt2"),
+    ):
+        back = round_trip(mu)
+        assert back == mu
+        assert back.weights == mu.weights
+        with pytest.raises(AttributeError):
+            back.unit = 2.0
+        assert back.convolve(mu) == mu.convolve(mu)
 
 
 def test_csv_rejects_repeated_index():

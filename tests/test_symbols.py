@@ -69,6 +69,74 @@ def test_increasing_domain():
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: type(s).__name__)
+def _sin2_over(h, u):
+    """(cos(hu) - 1)/h^2 = -2 sin^2(hu/2)/h^2, and -u^2/2 at h = 0."""
+    return -0.5 * u * u if h == 0.0 else -2.0 * math.sin(0.5 * h * u) ** 2 / (h * h)
+
+
+def _birth(h, u):
+    """(e^{iuh} - 1)/h = 2i e^{iuh/2} sin(uh/2)/h, and iu at h = 0."""
+    if h == 0.0:
+        return 1j * u
+    return 2j * cmath.exp(0.5j * u * h) * math.sin(0.5 * u * h) / h
+
+
+def _jump_psi(u):
+    # drift 0.2, one jump of size 1.5 (outside the truncation) at rate 0.7
+    return 0.2j * u + 0.7 * (cmath.exp(1.5j * u) - 1.0)
+
+
+def _clamp(x, lo, hi):
+    return min(max(x, lo), hi)
+
+
+#: (spec, scalar closed form q(x, u), whether negative states are allowed)
+BROADCAST_CASES = [
+    (SymmetricDoubling(), lambda x, u: _sin2_over(x, u), True),
+    (SymmetricDoublingApprox(K1, 3),
+     lambda x, u: _sin2_over(max(abs(x), 2.0**-3), u), True),
+    (SymmetricDoublingApprox(KS2, 10),
+     lambda x, u: _sin2_over(max(abs(x), math.sqrt(2.0) * 2.0**-10), u), True),
+    (IncreasingDoubling(), lambda x, u: _birth(x, u), False),
+    (IncreasingDoublingApprox(K1, 4),
+     lambda x, u: _birth(_clamp(x, 2.0**-4, 2.0**4), u), True),
+    (ProductCosine(BrownianNegative()),
+     lambda x, u: (1.0 - math.cos(x)) * (-0.5 * u * u), True),
+    (ConstantSymbol(BrownianNegative()), lambda x, u: -0.5 * u * u, True),
+    (ProductCosine(TripletExponent(LevyTriplet(drift=0.2, jumps=((1.5, 0.7),)))),
+     lambda x, u: (1.0 - math.cos(x)) * _jump_psi(u), True),
+    (TripletField(lambda x: LevyTriplet(drift=x, jumps=((2.0 + x * x, 1.0),))),
+     lambda x, u: 1j * u * x + cmath.exp(1j * u * (2.0 + x * x)) - 1.0, True),
+]
+
+
+@pytest.mark.parametrize("spec, closed, signed", BROADCAST_CASES,
+                         ids=[f"{type(c[0]).__name__}{i}" for i, c in enumerate(BROADCAST_CASES)])
+def test_array_value_matches_scalar_closed_form(spec, closed, signed):
+    # states on both sides of every floor (2^-10 sqrt2, 2^-4, 2^-3) and of
+    # the clamp ceiling 2^4; |x u| reaches 1e3
+    xs = np.array([0.0, 1e-9, 1e-3, 0.05, 0.1, 0.2, 1.0, math.pi, 5.0, 15.0, 17.0])
+    if signed:
+        xs = np.concatenate([xs, -xs[1:]])
+    us = np.array([0.0, 0.5, -0.5, 3.0, -20.0, 66.0, 200.0])
+    grid = spec.value(xs[:, None], us[None, :])
+    assert grid.shape == (xs.size, us.size) and grid.dtype == complex
+    for i, x in enumerate(xs.tolist()):
+        assert spec.value(x, us).shape == us.shape
+        for j, u in enumerate(us.tolist()):
+            want = complex(closed(x, u))
+            assert abs(grid[i, j] - want) <= 1e-12 * (1.0 + u * u), (x, u)
+            assert eval_symbol(spec, x, u) == grid[i, j]
+
+
+def test_increasing_rejects_array_with_negative_state():
+    with pytest.raises(DomainError, match="-0.5"):
+        IncreasingDoubling().value(np.array([0.0, 1.0, -0.25, 2.0, -0.5]), 1.0)
+    with pytest.raises(DomainError):
+        eval_symbol(IncreasingDoubling(), np.array([3.0, -1e-12]), np.ones(2))
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: type(s).__name__)
 def test_symbol_axioms(spec):
     rng = np.random.default_rng(3)
     for _ in range(40):
