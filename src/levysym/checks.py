@@ -433,57 +433,59 @@ _STENCILS = {
 }
 
 
-def _fd_candidates(x: float, u_scale: float):
-    base = _FD_BASE_STEP * (1.0 + abs(x))
-    steps = {base / 4.0**j for j in range(7)}
-    # rungs matched to the oscillation scale 1/u of frequency-coupled symbols
-    steps.add(base / (1.0 + abs(u_scale)))
-    steps.add(base / (4.0 * (1.0 + abs(u_scale))))
-    return sorted(steps, reverse=True)
-
-
-def fd_derivative(f, x: float, order: int, u_scale: float = 0.0,
-                  abs_tol: float = 0.0) -> complex:
+def fd_derivative(f, x, order: int, u_scale: float = 0.0,
+                  abs_tol: float = 0.0) -> complex | np.ndarray:
     """Central finite difference with Richardson halving and step adaptation.
 
-    ``f`` maps an array of states to the array of its values (real or
-    complex); it is called once, on the stencil points of every step of
-    the ladder.  The ladder holds geometric rungs of 2e-2 (1+|x|), plus
-    rungs scaled by 1/(1+u) for symbols oscillating at frequency u in the
-    state; each candidate is judged by the relative disagreement of the
-    halved step against a rounding-noise floor, and the most
-    self-consistent one (the first, on ties) wins.  Raises
-    DerivativeUnstable when no step agrees to 1e-4 relative while sitting
-    above its noise floor; values indistinguishable from zero at noise
-    level, or whose absolute disagreement is below ``abs_tol`` (too small
-    to move whatever quotient the caller forms), are returned as computed
-    rather than rejected.
+    ``x`` is one state (complex result) or an array of states (complex
+    array), each with its own ladder.  ``f`` maps an array of states to the
+    array of its values (real or complex); it is called once, on the
+    stencil points of every step of every ladder.  A ladder holds geometric
+    rungs of 2e-2 (1+|x|), plus rungs scaled by 1/(1+u) for symbols
+    oscillating at frequency u in the state; each candidate is judged by
+    the relative disagreement of the halved step against a rounding-noise
+    floor, and the most self-consistent one (the first, on ties) wins.
+    Raises DerivativeUnstable, naming the first such state, when no step
+    agrees to 1e-4 relative while sitting above its noise floor; values
+    indistinguishable from zero at noise level, or whose absolute
+    disagreement is below ``abs_tol`` (too small to move whatever quotient
+    the caller forms), are returned as computed rather than rejected.
     """
     if order not in _STENCILS:
         raise ValueError("finite differences implemented for orders 1..3")
     mults, coefs = np.array(_STENCILS[order]).T
-    ladder = np.array(_fd_candidates(x, u_scale))
-    hs = np.concatenate([ladder, ladder / 2.0])  # every rung, then its half step
-    vals = np.asarray(f(x + np.multiply.outer(hs, mults)), dtype=complex)
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    base = _FD_BASE_STEP * (1.0 + np.abs(xs))
+    scale = 1.0 + abs(u_scale)  # rungs matched to the oscillation scale 1/u
+    steps = [base / 4.0**j for j in range(7)] + [base / scale, base / (4.0 * scale)]
+    # one ladder row per state, longest first; a repeated rung ties with its twin
+    ladder = np.sort(np.stack(steps, axis=-1), axis=-1)[:, ::-1]
+    rungs = len(steps)
+    hs = np.concatenate([ladder, ladder / 2.0], axis=1)  # every rung, then its half step
+    vals = np.asarray(f(xs[:, None, None] + hs[..., None] * mults), dtype=complex)
     # real and imaginary parts apart: NumPy's complex / real rounds unlike Python's
     parts = np.stack([vals.real, vals.imag])
     denom = hs**order
-    d1, d2 = np.split(np.sum(coefs * parts, axis=2) / denom, 2, axis=1)
+    d1, d2 = np.split(np.sum(coefs * parts, axis=-1) / denom, 2, axis=-1)
     rich = (4.0 * d2 - d1) / 3.0
-    fmax = np.max(np.hypot(*parts), axis=1)
+    fmax = np.max(np.hypot(*parts), axis=-1)
     eps = float(np.finfo(float).eps)
-    noise_floor = 80.0 * eps * np.maximum(*np.split(fmax, 2)) / denom[ladder.size:]
+    noise_floor = 80.0 * eps * np.maximum(fmax[:, :rungs], fmax[:, rungs:]) / denom[:, rungs:]
     disagreement = np.hypot(*(d1 - d2))
     size = np.hypot(*rich)
     score = disagreement / np.maximum(np.maximum(size, noise_floor), 1e-300)
-    j = int(np.argmin(score))
-    if (score[j] > _RICHARDSON_RTOL and disagreement[j] > abs_tol
-            and size[j] > 10.0 * noise_floor[j]):
+    i, j = np.arange(xs.size), np.argmin(score, axis=-1)
+    unstable = ((score > _RICHARDSON_RTOL) & (disagreement > abs_tol)
+                & (size > 10.0 * noise_floor))[i, j]
+    if unstable.any():
+        first = int(np.argmax(unstable))
         raise DerivativeUnstable(
-            f"order-{order} derivative at x={x:.6g} (u={u_scale:.6g}): best "
-            f"step ladder disagreement is {score[j]:.3g} relative"
+            f"order-{order} derivative at x={xs[first]:.6g} (u={u_scale:.6g}): best "
+            f"step ladder disagreement is {score[first, j[first]]:.3g} relative"
         )
-    return complex(*rich[:, j])
+    d = rich[0, i, j].astype(complex)
+    d.imag = rich[1, i, j]
+    return d if np.ndim(x) else complex(d[0])
 
 
 @dataclass(frozen=True)
@@ -541,24 +543,17 @@ def audit_ellipticity(spec, exponent_spec, x0: float, radius: float,
     elliptic_u = abs_psi > 0.0
     floor = float(np.min(np.abs(q.real[elliptic_u]) / abs_psi[elliptic_u, None],
                          initial=math.inf))
-    elliptic: dict[int, float] = {o: 0.0 for o in range(1, min(1, max_order) + 1)}
     growth: dict[int, float] = {o: 0.0 for o in range(1, max_order + 1)}
     ratio1 = np.zeros(us.size)
     for iu, u in enumerate(us.tolist()):
         f = lambda x, u=u: eval_symbol(spec, x, u)
-        for x in xs.tolist():
-            for order in range(1, max_order + 1):
-                # disagreements below 1e-6 (1+u^2) cannot move any quotient
-                d = abs(
-                    fd_derivative(f, x, order, u_scale=u,
-                                  abs_tol=1e-6 * (1.0 + u * u))
-                )
-                if order in elliptic and re_psi[iu] > 0.0:
-                    r = d / re_psi[iu]
-                    elliptic[order] = max(elliptic[order], r)
-                    if order == 1:
-                        ratio1[iu] = max(ratio1[iu], r)
-                growth[order] = max(growth[order], d / (1.0 + u * u))
+        for order in growth:
+            # disagreements below 1e-6 (1+u^2) cannot move any quotient
+            d = np.abs(fd_derivative(f, xs, order, u_scale=u, abs_tol=1e-6 * (1.0 + u * u)))
+            if order == 1 and re_psi[iu] > 0.0:
+                ratio1[iu] = np.max(d / re_psi[iu], initial=0.0)
+            growth[order] = max(growth[order], float(np.max(d / (1.0 + u * u), initial=0.0)))
+    elliptic = {1: float(np.max(ratio1, initial=0.0))} if max_order >= 1 else {}
     # log-log slope over the top decade of |u|
     top = np.abs(us) >= np.max(np.abs(us)) / 10.0
     lu = np.log(np.abs(us[top]))

@@ -17,7 +17,8 @@ from pathlib import Path as FsPath
 import numpy as np
 
 from . import checks, mcstats, simulate, svgplot, symbols
-from .errors import BudgetExceeded, DomainError, UnitMismatch, UnsupportedSpec
+from .errors import (BudgetExceeded, DerivativeUnstable, DomainError, UnitMismatch,
+                     UnsupportedSpec)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 2
@@ -436,6 +437,8 @@ def main(argv=None) -> int:
     except BudgetExceeded as err:
         print(json.dumps({"failed": True, "reason": "numeric budget", "detail": str(err)}))
         return EXIT_BUDGET
+    except DerivativeUnstable as err:
+        return _fail("derivative unstable", detail=str(err))
     except (ValueError, DomainError, UnitMismatch, UnsupportedSpec, OSError) as err:
         print(json.dumps({"failed": True, "reason": "input error", "detail": str(err)}))
         return EXIT_INPUT

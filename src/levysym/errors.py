@@ -25,7 +25,7 @@ class RepresentationLost(TypeError):
     """An exact-lattice operation received values already projected to floats."""
 
 
-class QuadratureUnderresolved(RuntimeError):
+class QuadratureUnderresolved(BudgetExceeded):
     """Fourier coefficients near the truncation order are too large to trust."""
 
 

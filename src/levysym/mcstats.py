@@ -6,17 +6,17 @@ sup-distance sup_u |phi_A(u) - phi_B(u)| / (1 + u^2) between two ensembles,
 exact lattice-support audits, and the martingale (Dynkin) residual
 E f(X(T)) - f(x0) - int_0^T E[Af(X(s))] ds.
 
-Every endpoint statistic runs on the counted view of a sample
-(:class:`Counted`): its distinct values, with their multiplicities, built
-once when the sample is made.  A finite-n endpoint law has few atoms (a
-10 000-path sample at n = 4 holds about 16 distinct states), so each cost
-scales with the number of distinct values rather than the number of paths.
+A :class:`Sample` is one float array; the support audit reads the exact
+(m, s) columns of its ensemble, and every other statistic runs on its counted
+view (:class:`Counted`): the distinct values with their multiplicities, built
+once.  A finite-n endpoint law has few atoms (a 10 000-path sample at n = 4
+holds about 16 distinct values), so each cost scales with the number of
+distinct values rather than the number of paths.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -35,30 +35,19 @@ DEFAULT_UGRID = np.linspace(-20.0, 20.0, 201)
 class Counted:
     """Distinct values of a sample with their multiplicities.
 
-    ``values[d]`` occurs ``counts[d]`` times; ``size`` is the number of
-    observations.  For an exact sample ``states[d]`` is the distinct
-    ExactState whose value is ``values[d]``; for a float sample it is None.
+    ``values[d]`` occurs ``counts[d]`` times, in the order of first
+    occurrence; ``size`` is the number of observations.
     """
 
     values: np.ndarray
     counts: np.ndarray
-    states: tuple[ExactState, ...] | None
     size: int
 
     @staticmethod
-    def of(values: tuple) -> "Counted":
-        exact = {isinstance(v, ExactState) for v in values}
-        if len(exact) > 1:
-            raise RepresentationLost("sample mixes ExactState values with floats")
-        if exact == {True}:
-            tally = Counter(values)
-            states = tuple(tally)
-            xs = np.array([state.value for state in states], dtype=float)
-            counts = np.fromiter(tally.values(), dtype=np.int64, count=len(tally))
-        else:
-            states = None
-            xs, counts = np.unique(np.asarray(values, dtype=float), return_counts=True)
-        return Counted(xs, counts, states, len(values))
+    def of(values: np.ndarray) -> "Counted":
+        xs, first, counts = np.unique(values, return_index=True, return_counts=True)
+        order = np.argsort(first)
+        return Counted(xs[order], counts[order], values.size)
 
     def mean(self, terms: np.ndarray) -> np.ndarray:
         """Mean over the last axis of per-value terms, weighted by the counts.
@@ -82,39 +71,36 @@ class Counted:
         return np.sqrt((sq @ self.counts) / (self.size - 1)) / math.sqrt(self.size)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Sample:
     """Endpoint sample of an ensemble at a fixed time.
 
-    ``values`` holds ExactState objects when lattice information is retained
-    (required by :func:`support_audit`) or plain floats otherwise; a mix of
-    the two is rejected with RepresentationLost.  ``counted`` is the counted
-    view of the values, built once here; every statistic of this module runs
-    on it.  :meth:`to_floats` gives the per-path float array.
+    ``values`` is the per-path float array; ``ensemble`` is the
+    EnsembleResult the sample was taken from, whose exact ``(m, s)`` columns
+    :func:`support_audit` needs, or None for a sample of plain floats.
+    ``counted`` is the counted view of the values, built once here; every
+    statistic of this module runs on it.
     """
 
-    values: tuple
+    values: np.ndarray
     horizon: float
     label: str = ""
-    counted: Counted = field(init=False, repr=False, compare=False)
+    ensemble: simulate.EnsembleResult | None = None
+    counted: Counted = field(init=False, repr=False)
 
     def __post_init__(self):
-        if len(self.values) == 0:
+        values = np.asarray(self.values, dtype=float)
+        if values.size == 0:
             raise DegenerateSample("sample is empty")
-        object.__setattr__(self, "counted", Counted.of(self.values))
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "counted", Counted.of(values))
 
     @staticmethod
     def from_ensemble(result: simulate.EnsembleResult, label: str = "") -> "Sample":
-        return Sample(result.endpoints, result.horizon, label)
-
-    @property
-    def exact(self) -> bool:
-        return self.counted.states is not None
+        return Sample(result.values, result.horizon, label, result)
 
     def to_floats(self) -> np.ndarray:
-        if self.exact:
-            return np.array([state.value for state in self.values])
-        return np.asarray(self.values, dtype=float)
+        return self.values
 
 
 # ----------------------------------------------------------------------
@@ -277,31 +263,26 @@ def support_audit(sample: Sample, unit_tag: str, kind: str = "geometric",
     canonical mantissa is 0 or a power of two); ``dyadic`` audits against
     {k m 2^-scale : m in N}.  Zero belongs to every lattice; any nonzero
     state whose unit tag differs is off-lattice by incommensurability,
-    no float comparison involved.  Each distinct state is tested once and
-    weighted by its count.
+    no float comparison involved.  The tests run on the ensemble's integer
+    ``(m, s)`` columns.
     """
-    if not sample.exact:
-        raise RepresentationLost(
-            "support audit needs ExactState values; this sample was projected to floats"
-        )
-    view = sample.counted
-    off = 0
-    nonzero = 0
-    for state, count in zip(view.states, view.counts.tolist()):
-        if state.is_zero:
-            continue
-        nonzero += count
-        if state.unit_tag != unit_tag:
-            off += count
-        elif kind == "geometric":
-            off += count * (not state.in_geometric_lattice())
-        elif kind == "dyadic":
-            if scale is None:
-                raise ValueError("dyadic audit needs the lattice scale")
-            off += count * (state.s > scale or state.m < 0)
-        else:
-            raise ValueError(f"unknown lattice kind {kind!r}")
-    return SupportAudit(off, view.size, nonzero)
+    if kind not in ("geometric", "dyadic"):
+        raise ValueError(f"unknown lattice kind {kind!r}")
+    if kind == "dyadic" and scale is None:
+        raise ValueError("dyadic audit needs the lattice scale")
+    ens = sample.ensemble
+    if ens is None:
+        raise RepresentationLost("support audit needs exact endpoints, not floats")
+    m, s = ens.m, ens.s
+    nonzero = m != 0
+    if ens.unit_tag != unit_tag:
+        off = nonzero
+    elif kind == "geometric":
+        a = np.abs(m)  # in int64 |-2**63| wraps to -2**63, which the bit test still passes
+        off = (a & (a - 1)) != 0
+    else:
+        off = nonzero & ((s > scale) | (m < 0))
+    return SupportAudit(int(np.count_nonzero(off)), m.size, int(np.count_nonzero(nonzero)))
 
 
 # ----------------------------------------------------------------------

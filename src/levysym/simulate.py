@@ -14,11 +14,13 @@ trajectories on request and is the oracle.  Endpoint-only ensembles of the
 two doubling families run instead in one vectorized lock-step loop,
 ``_lockstep``, which each family drives with three small int64 array rules
 (how many events stay exact in int64, the total jump rate, one jump).  Both
-engines give identical endpoints, event counts and truncations.
+engines give identical endpoints, event counts and truncations; an
+ensemble holds its endpoints as two columns, mantissas and scales.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -139,13 +141,29 @@ class Path:
         return self.states[-1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EnsembleResult:
-    endpoints: tuple[ExactState, ...]
+    """Path i ends at k * m[i] * 2**-s[i], canonical as in ExactState; ``m`` is
+    int64 (lock-step engine) or Python ints that never wrap (per-path engine)."""
+
+    unit_tag: str
+    k: float
+    m: np.ndarray
+    s: np.ndarray
     horizon: float
     truncated_count: int
     event_counts: tuple[int, ...]
     paths: tuple[Path, ...] | None = None
+
+    @property
+    def values(self) -> np.ndarray:
+        """Endpoint values, rounded as :attr:`ExactState.value` rounds them."""
+        return self.k * np.ldexp(self.m.astype(float), -self.s)
+
+    @functools.cached_property
+    def endpoints(self) -> tuple[ExactState, ...]:
+        ms, ss = self.m.tolist(), self.s.tolist()
+        return tuple(ExactState(self.unit_tag, self.k, m, s) for m, s in zip(ms, ss))
 
 
 # ----------------------------------------------------------------------
@@ -271,7 +289,8 @@ def simulate_ensemble(rule: JumpRule, x0: ExactState, cfg: SimConfig) -> Ensembl
             pass
 
     keys = rng.path_keys(cfg.seed, np.arange(cfg.paths))
-    endpoints = []
+    m = np.empty(cfg.paths, dtype=object)  # Python ints: 2**63 must not become a float
+    s = np.empty(cfg.paths, dtype=np.int64)
     counts = []
     truncated_count = 0
     paths = [] if cfg.store_paths else None
@@ -279,13 +298,13 @@ def simulate_ensemble(rule: JumpRule, x0: ExactState, cfg: SimConfig) -> Ensembl
         state, events, truncated, times, states = _run_path(
             rule, x0, cfg.horizon, cfg.max_events, keys[i], record=cfg.store_paths
         )
-        endpoints.append(state)
+        m[i], s[i] = state.m, state.s
         counts.append(events)
         truncated_count += truncated
         if cfg.store_paths:
             paths.append(Path(tuple(times), tuple(states), truncated))
     return EnsembleResult(
-        tuple(endpoints), cfg.horizon, truncated_count, tuple(counts),
+        x0.unit_tag, x0.k, m, s, cfg.horizon, truncated_count, tuple(counts),
         tuple(paths) if paths is not None else None,
     )
 
@@ -301,7 +320,7 @@ class _LockstepUnfit(Exception):
     """
 
 
-def _lockstep(rule: JumpRule, m0: int, s0: int, cfg: SimConfig,
+def _lockstep(x0: ExactState, m0: int, s0: int, cfg: SimConfig,
               safe_events, total_rate, step) -> EnsembleResult:
     """One loop over all active paths, one iteration per event index.
 
@@ -310,7 +329,8 @@ def _lockstep(rule: JumpRule, m0: int, s0: int, cfg: SimConfig,
     int64 (below 1 the input is unfit), ``total_rate(m, s)`` the total jump
     rate and ``step(m, s, u2)`` the state after one jump.  All active paths
     have made exactly j jumps at iteration j, so event j of path i reads
-    counter j of stream i, as in the per-path engine.
+    counter j of stream i, as in the per-path engine.  Paths start at
+    ``(m0, s0)``, x0 at the family's scale; endpoints end up canonical.
     """
     N = cfg.paths
     keys = rng.path_keys(cfg.seed, np.arange(N))
@@ -349,11 +369,12 @@ def _lockstep(rule: JumpRule, m0: int, s0: int, cfg: SimConfig,
         m, s = step(m, s, u2)
         out_events[idx] += 1
         j += 1
-    endpoints = tuple(
-        ExactState(rule.unit_tag, rule.k, int(out_m[i]), int(out_s[i])) for i in range(N)
-    )
+    while (even := ((out_m & 1) == 0) & (out_s > 0)).any():  # m = 0 ends at s = 0 too
+        out_m[even] >>= 1
+        out_s[even] -= 1
     return EnsembleResult(
-        endpoints, cfg.horizon, int(truncated.sum()), tuple(int(c) for c in out_events)
+        x0.unit_tag, x0.k, out_m, out_s, cfg.horizon, int(truncated.sum()),
+        tuple(out_events.tolist()),
     )
 
 
@@ -392,7 +413,7 @@ def _ensemble_symmetric_doubling(rule: JumpRule, x0: ExactState,
         s_next = np.where(zero, n, np.where(up, np.maximum(s - 1, 0), 0))
         return m_next, s_next
 
-    return _lockstep(rule, x0.m, x0.s, cfg, safe_events, total_rate, step)
+    return _lockstep(x0, x0.m, x0.s, cfg, safe_events, total_rate, step)
 
 
 def _ensemble_increasing_doubling(rule: JumpRule, x0: ExactState,
@@ -422,7 +443,7 @@ def _ensemble_increasing_doubling(rule: JumpRule, x0: ExactState,
     def step(m, s, u2):
         return m + np.clip(m, 1, cap), s
 
-    return _lockstep(rule, m0, n, cfg, safe_events, total_rate, step)
+    return _lockstep(x0, m0, n, cfg, safe_events, total_rate, step)
 
 
 # ----------------------------------------------------------------------
@@ -430,8 +451,8 @@ def _ensemble_increasing_doubling(rule: JumpRule, x0: ExactState,
 # ----------------------------------------------------------------------
 def endpoint_csv(result: EnsembleResult) -> str:
     lines = ["path_index,t,value"]
-    for i, state in enumerate(result.endpoints):
-        lines.append(f"{i},{result.horizon:.17g},{state.value:.17g}")
+    for i, value in enumerate(result.values.tolist()):
+        lines.append(f"{i},{result.horizon:.17g},{value:.17g}")
     return "\n".join(lines) + "\n"
 
 

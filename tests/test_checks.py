@@ -393,11 +393,23 @@ def test_fd_derivative_matches_scalar_ladder(order):
         want = _scalar_fd_derivative(scalar_f, x, order, u, tol)
         got = fd_derivative(array_f, x, order, u_scale=u, abs_tol=tol)
         assert abs(got - want) <= 1e-12 * max(abs(want), 1e-300)
+    # an array of states: one ladder each, every entry bit for bit the scalar call
+    xs = np.linspace(0.5, 1.5, 7)
+    for u in (0.0, 3.0, 7.0):  # u = 3 makes the u-scaled rungs repeat geometric ones
+        f = lambda x, u=u: eval_symbol(PRODCOS, x, u)
+        got = fd_derivative(f, xs, order, u_scale=u)
+        assert got.shape == xs.shape
+        for x, d in zip(xs.tolist(), got.tolist()):
+            want = fd_derivative(f, x, order, u_scale=u)
+            assert type(want) is complex
+            assert (d.real, d.imag) == (want.real, want.imag)
     # a kink has no second derivative: both ladders reject it
     with pytest.raises(DerivativeUnstable):
         _scalar_fd_derivative(abs, 0.0, 2)
     with pytest.raises(DerivativeUnstable):
         fd_derivative(np.abs, 0.0, 2)
+    with pytest.raises(DerivativeUnstable, match="at x=0 "):
+        fd_derivative(np.abs, np.array([2.0, 0.0, 0.0]), 2)
 
 
 def test_localize_rejects_domain_exit():

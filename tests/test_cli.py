@@ -2,7 +2,7 @@
 
 import json
 
-from levysym.cli import EXIT_CHECK_FAILED, EXIT_INPUT, main
+from levysym.cli import EXIT_BUDGET, EXIT_CHECK_FAILED, EXIT_INPUT, main
 
 
 def run(tmp_path, *argv):
@@ -105,6 +105,26 @@ def test_audit_bound_failure_exit(tmp_path):
         "--bound", "1.1", "--out", str(tmp_path / "apc"),
     ])
     assert code == 0
+
+
+def test_numeric_failures_exit_with_json_line(tmp_path, capsys):
+    # an order-3 ladder that finds no stable step is a failed check
+    code = main([
+        "audit", "--spec", "ex31", "--x0", "0.5", "--radius", "0.1",
+        "--orders", "3", "--out", str(tmp_path / "a"),
+    ])
+    doc = json.loads(capsys.readouterr().out.splitlines()[-1])
+    assert code == EXIT_CHECK_FAILED
+    assert doc["failed"] and doc["reason"] == "derivative unstable"
+    assert "order-3 derivative" in doc["detail"]
+    # nmax = 4 cannot resolve the localized series: the truncation budget ran out
+    code = main([
+        "fourier-check", "--symbol", "localized-prodcos", "--x0", "0.5",
+        "--nmax", "4", "--out", str(tmp_path / "f"),
+    ])
+    doc = json.loads(capsys.readouterr().out.splitlines()[-1])
+    assert code == EXIT_BUDGET
+    assert doc["failed"] and doc["reason"] == "numeric budget"
 
 
 def test_groenwall_table_io(tmp_path):

@@ -38,6 +38,17 @@ def _sample_of_floats(values, horizon=1.0):
     return Sample(tuple(values), horizon)
 
 
+def _exact_sample(states, horizon=1.0):
+    """Sample of an ensemble whose paths end at ``states``, all of one unit."""
+    ((tag, k),) = {(state.unit_tag, state.k) for state in states}
+    result = simulate.EnsembleResult(
+        tag, k, np.array([state.m for state in states], dtype=object),
+        np.array([state.s for state in states], dtype=np.int64), horizon, 0,
+        (0,) * len(states),
+    )
+    return Sample.from_ensemble(result)
+
+
 # ----------------------------------------------------------------------
 # closed moments
 # ----------------------------------------------------------------------
@@ -86,7 +97,7 @@ def test_moment_ci_constant_sample():
     assert est.se == 0.0
     # 0.1 * 7 / 7 != 0.1 in floats; the counted mean still returns 0.1 itself
     for sample in (_sample_of_floats([0.1] * 7),
-                   Sample((ExactState("sqrt2", math.sqrt(2.0), 3, 1),) * 9, 1.0)):
+                   _exact_sample((ExactState("sqrt2", math.sqrt(2.0), 3, 1),) * 9)):
         x = sample.to_floats()[0]
         est = moment_ci(sample, 1)
         assert (est.mean, est.se) == (x, 0.0)
@@ -157,40 +168,39 @@ def test_support_audit_exactness():
         ExactState("1", 1.0, 1, 5),
         ExactState("1", 1.0, -8, 0),
     )
-    audit = support_audit(Sample(states, 1.0), "1")
+    audit = support_audit(_exact_sample(states), "1")
     assert audit.clean and audit.nonzero_total == 2
     # off-lattice mantissa
-    audit2 = support_audit(Sample(states + (ExactState("1", 1.0, 3, 1),), 1.0), "1")
+    audit2 = support_audit(_exact_sample(states + (ExactState("1", 1.0, 3, 1),)), "1")
     assert audit2.off_lattice == 1
     # cross-lattice: every nonzero state is off; zero belongs everywhere
-    cross = support_audit(Sample(states, 1.0), "sqrt2")
+    cross = support_audit(_exact_sample(states), "sqrt2")
     assert cross.off_lattice == 2
     # repeated states count once per observation
-    many = Sample(states * 3 + (ExactState("1", 1.0, 3, 1),) * 4, 1.0)
+    many = _exact_sample(states * 3 + (ExactState("1", 1.0, 3, 1),) * 4)
     audit3 = support_audit(many, "1")
     assert (audit3.off_lattice, audit3.nonzero_total, audit3.total) == (4, 10, 13)
 
 
 def test_support_audit_dyadic_kind():
     states = (ExactState("1", 1.0, 5, 3), ExactState("1", 1.0, 1, 0))
-    audit = support_audit(Sample(states, 1.0), "1", kind="dyadic", scale=3)
+    audit = support_audit(_exact_sample(states), "1", kind="dyadic", scale=3)
     assert audit.clean
-    neg = Sample((ExactState("1", 1.0, -1, 2),), 1.0)
-    assert support_audit(neg, "1", kind="dyadic", scale=3).off_lattice == 1
-    mixed = Sample(neg.values * 3 + states, 1.0)
+    neg = (ExactState("1", 1.0, -1, 2),)
+    assert support_audit(_exact_sample(neg), "1", kind="dyadic", scale=3).off_lattice == 1
+    mixed = _exact_sample(neg * 3 + states)
     assert support_audit(mixed, "1", kind="dyadic", scale=3).off_lattice == 3
+    # the kind and the scale are checked before any state, even when all are zero
+    zeros = _exact_sample((ExactState("1", 1.0, 0, 0),) * 3)
+    with pytest.raises(ValueError, match="unknown lattice kind"):
+        support_audit(zeros, "1", kind="bogus")
+    with pytest.raises(ValueError, match="needs the lattice scale"):
+        support_audit(zeros, "1", kind="dyadic")
 
 
 def test_support_audit_rejects_floats():
     with pytest.raises(RepresentationLost):
         support_audit(_sample_of_floats([0.5, 1.0]), "1")
-
-
-def test_mixed_sample_rejected():
-    state = ExactState("1", 1.0, 1, 0)
-    for mixed in ((state, 0.5), (0.5, state)):
-        with pytest.raises(RepresentationLost):
-            Sample(mixed, 1.0)
 
 
 # ----------------------------------------------------------------------

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from levysym.errors import UnsupportedSpec
+from levysym.mcstats import Sample, support_audit
 from levysym.simulate import (
     ExactState,
     JumpRule,
@@ -161,6 +162,22 @@ def test_lockstep_engine_agrees_with_per_path_engine(
     assert fast.endpoints == slow.endpoints
     assert fast.event_counts == slow.event_counts
     assert fast.truncated_count == slow.truncated_count
+    assert fast.m.tolist() == slow.m.tolist()
+    assert fast.s.tolist() == slow.s.tolist()
+
+
+@pytest.mark.parametrize("family", [SymmetricDoublingApprox, IncreasingDoublingApprox])
+def test_per_path_engine_keeps_endpoints_beyond_int64(family):
+    # no event happens before 1e-30: every path ends where it starts
+    rule = jump_rule_of(family(K1, 4))
+    for m, on_lattice in ((1 << 63, True), (1 << 70, True), (-(1 << 63) - 1, False)):
+        x0 = rule.initial_state(m)
+        res = simulate_ensemble(rule, x0, SimConfig(horizon=1e-30, seed=5, paths=3))
+        assert [state.m for state in res.endpoints] == [m] * 3
+        assert res.values.tolist() == [state.value for state in res.endpoints]
+        audit = support_audit(Sample.from_ensemble(res), "1")
+        assert (audit.off_lattice, audit.nonzero_total, audit.total) == (
+            0 if on_lattice else 3, 3, 3)
 
 
 def test_single_path_equals_ensemble_member():
