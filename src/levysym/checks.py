@@ -47,6 +47,7 @@ from .measures import (
 )
 from .symbols import eval_symbol
 
+#: default frequency grid for the dominance, K and ECF-distance scans
 DEFAULT_UGRID = np.linspace(-20.0, 20.0, 201)
 
 
@@ -71,13 +72,19 @@ class FourierSymbol:
     def reconstruct(self, x, u: float):
         """Evaluate the (truncated) series at state(s) x and frequency u."""
         a0, a, b, _ = self.coefficients(u)
-        kx = self.k * np.multiply.outer(x, self.n)
-        return a0 + np.cos(kx) @ a + np.sin(kx) @ b
+        return _series_value(self.k, self.n, a0, a, b, x)
 
     def coefficient_rows(self, u: float):
         """(n, a_n(u), b_n(u)) for all stored nonzero n."""
         _, a, b, _ = self.coefficients(u)
         return list(zip(self.n.tolist(), a.tolist(), b.tolist()))
+
+
+def _series_value(k: float, n: np.ndarray, a0: complex, a: np.ndarray,
+                  b: np.ndarray, x):
+    """a0 + sum_n a_n cos(k n x) + b_n sin(k n x) at state(s) x."""
+    kx = k * np.multiply.outer(x, n)
+    return a0 + np.cos(kx) @ a + np.sin(kx) @ b
 
 
 def fourier_symbol_of_product_cosine(exponent_spec) -> FourierSymbol:
@@ -200,6 +207,12 @@ def _coefficient_grid(fs: FourierSymbol, u: np.ndarray):
     return np.array(a0, dtype=complex), weight, np.array(residual, dtype=float)
 
 
+def _k_integrand(k: float, n: np.ndarray, weight: np.ndarray, u):
+    """k^2 sum |n|^2 (|a_n|+|b_n|) / (1+u^2), given the weights |a_n| + |b_n|
+    on the last axis."""
+    return k * k * np.sum(n * n * weight, axis=-1) / (1.0 + u * u)
+
+
 def check_dominance(fs: FourierSymbol, ugrid=None, tol_eq=None) -> DominanceReport:
     """Margins -Re a0(u) - sum(|a_n(u)| + |b_n(u)|) - residual(u) on the grid.
 
@@ -230,7 +243,7 @@ class KReport:
 def compute_K(fs: FourierSymbol, ugrid=None) -> KReport:
     u = np.asarray(DEFAULT_UGRID if ugrid is None else ugrid, dtype=float)
     _, weight, _ = _coefficient_grid(fs, u)
-    vals = fs.k * fs.k * np.sum(fs.n * fs.n * weight, axis=1) / (1.0 + u * u)
+    vals = _k_integrand(fs.k, fs.n, weight, u)
     j = int(np.argmax(vals))
     return KReport(float(vals[j]), float(u[j]), u, vals)
 
@@ -367,10 +380,9 @@ def assemble_majorant(fs: FourierSymbol, u: float, t: float, ncut: int, xgrid,
     """
     a0, a, b, _ = fs.coefficients(u)
     keep = np.abs(fs.n) <= ncut
-    rows = list(zip(fs.n[keep].tolist(), a[keep].tolist(), b[keep].tolist()))
-    a0_val = complex(a0)
-    coeff_sum = sum(abs(a) + abs(b) for _, a, b in rows)
-    rewritten = a0_val + coeff_sum
+    n, a, b = fs.n[keep], a[keep], b[keep]
+    weight = _modulus(a) + _modulus(b)
+    rewritten = complex(a0) + float(np.sum(weight))
     if rewritten.real > default_dominance_tol(u):
         raise ViolatedDominance(
             f"rewritten constant coefficient has positive real part "
@@ -379,35 +391,28 @@ def assemble_majorant(fs: FourierSymbol, u: float, t: float, ncut: int, xgrid,
     unit = fs.k
     unit_tag = f"series-k{fs.k:.17g}"
     parts = [dirac(0, unit, unit_tag, cmath.exp(t * rewritten))]
-    for n, a_n, b_n in rows:
-        spacing = fs.k * abs(n)
+    for n_j, a_n, b_n in zip(n.tolist(), a.tolist(), b.tolist()):
+        spacing = fs.k * abs(n_j)
         if abs(a_n) > 0.0:
             parts.append(
                 build_term_measure(a_n, "cos", spacing, t, exp_tol,
-                                   unit=unit, unit_tag=unit_tag, index=abs(n))
+                                   unit=unit, unit_tag=unit_tag, index=abs(n_j))
             )
         if abs(b_n) > 0.0:
-            sin_coef = b_n if n > 0 else -b_n  # sin is odd: fold onto |n|
+            sin_coef = b_n if n_j > 0 else -b_n  # sin is odd: fold onto |n|
             parts.append(
                 build_term_measure(sin_coef, "sin", spacing, t, exp_tol,
-                                   unit=unit, unit_tag=unit_tag, index=abs(n))
+                                   unit=unit, unit_tag=unit_tag, index=abs(n_j))
             )
     P = convolve_sequence(parts)
 
     x = np.asarray(xgrid, dtype=float)
-    q_rec = np.full(x.shape, a0_val)
-    for n, a_n, b_n in rows:
-        q_rec += a_n * np.cos(fs.k * n * x) + b_n * np.sin(fs.k * n * x)
+    q_rec = _series_value(fs.k, n, a0, a, b, x)
     worst = float(np.max(np.abs(P.fourier(x) - np.exp(t * q_rec)), initial=0.0))
-    tv = P.total_variation()
-    mass = sum(
-        (1.0 + (u + j * unit) ** 2) / (1.0 + u * u) * w.real
-        for j, w in tv.weights.items()
-    )
-    k_sigma = (
-        fs.k * fs.k * sum(n * n * (abs(a) + abs(b)) for n, a, b in rows)
-        / (1.0 + u * u)
-    )
+    j, w = P.total_variation().atoms()
+    terms = (1.0 + (u + j * unit) ** 2) / (1.0 + u * u) * w.real
+    mass = float(np.cumsum(terms)[-1]) if terms.size else 0.0  # by ascending index
+    k_sigma = float(_k_integrand(fs.k, n, weight, u))
     bound = 1.0 + k_sigma * t + tol
     report = MajorantReport(
         u=float(u), t=float(t), transform_error=worst, transform_ok=worst <= tol,

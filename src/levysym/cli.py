@@ -18,7 +18,7 @@ import numpy as np
 
 from . import checks, mcstats, simulate, svgplot, symbols
 from .errors import (BudgetExceeded, DerivativeUnstable, DomainError, UnitMismatch,
-                     UnsupportedSpec)
+                     UnsupportedSpec, ViolatedDominance)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 2
@@ -70,10 +70,9 @@ def cmd_simulate(args) -> int:
         spec = _approx_spec(args.spec, token, args.n)
         rule = simulate.jump_rule_of(spec)
         x0 = rule.initial_state()
-        paths = 1 if multi_k else args.paths
         store = bool(args.svg) or args.store_paths
         cfg = simulate.SimConfig(
-            horizon=args.t, seed=args.seed, paths=paths,
+            horizon=args.t, seed=args.seed, paths=args.paths,
             max_events=args.max_events, store_paths=store,
         )
         result = simulate.simulate_ensemble(rule, x0, cfg)
@@ -439,6 +438,8 @@ def main(argv=None) -> int:
         return EXIT_BUDGET
     except DerivativeUnstable as err:
         return _fail("derivative unstable", detail=str(err))
+    except ViolatedDominance as err:
+        return _fail("dominance violated", detail=str(err))
     except (ValueError, DomainError, UnitMismatch, UnsupportedSpec, OSError) as err:
         print(json.dumps({"failed": True, "reason": "input error", "detail": str(err)}))
         return EXIT_INPUT

@@ -23,12 +23,11 @@ from fractions import Fraction
 import numpy as np
 
 from . import simulate
+from .checks import DEFAULT_UGRID
 from .errors import DegenerateSample, RepresentationLost
+from .measures import _modulus
 from .simulate import ExactState, SimConfig
 from .symbols import TestFunction, apply_generator
-
-#: default frequency grid for weighted-norm scans
-DEFAULT_UGRID = np.linspace(-20.0, 20.0, 201)
 
 
 @dataclass(frozen=True, eq=False)
@@ -175,11 +174,9 @@ def ecf(sample: Sample, ugrid) -> EcfEstimate:
     return EcfEstimate(u, mean, se)
 
 
-def _weighted_gap(sample_a: Sample, sample_b: Sample, u: float) -> float:
-    va, vb = sample_a.counted, sample_b.counted
-    za = va.mean(np.exp(1j * u * va.values))
-    zb = vb.mean(np.exp(1j * u * vb.values))
-    return abs(za - zb) / (1.0 + u * u)
+def _weighted_gap(ea: EcfEstimate, eb: EcfEstimate) -> np.ndarray:
+    """|phi_A(u) - phi_B(u)| / (1 + u^2) on the grid the two estimates share."""
+    return _modulus(ea.mean - eb.mean) / (1.0 + ea.u * ea.u)
 
 
 @dataclass(frozen=True)
@@ -204,18 +201,16 @@ def ecf_distance(sample_a: Sample, sample_b: Sample, ugrid=None,
     if sample_a.horizon != sample_b.horizon:
         raise ValueError("samples must share the same horizon")
     u = np.asarray(DEFAULT_UGRID if ugrid is None else ugrid, dtype=float)
-    ea = ecf(sample_a, u)
-    eb = ecf(sample_b, u)
-    weight = 1.0 / (1.0 + u * u)
-    gap = np.abs(ea.mean - eb.mean) * weight
+    gap = _weighted_gap(ecf(sample_a, u), ecf(sample_b, u))
     i = int(np.argmax(gap))
     best_u, best = u[i], float(gap[i])
     if refine and 0 < i < u.size - 1:
-        best_u, best = _golden_max(
-            lambda v: _weighted_gap(sample_a, sample_b, v), u[i - 1], u[i + 1]
+        u_fine, fine = _golden_max(
+            lambda v: float(_weighted_gap(ecf(sample_a, [v]), ecf(sample_b, [v]))[0]),
+            u[i - 1], u[i + 1],
         )
-        if best < gap[i]:
-            best_u, best = u[i], float(gap[i])
+        if fine >= best:
+            best_u, best = u_fine, fine
     ga = ecf(sample_a, [best_u])
     gb = ecf(sample_b, [best_u])
     se_bound = float((ga.se[0] + gb.se[0]) / (1.0 + best_u * best_u))
@@ -384,10 +379,9 @@ def moment_report_csv(rows) -> str:
 
 def ecf_report_csv(ea: EcfEstimate, eb: EcfEstimate) -> str:
     lines = ["u,re_a,im_a,re_b,im_b,weighted_abs_diff"]
-    for i, u in enumerate(ea.u):
-        diff = abs(ea.mean[i] - eb.mean[i]) / (1.0 + u * u)
+    for u, a, b, diff in zip(ea.u, ea.mean, eb.mean, _weighted_gap(ea, eb)):
         lines.append(
-            f"{u:.17g},{ea.mean[i].real:.17g},{ea.mean[i].imag:.17g},"
-            f"{eb.mean[i].real:.17g},{eb.mean[i].imag:.17g},{diff:.17g}"
+            f"{u:.17g},{a.real:.17g},{a.imag:.17g},"
+            f"{b.real:.17g},{b.imag:.17g},{diff:.17g}"
         )
     return "\n".join(lines) + "\n"

@@ -117,13 +117,16 @@ class LatticeComplexMeasure:
     def __setstate__(self, state) -> None:
         self._store(*state)
 
+    def atoms(self) -> tuple[np.ndarray, np.ndarray]:
+        """Lattice indices and weights of the atoms, by ascending index."""
+        nz = np.flatnonzero(self._a)
+        return self._lo + nz, self._a[nz]
+
     @property
     def weights(self):
         """Read-only index -> weight map of the atoms, built on each access."""
-        nz = np.flatnonzero(self._a)
-        return MappingProxyType(
-            dict(zip((self._lo + i for i in nz.tolist()), self._a[nz].tolist()))
-        )
+        index, weight = self.atoms()
+        return MappingProxyType(dict(zip(index.tolist(), weight.tolist())))
 
     def _locations(self) -> np.ndarray:
         """Location j * unit of every array entry."""
@@ -289,14 +292,26 @@ def _series_order(norm: float, tol: float, cap: int) -> tuple[int, float]:
 
 
 def _exp_series(mu: LatticeComplexMeasure, tol: float, cap: int, parity) -> tuple:
+    """Sum of the terms mu^{*m}/m!, m <= M, whose order m passes ``parity``.
+
+    The terms and their sum stay raw arrays; term m starts at index m * lo,
+    so the sum spans [min(0, M lo), max(0, M hi)] and is canonicalized once.
+    """
     order, tail = _series_order(mu.tv_norm(), tol, cap)
-    term = dirac(0, mu.unit, mu.unit_tag)
-    total = term if parity(0) else zero_measure(mu.unit, mu.unit_tag)
+    lo, hi = mu._lo, mu._lo + mu._a.size - 1
+    start = min(0, order * lo)
+    span = max(0, order * hi) - start + 1
+    _check_span(span)
+    total = np.zeros(span, dtype=np.complex128)
+    term = np.ones(1, dtype=np.complex128)  # the m = 0 term, delta_0
+    if parity(0):
+        total[-start] = 1.0
     for m in range(1, order + 1):
-        term = term.convolve(mu).scale(1.0 / m)
+        term = np.convolve(term, mu._a) * complex(1.0 / m)
         if parity(m):
-            total = total.add(term)
-    return total, ExpSeriesReport(order, tail)
+            first = m * lo - start
+            total[first:first + term.size] += term
+    return mu._of(start, total), ExpSeriesReport(order, tail)
 
 
 def exp_measure(mu: LatticeComplexMeasure, tol: float = 1e-12,

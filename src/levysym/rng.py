@@ -6,7 +6,10 @@ keyed by ``(master seed, path index)``; the j-th event of a path reads
 counter ``j`` and receives two independent uint64 words, i.e. two uniforms.
 Because outputs are a pure function of (key, counter), results do not
 depend on execution order, scheduling, or batch size: the same master seed
-always reproduces the same ensemble bit for bit.
+always reproduces the same ensemble bit for bit.  :func:`event_uniforms` is
+the one reader of the event streams: the lock-step engine calls it on all
+path keys at one counter, the per-path engine on one key at a block of
+1 024 consecutive counters.
 
 The 64x64 -> 128 bit multiply is emulated with 32-bit limbs, which keeps
 everything inside NumPy uint64 vector arithmetic (exactness is covered by
@@ -93,37 +96,11 @@ def path_keys(master_seed: int, indices) -> np.ndarray:
 
 
 def event_uniforms(keys, counter):
-    """Two uniform(0,1) arrays for event ``counter`` of the given path keys."""
-    w0, w1 = philox2x64(np.uint64(counter), _EVENT_DOMAIN, keys)
+    """Two uniform(0,1) arrays for event ``counter`` of the given path keys.
+
+    ``keys`` and ``counter`` broadcast: many keys at one counter feed the
+    lock-step engine, one key at a block of counters the per-path engine.
+    """
+    w0, w1 = philox2x64(np.asarray(counter, dtype=np.uint64), _EVENT_DOMAIN, keys)
     return _to_unit_interval(w0), _to_unit_interval(w1)
 
-
-class CounterStream:
-    """Sequential view of one path's event stream, read in blocks.
-
-    Each event yields a standard-exponential holding variate (inverse CDF of
-    the first uniform, computed blockwise so the float path matches the
-    vectorized ensemble engines) and a selector uniform for picking the jump.
-    """
-
-    def __init__(self, key: np.uint64, block: int = 1024):
-        self._key = np.uint64(key)
-        self._block = block
-        self._next = 0
-        self._pos = block
-        self._e1 = np.empty(0)
-        self._u2 = np.empty(0)
-
-    def next_event(self):
-        """(exponential holding variate, selector uniform) for the next counter."""
-        if self._pos >= self._block:
-            counters = np.arange(self._next, self._next + self._block, dtype=np.uint64)
-            w0, w1 = philox2x64(counters, _EVENT_DOMAIN, self._key)
-            self._e1 = -np.log(_to_unit_interval(w0))
-            self._u2 = _to_unit_interval(w1)
-            self._next += self._block
-            self._pos = 0
-        e1 = self._e1[self._pos]
-        u2 = self._u2[self._pos]
-        self._pos += 1
-        return e1, u2

@@ -7,7 +7,9 @@ integer arithmetic, never by float comparison.  Holding times are
 inverse-CDF exponentials driven by the counter-based streams of
 :mod:`levysym.rng`: event j of path i always consumes counter j of the
 stream keyed by (master seed, i), which makes ensembles reproducible and
-independent of scheduling.
+independent of scheduling.  The per-path engine reads its stream through
+``rng.event_uniforms`` in blocks of 1 024 counters, the lock-step engine
+one counter for all active paths at a time.
 
 The generic per-path engine works for any ``JumpRule``, retains
 trajectories on request and is the oracle.  Endpoint-only ensembles of the
@@ -216,9 +218,12 @@ def jump_rule_of(spec) -> JumpRule:
 # ----------------------------------------------------------------------
 # generic per-path engine
 # ----------------------------------------------------------------------
+#: counters the per-path engine reads from its stream at a time
+_BLOCK = 1024
+
+
 def _run_path(rule: JumpRule, x0: ExactState, horizon: float, max_events: int,
               key, record: bool) -> tuple:
-    stream = rng.CounterStream(key)
     state = x0
     t = 0.0
     times: list[float] = []
@@ -232,8 +237,12 @@ def _run_path(rule: JumpRule, x0: ExactState, horizon: float, max_events: int,
             total += r
         if total <= 0.0:
             break  # absorbing state
-        e1, u2 = stream.next_event()
-        t += e1 / total
+        i = events % _BLOCK
+        if i == 0:  # event j reads counter j
+            counters = np.arange(events, events + _BLOCK, dtype=np.uint64)
+            u1, u2 = rng.event_uniforms(key, counters)
+            e1 = -np.log(u1)
+        t += e1[i] / total
         if t > horizon:
             break
         if events >= max_events:
@@ -243,7 +252,7 @@ def _run_path(rule: JumpRule, x0: ExactState, horizon: float, max_events: int,
         if len(move_list) == 1:
             dm, ds = move_list[0][1]
         else:
-            target = u2 * total
+            target = u2[i] * total
             acc = 0.0
             dm, ds = move_list[-1][1]
             for r, disp in move_list:

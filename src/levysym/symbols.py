@@ -210,9 +210,9 @@ class SymmetricDoublingApprox:
     """Finite-activity regularization of SymmetricDoubling.
 
     Outside |x| >= k 2^-n the symbol is unchanged; inside, the jump measure
-    is frozen to +-(k 2^-n) at rate 4^n/(2 k^2).  Drift vanishes everywhere
-    because the jump measure is symmetric and the truncation function is
-    anti-symmetric.
+    is frozen to +-(k 2^-n) at rate 4^n/(2 k^2): the exact symbol at the
+    floor state k 2^-n.  Drift vanishes everywhere because the jump measure
+    is symmetric and the truncation function is anti-symmetric.
     """
 
     k: LatticeUnit
@@ -229,16 +229,11 @@ class SymmetricDoublingApprox:
         return self.k.value * 2.0 ** -self.n
 
     def value(self, x, u):
-        s = _sinc(0.5 * np.maximum(np.abs(x), self.floor) * u)
-        return (-0.5 * u * u * s * s).astype(complex)
+        return SymmetricDoubling().value(np.maximum(np.abs(x), self.floor), u)
 
     def triplet(self, x: float) -> LevyTriplet:
         h = self.floor
-        if abs(x) >= h:
-            rate = 1.0 / (2.0 * x * x)
-            return LevyTriplet(jumps=((x, rate), (-x, rate)))
-        rate = 4.0**self.n / (2.0 * self.k.value**2)
-        return LevyTriplet(jumps=((h, rate), (-h, rate)))
+        return SymmetricDoubling().triplet(x if abs(x) >= h else h)
 
     def to_json(self) -> dict:
         return {"variant": self.wire_name, "k": self.k.to_json(), "n": self.n}
@@ -283,19 +278,15 @@ class IncreasingDoublingApprox:
         if self.n < 0:
             raise ValueError("approximation index n must be nonnegative")
 
-    def clamp(self, x: float) -> float:
-        lo = self.k.value * 2.0 ** -self.n
-        hi = self.k.value * 2.0**self.n
-        return min(max(x, lo), hi)
+    def clamp(self, x):
+        """Jump size h(x), elementwise over an array of states."""
+        return np.clip(x, self.k.value * 2.0 ** -self.n, self.k.value * 2.0**self.n)
 
     def value(self, x, u):
-        lo = self.k.value * 2.0 ** -self.n
-        hi = self.k.value * 2.0**self.n
-        return IncreasingDoubling().value(np.clip(x, lo, hi), u)
+        return IncreasingDoubling().value(self.clamp(x), u)
 
     def triplet(self, x: float) -> LevyTriplet:
-        h = self.clamp(x)
-        return LevyTriplet(drift=truncation(h) / h, jumps=((h, 1.0 / h),))
+        return IncreasingDoubling().triplet(float(self.clamp(x)))
 
     def to_json(self) -> dict:
         return {"variant": self.wire_name, "k": self.k.to_json(), "n": self.n}

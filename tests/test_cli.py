@@ -36,6 +36,18 @@ def test_simulate_multi_k_figure(tmp_path):
     assert svg.read_text().count("polyline") == 3
 
 
+def test_simulate_multi_k_honours_paths(tmp_path):
+    code = main([
+        "simulate", "--spec", "ex32approx", "--k", "1,sqrt2", "--n", "4",
+        "--paths", "5", "--seed", "3", "--out", str(tmp_path / "o"),
+    ])
+    assert code == 0
+    for token in ("1", "sqrt2"):
+        rows = (tmp_path / "o" / f"endpoints_k_{token}.csv").read_text().splitlines()
+        assert rows[0] == "path_index,t,value"
+        assert [r.split(",")[0] for r in rows[1:]] == ["0", "1", "2", "3", "4"]
+
+
 def test_reruns_byte_identical(tmp_path):
     args = [
         "moments", "--spec", "ex32approx", "--k", "1", "--n", "4", "--t", "1",
@@ -125,6 +137,15 @@ def test_numeric_failures_exit_with_json_line(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out.splitlines()[-1])
     assert code == EXIT_BUDGET
     assert doc["failed"] and doc["reason"] == "numeric budget"
+    # at x0 = 0 the majorant's rewritten a0 has a positive real part
+    code = main([
+        "fourier-check", "--symbol", "localized-prodcos", "--x0", "0",
+        "--ncut", "64", "--out", str(tmp_path / "d"),
+    ])
+    doc = json.loads(capsys.readouterr().out.splitlines()[-1])
+    assert code == EXIT_CHECK_FAILED
+    assert doc["failed"] and doc["reason"] == "dominance violated"
+    assert "u = 0.5" in doc["detail"]
 
 
 def test_groenwall_table_io(tmp_path):

@@ -118,6 +118,42 @@ def test_exp_report():
     assert report.terms > 0
 
 
+def _per_term_series(mu, tol, parity):
+    """Oracle: the series summed one canonical term measure at a time."""
+    _, report = exp_measure(mu, tol, with_report=True)
+    term = dirac(0, mu.unit, mu.unit_tag)
+    total = term if parity(0) else zero_measure(mu.unit, mu.unit_tag)
+    for m in range(1, report.terms + 1):
+        term = term.convolve(mu).scale(1.0 / m)
+        if parity(m):
+            total = total.add(term)
+    return total
+
+
+def test_exp_series_matches_per_term_recurrence():
+    gen = np.random.default_rng(17)
+    series = (
+        (exp_measure, lambda m: True),
+        (cosh_measure, lambda m: m % 2 == 0),
+        (sinh_measure, lambda m: m % 2 == 1),
+    )
+    for case in range(300):
+        size = int(gen.integers(0, 6))
+        lo = (
+            int(gen.integers(-6, 7)),  # straddling 0 or not
+            int(gen.integers(1, 5)),  # positive support only
+            -size - int(gen.integers(0, 4)),  # negative support only
+        )[case % 3]
+        moduli = gen.uniform(1e-2, 1.0, size)
+        w = moduli * np.exp(2j * np.pi * gen.random(size))
+        mu = meas({lo + i: z for i, z in enumerate(w)}, unit=0.5, tag="t")
+        tol = 10.0 ** gen.uniform(-15, -4)
+        for fn, parity in series:
+            assert fn(mu, tol) == _per_term_series(mu, tol, parity)
+    for fn, parity in series:
+        assert fn(zero_measure(), 1e-12) == _per_term_series(zero_measure(), 1e-12, parity)
+
+
 def test_symmetry_class():
     assert meas({1: 0.5, -1: 0.5}).symmetry_class() == "symmetric"
     assert meas({2: -0.5j, -2: 0.5j}).symmetry_class() == "antisymmetric"

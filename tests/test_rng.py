@@ -3,7 +3,8 @@ stream independence."""
 
 import numpy as np
 
-from levysym import rng
+from levysym import rng, simulate
+from levysym.symbols import IncreasingDoublingApprox, LatticeUnit
 
 
 def test_mulhilo_matches_bigint_oracle():
@@ -42,14 +43,17 @@ def test_path_keys_distinct():
     assert np.unique(keys).size == 10_000
 
 
-def test_stream_blocks_independent_of_block_size():
+def test_per_path_engine_reads_counter_j_across_blocks():
+    # one move at rate 1: the jump times are the running sums of the
+    # exponential variates, and about 2 000 events cross a 1 024-counter block
+    rule = simulate.jump_rule_of(IncreasingDoublingApprox(LatticeUnit.parse("1"), 0))
+    cfg = simulate.SimConfig(horizon=2000.0, seed=11, paths=4)
+    path = simulate.simulate_path(rule, rule.initial_state(), cfg, path_index=3)
+    J = len(path.times)
+    assert J > 1024
     key = rng.path_keys(11, [3])[0]
-    small = rng.CounterStream(key, block=8)
-    large = rng.CounterStream(key, block=512)
-    pairs_small = [small.next_event() for _ in range(50)]
-    pairs_large = [large.next_event() for _ in range(50)]
-    for (a1, a2), (b1, b2) in zip(pairs_small, pairs_large):
-        assert a1 == b1 and a2 == b2
+    u1, _ = rng.event_uniforms(key, np.arange(J))
+    assert np.array_equal(np.array(path.times), np.cumsum(-np.log(u1)))
 
 
 def test_order_independence_of_event_uniforms():

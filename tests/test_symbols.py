@@ -182,6 +182,40 @@ def test_approx_triplet_frozen_region():
     assert trip2.jumps == ((1.0, 1.0),)
 
 
+def _sinc_oracle(z):
+    return np.divide(np.sin(z), z, out=np.ones_like(z), where=z != 0.0)
+
+
+def test_approx_symbols_match_their_own_formulas():
+    # the approximations written out on their own: frozen rate 4^n/(2 k^2)
+    # inside the floor k 2^-n, and the clamp of the jump size to [k 2^-n, k 2^n]
+    u = np.array([-7.5, -1.0, 0.0, 0.3, 2.0, 40.0])
+    for k in (1.0, math.sqrt(2.0), 0.37):
+        unit = LatticeUnit(k, f"k{k!r}")
+        for n in range(41):
+            lo, hi = k * 2.0**-n, k * 2.0**n
+            xs = np.array([0.0, lo / 3.0, -lo / 2.0, lo, -lo, 0.7, -2.5, hi, 3.0 * hi])
+            sym = SymmetricDoublingApprox(unit, n)
+            s = _sinc_oracle(0.5 * np.maximum(np.abs(xs[:, None]), lo) * u)
+            assert np.array_equal(sym.value(xs[:, None], u), (-0.5 * u * u * s * s).astype(complex))
+            inc = IncreasingDoublingApprox(unit, n)
+            h = np.clip(xs, lo, hi)
+            z = 0.5 * u * h[:, None]
+            assert np.array_equal(inc.value(xs[:, None], u),
+                                  1j * u * np.exp(1j * z) * _sinc_oracle(z))
+            for x in xs.tolist():
+                if abs(x) >= lo:
+                    rate = 1.0 / (2.0 * x * x)
+                    jumps = ((x, rate), (-x, rate))
+                else:
+                    rate = 4.0**n / (2.0 * k**2)
+                    jumps = ((lo, rate), (-lo, rate))
+                assert sym.triplet(x) == LevyTriplet(jumps=jumps)
+                c = min(max(x, lo), hi)
+                assert inc.triplet(x) == LevyTriplet(drift=truncation(c) / c,
+                                                     jumps=((c, 1.0 / c),))
+
+
 def test_generator_closed_forms():
     x_sq = TestFunction(lambda x: x * x, lambda x: 2.0 * x, lambda x: 2.0)
     ident = TestFunction(lambda x: x, lambda x: 1.0, lambda x: 0.0)
