@@ -165,18 +165,23 @@ class EcfEstimate:
     se: np.ndarray  # euclidean norm of the componentwise standard errors
 
 
+def _ecf_terms(view: Counted, u: np.ndarray) -> np.ndarray:
+    """exp(i u x) per frequency (rows) and distinct value (columns)."""
+    return np.exp(1j * np.outer(u, view.values))
+
+
 def ecf(sample: Sample, ugrid) -> EcfEstimate:
     u = np.asarray(ugrid, dtype=float)
     view = sample.counted
-    z = np.exp(1j * np.outer(u, view.values))
+    z = _ecf_terms(view, u)
     mean = view.mean(z)
     se = view.se(z, mean) if view.size > 1 else np.zeros_like(u)
     return EcfEstimate(u, mean, se)
 
 
-def _weighted_gap(ea: EcfEstimate, eb: EcfEstimate) -> np.ndarray:
-    """|phi_A(u) - phi_B(u)| / (1 + u^2) on the grid the two estimates share."""
-    return _modulus(ea.mean - eb.mean) / (1.0 + ea.u * ea.u)
+def _weighted_gap(mean_a: np.ndarray, mean_b: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """|phi_A(u) - phi_B(u)| / (1 + u^2) from the two ECF means on grid u."""
+    return _modulus(mean_a - mean_b) / (1.0 + u * u)
 
 
 @dataclass(frozen=True)
@@ -201,14 +206,19 @@ def ecf_distance(sample_a: Sample, sample_b: Sample, ugrid=None,
     if sample_a.horizon != sample_b.horizon:
         raise ValueError("samples must share the same horizon")
     u = np.asarray(DEFAULT_UGRID if ugrid is None else ugrid, dtype=float)
-    gap = _weighted_gap(ecf(sample_a, u), ecf(sample_b, u))
+    gap = _weighted_gap(ecf(sample_a, u).mean, ecf(sample_b, u).mean, u)
     i = int(np.argmax(gap))
     best_u, best = u[i], float(gap[i])
     if refine and 0 < i < u.size - 1:
-        u_fine, fine = _golden_max(
-            lambda v: float(_weighted_gap(ecf(sample_a, [v]), ecf(sample_b, [v]))[0]),
-            u[i - 1], u[i + 1],
-        )
+        va, vb = sample_a.counted, sample_b.counted
+
+        def gap_at(v):  # the golden steps need the means only, not the SEs
+            uv = np.asarray([v], dtype=float)
+            mean_a = va.mean(_ecf_terms(va, uv))
+            mean_b = vb.mean(_ecf_terms(vb, uv))
+            return float(_weighted_gap(mean_a, mean_b, uv)[0])
+
+        u_fine, fine = _golden_max(gap_at, u[i - 1], u[i + 1])
         if fine >= best:
             best_u, best = u_fine, fine
     ga = ecf(sample_a, [best_u])
@@ -379,7 +389,8 @@ def moment_report_csv(rows) -> str:
 
 def ecf_report_csv(ea: EcfEstimate, eb: EcfEstimate) -> str:
     lines = ["u,re_a,im_a,re_b,im_b,weighted_abs_diff"]
-    for u, a, b, diff in zip(ea.u, ea.mean, eb.mean, _weighted_gap(ea, eb)):
+    gap = _weighted_gap(ea.mean, eb.mean, ea.u)
+    for u, a, b, diff in zip(ea.u, ea.mean, eb.mean, gap):
         lines.append(
             f"{u:.17g},{a.real:.17g},{a.imag:.17g},"
             f"{b.real:.17g},{b.imag:.17g},{diff:.17g}"

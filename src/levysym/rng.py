@@ -7,9 +7,11 @@ counter ``j`` and receives two independent uint64 words, i.e. two uniforms.
 Because outputs are a pure function of (key, counter), results do not
 depend on execution order, scheduling, or batch size: the same master seed
 always reproduces the same ensemble bit for bit.  :func:`event_uniforms` is
-the one reader of the event streams: the lock-step engine calls it on all
-path keys at one counter, the per-path engine on one key at a block of
-1 024 consecutive counters.
+the one reader of the event streams: the lock-step engine calls it on a
+tile of consecutive counters for all active path keys at once, the per-path
+engine on one key at a block of 1 024 consecutive counters.  Either way
+event j of path i is counter j of stream i, so drawing a counter early, or
+drawing one that no event uses, changes no result.
 
 The 64x64 -> 128 bit multiply is emulated with 32-bit limbs, which keeps
 everything inside NumPy uint64 vector arithmetic (exactness is covered by
@@ -98,8 +100,10 @@ def path_keys(master_seed: int, indices) -> np.ndarray:
 def event_uniforms(keys, counter):
     """Two uniform(0,1) arrays for event ``counter`` of the given path keys.
 
-    ``keys`` and ``counter`` broadcast: many keys at one counter feed the
-    lock-step engine, one key at a block of counters the per-path engine.
+    ``keys`` and ``counter`` broadcast, and each output element depends only
+    on its own (key, counter) pair: a column of counters against a row of
+    keys gives the lock-step engine's tile (counters x paths), one key at a
+    block of counters the per-path engine's block.
     """
     w0, w1 = philox2x64(np.asarray(counter, dtype=np.uint64), _EVENT_DOMAIN, keys)
     return _to_unit_interval(w0), _to_unit_interval(w1)

@@ -7,9 +7,11 @@ integer arithmetic, never by float comparison.  Holding times are
 inverse-CDF exponentials driven by the counter-based streams of
 :mod:`levysym.rng`: event j of path i always consumes counter j of the
 stream keyed by (master seed, i), which makes ensembles reproducible and
-independent of scheduling.  The per-path engine reads its stream through
-``rng.event_uniforms`` in blocks of 1 024 counters, the lock-step engine
-one counter for all active paths at a time.
+independent of scheduling.  Both engines draw counters ahead of use through
+``rng.event_uniforms``, which cannot change a result because a draw depends
+only on (key, counter): the per-path engine reads its stream in blocks of
+1 024 counters, the lock-step engine in tiles of consecutive counters for
+all active paths, about 16 384 uniforms per call.
 
 The generic per-path engine works for any ``JumpRule``, retains
 trajectories on request and is the oracle.  Endpoint-only ensembles of the
@@ -321,6 +323,10 @@ def simulate_ensemble(rule: JumpRule, x0: ExactState, cfg: SimConfig) -> Ensembl
 # ----------------------------------------------------------------------
 # vectorized lock-step engine (endpoint-only, built-in families)
 # ----------------------------------------------------------------------
+#: uniforms the lock-step engine draws per Philox call (counters x active paths)
+_TILE = 16_384
+
+
 class _LockstepUnfit(Exception):
     """The input leaves what the lock-step engine carries exactly.
 
@@ -338,8 +344,12 @@ def _lockstep(x0: ExactState, m0: int, s0: int, cfg: SimConfig,
     int64 (below 1 the input is unfit), ``total_rate(m, s)`` the total jump
     rate and ``step(m, s, u2)`` the state after one jump.  All active paths
     have made exactly j jumps at iteration j, so event j of path i reads
-    counter j of stream i, as in the per-path engine.  Paths start at
-    ``(m0, s0)``, x0 at the family's scale; endpoints end up canonical.
+    counter j of stream i, as in the per-path engine.  The uniforms are drawn
+    a tile at a time: counters j .. j + B - 1 for every active path in one
+    call, with B about ``_TILE`` / active (never past ``max_events``).  A path
+    that finishes inside a tile is frozen where it ended and dropped when the
+    tile ends.  Paths start at ``(m0, s0)``, x0 at the family's scale;
+    endpoints end up canonical.
     """
     N = cfg.paths
     keys = rng.path_keys(cfg.seed, np.arange(N))
@@ -353,31 +363,48 @@ def _lockstep(x0: ExactState, m0: int, s0: int, cfg: SimConfig,
     truncated = np.zeros(N, dtype=bool)
     j = 0
     check_at = 0
+
+    def finish(rows):  # rows (a mask or slice of the active paths) end at event j
+        out_m[idx[rows]] = m[rows]
+        out_s[idx[rows]] = s[rows]
+        out_events[idx[rows]] = j
+
     while idx.size:
-        if j >= check_at:
-            safe = safe_events(m)
-            if safe < 1:
-                raise _LockstepUnfit("the state nears the end of int64")
-            check_at = j + safe
-        u1, u2 = rng.event_uniforms(keys[idx], j)
-        t += -np.log(u1) / total_rate(m, s)
-        done = t > cfg.horizon
-        if done.any():
-            fin = done.nonzero()[0]
-            out_m[idx[fin]] = m[fin]
-            out_s[idx[fin]] = s[fin]
-            keep = ~done
-            idx, m, s, t, u2 = idx[keep], m[keep], s[keep], t[keep], u2[keep]
-            if not idx.size:
+        B = max(1, min(_TILE // idx.size, cfg.max_events + 1 - j))
+        counters = np.arange(j, j + B, dtype=np.uint64)
+        u1, u2 = rng.event_uniforms(keys[idx][None, :], counters[:, None])
+        e1 = -np.log(u1)
+        live = None  # every row is live until the first path finishes
+        for r in range(B):
+            if j >= check_at:
+                safe = safe_events(m if live is None else m[live])
+                if safe < 1:
+                    raise _LockstepUnfit("the state nears the end of int64")
+                check_at = j + safe
+            t += e1[r] / total_rate(m, s)
+            done = t > cfg.horizon
+            if live is not None:
+                done &= live
+            if done.any():
+                finish(done)
+                live = ~done if live is None else live & ~done
+                if not live.any():
+                    break
+            if j >= cfg.max_events:
+                rows = slice(None) if live is None else live
+                finish(rows)
+                truncated[idx[rows]] = True
+                live = np.zeros(idx.size, dtype=bool)
                 break
-        if j >= cfg.max_events:
-            out_m[idx] = m
-            out_s[idx] = s
-            truncated[idx] = True
-            break
-        m, s = step(m, s, u2)
-        out_events[idx] += 1
-        j += 1
+            m_next, s_next = step(m, s, u2[r])
+            if live is None:
+                m, s = m_next, s_next
+            else:  # finished rows keep their state: no step may wrap int64
+                m = np.where(live, m_next, m)
+                s = np.where(live, s_next, s)
+            j += 1
+        if live is not None:
+            idx, m, s, t = idx[live], m[live], s[live], t[live]
     while (even := ((out_m & 1) == 0) & (out_s > 0)).any():  # m = 0 ends at s = 0 too
         out_m[even] >>= 1
         out_s[even] -= 1

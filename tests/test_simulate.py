@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from levysym import simulate
 from levysym.errors import UnsupportedSpec
 from levysym.mcstats import Sample, support_audit
 from levysym.simulate import (
@@ -164,6 +165,97 @@ def test_lockstep_engine_agrees_with_per_path_engine(
     assert fast.truncated_count == slow.truncated_count
     assert fast.m.tolist() == slow.m.tolist()
     assert fast.s.tolist() == slow.s.tolist()
+
+
+def _engines_agree(rule, x0, **cfg):
+    """Run both engines on one input, assert they agree; return the fast run."""
+    fast = simulate_ensemble(rule, x0, SimConfig(**cfg))
+    slow = simulate_ensemble(rule, x0, SimConfig(**cfg, store_paths=True))
+    assert fast.m.tolist() == slow.m.tolist()
+    assert fast.s.tolist() == slow.s.tolist()
+    assert fast.event_counts == slow.event_counts
+    assert fast.truncated_count == slow.truncated_count
+    return fast
+
+
+# the lock-step engine draws counters j .. j + B - 1 for all active paths in
+# one call; these inputs put path ends, truncation and the int64 fallback at
+# the edges and in the middle of such tiles
+TILE_FAMILIES = [
+    (SymmetricDoublingApprox(K1, 10), 4.0),
+    (IncreasingDoublingApprox(K1, 0), 12_000.0),
+]
+
+
+@pytest.mark.parametrize("spec, horizon", TILE_FAMILIES, ids=["sym", "inc"])
+@pytest.mark.parametrize("paths", [2, 3])
+def test_lockstep_tiles_spanning_thousands_of_counters(spec, horizon, paths):
+    rule = jump_rule_of(spec)
+    fast = _engines_agree(rule, rule.initial_state(), horizon=horizon, seed=21,
+                          paths=paths)
+    assert fast.m.dtype == np.int64  # the lock-step engine ran
+    assert max(fast.event_counts) > simulate._TILE // paths  # past the first tile
+
+
+@pytest.mark.parametrize("spec, horizon", TILE_FAMILIES, ids=["sym", "inc"])
+@pytest.mark.parametrize("paths", [3, 700])
+def test_lockstep_truncates_inside_a_tile(spec, horizon, paths):
+    rule = jump_rule_of(spec)
+    fast = _engines_agree(rule, rule.initial_state(), horizon=horizon, seed=4,
+                          paths=paths, max_events=37)
+    assert fast.m.dtype == np.int64
+    assert 0 < fast.truncated_count
+    assert max(fast.event_counts) == 37
+
+
+@pytest.mark.parametrize(
+    "spec, horizon",
+    [(SymmetricDoublingApprox(K1, 10), 0.002), (IncreasingDoublingApprox(K1, 0), 5.0)],
+    ids=["sym", "inc"],
+)
+def test_lockstep_paths_ending_at_tile_edges(spec, horizon, monkeypatch):
+    rule = jump_rule_of(spec)
+    x0 = rule.initial_state()
+    # every path ends at the first event of the first tile
+    fast = _engines_agree(rule, x0, horizon=1e-9, seed=6, paths=3)
+    assert fast.event_counts == (0, 0, 0)
+    # tiles of one to nine counters: paths end on the first, middle and
+    # last rows of a tile, and tiles widen as paths end
+    for tile in (1, 5, 9):
+        monkeypatch.setattr(simulate, "_TILE", tile)
+        fast = _engines_agree(rule, x0, horizon=horizon, seed=6, paths=3,
+                              max_events=200)
+        assert fast.m.dtype == np.int64
+        assert len(set(fast.event_counts)) == 3
+
+
+@pytest.mark.parametrize("seed", [4, 8, 9, 10])
+def test_lockstep_freezes_paths_that_end_inside_a_tile(seed):
+    # from 2**29 some paths double to 2**30 and hold past the horizon while
+    # another runs on near 0; stepped on, they would wrap m * m in int64
+    rule = jump_rule_of(SymmetricDoublingApprox(K1, 4))
+    x0 = ExactState("1", 1.0, 1 << 29, 0)
+    fast = _engines_agree(rule, x0, horizon=6e17, seed=seed, paths=3, max_events=300)
+    assert fast.m.dtype == np.int64
+    assert 1 in fast.event_counts and max(fast.event_counts) > 1
+
+
+@pytest.mark.parametrize(
+    "spec, x0, horizon",
+    [
+        # |m| doubles from 2**30 past 2**31 at the second event
+        (SymmetricDoublingApprox(K1, 4), ExactState("1", 1.0, 1 << 30, 0), 1e20),
+        # m reaches 2**62 and the next jump of 4**31 would pass 2**63
+        (IncreasingDoublingApprox(K1, 31), ExactState("1", 1.0, 0, 0), 1e10),
+    ],
+    ids=["sym-2^30", "inc-n31"],
+)
+def test_lockstep_int64_fallback_inside_a_tile(spec, x0, horizon):
+    rule = jump_rule_of(spec)
+    fast = _engines_agree(rule, x0, horizon=horizon, seed=8, paths=3,
+                          max_events=2000)
+    assert fast.m.dtype == object  # the per-path engine finished the run
+    assert max(fast.event_counts) > 1
 
 
 @pytest.mark.parametrize("family", [SymmetricDoublingApprox, IncreasingDoublingApprox])
