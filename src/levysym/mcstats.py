@@ -199,17 +199,22 @@ def ecf_distance(sample_a: Sample, sample_b: Sample, ugrid=None,
                  refine: bool = True) -> EcfDistanceReport:
     """max over u of |phi_A(u) - phi_B(u)| / (1 + u^2), with SE bound.
 
-    The grid argmax is polished by a golden-section pass on the bracketing
-    interval; the SE bound stays conservative (sum of both per-u standard
-    errors, same weighting as the distance).
+    The gap of real samples is even in u (phi(-u) = conj phi(u)), so the
+    grid argmax is taken over u >= 0 and polished by a golden-section pass
+    on the bracketing interval: ``u_at`` is never negative.  The SE bound
+    stays conservative (sum of both per-u standard errors, same weighting as
+    the distance).
     """
     if sample_a.horizon != sample_b.horizon:
         raise ValueError("samples must share the same horizon")
     u = np.asarray(DEFAULT_UGRID if ugrid is None else ugrid, dtype=float)
     gap = _weighted_gap(ecf(sample_a, u).mean, ecf(sample_b, u).mean, u)
-    i = int(np.argmax(gap))
-    best_u, best = u[i], float(gap[i])
-    if refine and 0 < i < u.size - 1:
+    if not (u >= 0.0).any():
+        raise ValueError("the frequency grid needs a point u >= 0")
+    u_half, gap_half = u[u >= 0.0], gap[u >= 0.0]
+    i = int(np.argmax(gap_half))
+    best_u, best = u_half[i], float(gap_half[i])
+    if refine and 0 < i < u_half.size - 1:
         va, vb = sample_a.counted, sample_b.counted
 
         def gap_at(v):  # the golden steps need the means only, not the SEs
@@ -218,7 +223,7 @@ def ecf_distance(sample_a: Sample, sample_b: Sample, ugrid=None,
             mean_b = vb.mean(_ecf_terms(vb, uv))
             return float(_weighted_gap(mean_a, mean_b, uv)[0])
 
-        u_fine, fine = _golden_max(gap_at, u[i - 1], u[i + 1])
+        u_fine, fine = _golden_max(gap_at, u_half[i - 1], u_half[i + 1])
         if fine >= best:
             best_u, best = u_fine, fine
     ga = ecf(sample_a, [best_u])

@@ -42,25 +42,17 @@ def philox2x64(c0, c1, key, rounds: int = ROUNDS):
     """Return the two uint64 output words for counters (c0, c1) under key.
 
     All three arguments broadcast against each other; inputs are consumed
-    as uint64.  In-place buffers keep the loop allocation-free.
+    as uint64.  The first round's multiply depends on c0 alone and runs on
+    its shape; the other rounds work in place on full-shape buffers.
     """
-    x0, x1, k = np.broadcast_arrays(
-        np.asarray(c0, dtype=np.uint64),
-        np.asarray(c1, dtype=np.uint64),
-        np.asarray(key, dtype=np.uint64),
-    )
-    x0 = x0.copy()
-    x1 = x1.copy()
-    k = k.copy()
-    shape = x0.shape
-    bl = np.empty(shape, np.uint64)
-    bh = np.empty(shape, np.uint64)
-    t = np.empty(shape, np.uint64)
-    t2 = np.empty(shape, np.uint64)
-    hi = np.empty(shape, np.uint64)
-    lo = np.empty(shape, np.uint64)
+    x0 = np.asarray(c0, dtype=np.uint64)
+    x1 = np.asarray(c1, dtype=np.uint64)
+    key = np.asarray(key, dtype=np.uint64)
+    shape = np.broadcast_shapes(x0.shape, x1.shape, key.shape)
+    k = np.broadcast_to(key, shape).copy()
+    bl, bh, t, t2, hi, lo = (np.empty(x0.shape, np.uint64) for _ in range(6))
     with np.errstate(over="ignore"):
-        for _ in range(rounds):
+        for r in range(rounds):
             # hi,lo = (M * x0) as 128-bit product, via 32-bit limbs
             np.bitwise_and(x0, _MASK32, out=bl)
             np.right_shift(x0, _S32, out=bh)
@@ -78,9 +70,13 @@ def philox2x64(c0, c1, key, rounds: int = ROUNDS):
             np.add(hi, t2, out=hi)
             np.multiply(_M, x0, out=lo)
             # feistel swap: x0' = hi ^ key ^ x1, x1' = lo
-            np.bitwise_xor(hi, k, out=t)
-            np.bitwise_xor(t, x1, out=x0)
-            x1, lo = lo, x1
+            if r == 0:  # from here on every word has the full shape
+                x0, x1 = hi ^ k ^ x1, np.broadcast_to(lo, shape).copy()
+                bl, bh, t, t2, hi, lo = (np.empty(shape, np.uint64) for _ in range(6))
+            else:
+                np.bitwise_xor(hi, k, out=t)
+                np.bitwise_xor(t, x1, out=x0)
+                x1, lo = lo, x1
             np.add(k, _W, out=k)
     return x0, x1
 

@@ -16,10 +16,11 @@ all active paths, about 16 384 uniforms per call.
 The generic per-path engine works for any ``JumpRule``, retains
 trajectories on request and is the oracle.  Endpoint-only ensembles of the
 two doubling families run instead in one vectorized lock-step loop,
-``_lockstep``, which each family drives with three small int64 array rules
-(how many events stay exact in int64, the total jump rate, one jump).  Both
-engines give identical endpoints, event counts and truncations; an
-ensemble holds its endpoints as two columns, mantissas and scales.
+``_lockstep``, which steps int64 levels through a chain table: the states
+the chain reaches from x0, each with its total rate and successors as the
+per-path engine's own rule computes them.  Both engines give identical
+endpoints, event counts and truncations; an ensemble holds its endpoints as
+two columns, mantissas and scales.
 """
 
 from __future__ import annotations
@@ -330,43 +331,86 @@ _TILE = 16_384
 class _LockstepUnfit(Exception):
     """The input leaves what the lock-step engine carries exactly.
 
-    The engine holds states in int64; the per-path engine, whose Python ints
-    never wrap, runs such inputs instead.
+    Its chain table holds states whose mantissas stay well inside int64; the
+    per-path engine, whose Python ints never wrap, runs such inputs instead.
     """
 
 
-def _lockstep(x0: ExactState, m0: int, s0: int, cfg: SimConfig,
-              safe_events, total_rate, step) -> EnsembleResult:
+class _ChainTable:
+    """The states a jump chain reaches from x0, numbered breadth first as levels.
+
+    Level 0 is x0.  A level's total rate is the per-path engine's in-order
+    sum of ``rule.moves`` rates; its successors, after the first move and
+    after the last, are the levels of ``ExactState.shifted`` states, or -1
+    (rate NaN, successors -1) where ``fits`` rejects the state.  Every level
+    reached in fewer than ``depth`` events is expanded.
+    """
+
+    def __init__(self, rule: JumpRule, x0: ExactState, fits):
+        if not fits(x0):
+            raise _LockstepUnfit("x0 is outside what int64 carries")
+        self.rule, self.fits = rule, fits
+        self.states, self.level = [x0], {x0: 0}
+        self.rate, self.succ = [], []  # per expanded level
+        self.depth = 0
+
+    def _level_of(self, state: ExactState) -> int:
+        if state not in self.level:
+            if not self.fits(state):
+                return -1
+            self.level[state] = len(self.states)
+            self.states.append(state)
+        return self.level[state]
+
+    def extend(self, depth) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Expand the levels reached in fewer than ``depth`` events (all: depth
+        inf); return rate, up and down arrays, NaN and -1 at unexpanded levels."""
+        while self.depth < depth:
+            frontier = self.states[len(self.rate):]  # the levels at self.depth
+            if not frontier:
+                self.depth = math.inf
+                break
+            for state in frontier:
+                moves = self.rule.moves(state)
+                total = 0.0
+                for r, _ in moves:
+                    total += r
+                self.rate.append(total)
+                self.succ.append([self._level_of(state.shifted(*d))
+                                  for _, d in (moves[0], moves[-1])])
+            self.depth += 1
+        pad = len(self.states) + 1 - len(self.rate)
+        up, down = np.array(self.succ + [[-1, -1]] * pad).T
+        return np.array(self.rate + [math.nan] * pad), up, down
+
+
+def _lockstep(table: _ChainTable, cfg: SimConfig) -> EnsembleResult:
     """One loop over all active paths, one iteration per event index.
 
-    The family supplies array functions over int64 ``(m, s)``:
-    ``safe_events(m)`` is how many more events keep every state exact in
-    int64 (below 1 the input is unfit), ``total_rate(m, s)`` the total jump
-    rate and ``step(m, s, u2)`` the state after one jump.  All active paths
-    have made exactly j jumps at iteration j, so event j of path i reads
-    counter j of stream i, as in the per-path engine.  The uniforms are drawn
-    a tile at a time: counters j .. j + B - 1 for every active path in one
-    call, with B about ``_TILE`` / active (never past ``max_events``).  A path
+    Paths step through ``table``'s levels from level 0: the total rate is
+    ``rate[lev]``, the next level ``up[lev]`` if u2 < 0.5 else ``down[lev]``
+    (two moves have equal rates, so this is the per-path engine's choice),
+    and the table doubles its depth whenever iteration j reaches it.  All
+    active paths have made j jumps at iteration j, so event j of path i
+    reads counter j of stream i, as in the per-path engine.  The uniforms are
+    drawn a tile at a time: counters j .. j + B - 1 for every active path in
+    one call, B about ``_TILE`` / active (never past ``max_events``).  A path
     that finishes inside a tile is frozen where it ended and dropped when the
-    tile ends.  Paths start at ``(m0, s0)``, x0 at the family's scale;
-    endpoints end up canonical.
+    tile ends.  A path at level -1 never passes the horizon (rate NaN), and
+    the tile's end raises ``_LockstepUnfit``.
     """
     N = cfg.paths
     keys = rng.path_keys(cfg.seed, np.arange(N))
-    m = np.full(N, m0, dtype=np.int64)
-    s = np.full(N, s0, dtype=np.int64)
+    lev = np.zeros(N, dtype=np.int64)
     t = np.zeros(N)
     idx = np.arange(N)
-    out_m = m.copy()
-    out_s = s.copy()
+    out_lev = np.zeros(N, dtype=np.int64)
     out_events = np.zeros(N, dtype=np.int64)
     truncated = np.zeros(N, dtype=bool)
     j = 0
-    check_at = 0
 
     def finish(rows):  # rows (a mask or slice of the active paths) end at event j
-        out_m[idx[rows]] = m[rows]
-        out_s[idx[rows]] = s[rows]
+        out_lev[idx[rows]] = lev[rows]
         out_events[idx[rows]] = j
 
     while idx.size:
@@ -374,14 +418,12 @@ def _lockstep(x0: ExactState, m0: int, s0: int, cfg: SimConfig,
         counters = np.arange(j, j + B, dtype=np.uint64)
         u1, u2 = rng.event_uniforms(keys[idx][None, :], counters[:, None])
         e1 = -np.log(u1)
+        first = u2 < 0.5
         live = None  # every row is live until the first path finishes
         for r in range(B):
-            if j >= check_at:
-                safe = safe_events(m if live is None else m[live])
-                if safe < 1:
-                    raise _LockstepUnfit("the state nears the end of int64")
-                check_at = j + safe
-            t += e1[r] / total_rate(m, s)
+            if j >= table.depth:
+                rate, up, down = table.extend(2 * j + 1)
+            t += e1[r] / rate[lev]
             done = t > cfg.horizon
             if live is not None:
                 done &= live
@@ -396,90 +438,47 @@ def _lockstep(x0: ExactState, m0: int, s0: int, cfg: SimConfig,
                 truncated[idx[rows]] = True
                 live = np.zeros(idx.size, dtype=bool)
                 break
-            m_next, s_next = step(m, s, u2[r])
-            if live is None:
-                m, s = m_next, s_next
-            else:  # finished rows keep their state: no step may wrap int64
-                m = np.where(live, m_next, m)
-                s = np.where(live, s_next, s)
+            lev_next = np.where(first[r], up[lev], down[lev])
+            lev = lev_next if live is None else np.where(live, lev_next, lev)  # frozen
             j += 1
+        if (lev < 0).any():
+            raise _LockstepUnfit("a path reached a state the table does not carry")
         if live is not None:
-            idx, m, s, t = idx[live], m[live], s[live], t[live]
-    while (even := ((out_m & 1) == 0) & (out_s > 0)).any():  # m = 0 ends at s = 0 too
-        out_m[even] >>= 1
-        out_s[even] -= 1
-    return EnsembleResult(
-        x0.unit_tag, x0.k, out_m, out_s, cfg.horizon, int(truncated.sum()),
-        tuple(out_events.tolist()),
-    )
+            idx, lev, t = idx[live], lev[live], t[live]
+    x0 = table.states[0]
+    m, s = np.array([(x.m, x.s) for x in table.states], dtype=np.int64)[out_lev].T.copy()
+    return EnsembleResult(x0.unit_tag, x0.k, m, s, cfg.horizon, int(truncated.sum()),
+                          tuple(out_events.tolist()))
 
 
 def _ensemble_symmetric_doubling(rule: JumpRule, x0: ExactState,
                                  cfg: SimConfig) -> EnsembleResult:
-    """Lock-step rule of the double-or-die family.
+    """Lock-step run of the double-or-die family.
 
-    Invariant: every reachable nonzero state is in the outer region, so the
-    inner branch only ever fires from m = 0.  The rate needs m * m in int64,
-    so |m| must stay below 2**31; |m| at most doubles per event.
+    Every reachable nonzero state is in the outer region: x0's doubling
+    ladder, 0 and the ladders of +-k 2**-n.  The table stops where |m|
+    reaches 2**31, so it is finite.
     """
     (n,) = rule.family_params
     if not (x0.is_zero or abs(x0.m) * (1 << n) >= (1 << x0.s)):
         raise _LockstepUnfit("x0 is in the inner region")
-    if abs(x0.m) >= 1 << 31:
-        raise _LockstepUnfit("|m| of x0 reaches 2**31")
-    kval = rule.k
-    rate_inner = math.ldexp(1.0, 2 * n) / (2.0 * kval * kval)
-    total_inner = rate_inner + rate_inner
-
-    def safe_events(m):
-        return 32 - int(np.abs(m).max()).bit_length()
-
-    def total_rate(m, s):
-        zero = m == 0
-        denom = 2.0 * kval * kval * np.where(zero, 1.0, (m * m).astype(float))
-        rate_each = np.ldexp(1.0, 2 * s) / denom
-        return np.where(zero, total_inner, rate_each + rate_each)
-
-    def step(m, s, u2):
-        # 0 moves to +-k 2^-n; x doubles (s drops, or m doubles at s = 0) or dies
-        up = u2 < 0.5
-        zero = m == 0
-        doubled = np.where(s == 0, m * 2, m)
-        m_next = np.where(zero, np.where(up, 1, -1), np.where(up, doubled, 0))
-        s_next = np.where(zero, n, np.where(up, np.maximum(s - 1, 0), 0))
-        return m_next, s_next
-
-    return _lockstep(x0, x0.m, x0.s, cfg, safe_events, total_rate, step)
+    return _lockstep(_ChainTable(rule, x0, lambda state: abs(state.m) < 1 << 31), cfg)
 
 
 def _ensemble_increasing_doubling(rule: JumpRule, x0: ExactState,
                                   cfg: SimConfig) -> EnsembleResult:
-    """Lock-step rule of the clamped pure-birth family.
-
-    States are carried at the fixed scale s = n (x = k * m * 2**-n); the
-    clamp becomes an integer clip of m to [1, 4**n].  Each event adds at
-    most 4**n to m, which must stay below 2**63.
+    """Lock-step run of the clamped pure-birth family: level j is the state
+    after j events.  The table carries the states of the int64 lattice of
+    scale n (x = k * m * 2**-n) that one more jump, at most 4**n, keeps on it.
     """
     (n,) = rule.family_params
-    if 2 * n > 62 or x0.s > n:
-        raise _LockstepUnfit("4**n or x0 is off the int64 scale-n lattice")
-    cap = 1 << (2 * n)
-    headroom = (1 << 63) - 1 - cap  # m + jump is exact while m <= headroom
-    m0 = x0.m << (n - x0.s)
-    if not -(1 << 63) <= m0 <= headroom:
-        raise _LockstepUnfit("x0 is outside int64 at scale n")
-    kval = rule.k
+    if 2 * n > 62:
+        raise _LockstepUnfit("4**n is off the int64 scale-n lattice")
 
-    def safe_events(m):
-        return 1 + (headroom - int(m.max())) // cap
+    def fits(state):
+        return state.s <= n and -(1 << 63) <= state.m << (n - state.s) < (1 << 63) - 4**n
 
-    def total_rate(m, s):
-        return 1.0 / (kval * np.ldexp(np.clip(m, 1, cap).astype(float), -n))
-
-    def step(m, s, u2):
-        return m + np.clip(m, 1, cap), s
-
-    return _lockstep(x0, m0, n, cfg, safe_events, total_rate, step)
+    return _lockstep(_ChainTable(rule, x0, fits), cfg)
 
 
 # ----------------------------------------------------------------------

@@ -142,6 +142,12 @@ def test_ecf_distance_requires_same_horizon():
         ecf_distance(a, b)
 
 
+def test_ecf_distance_needs_a_nonnegative_frequency():
+    a = _sample_of_floats([0.0, 1.0], horizon=1.0)
+    with pytest.raises(ValueError, match="u >= 0"):
+        ecf_distance(a, a, ugrid=[-2.0, -1.0])
+
+
 def test_ecf_distance_null_calibration():
     # independent ensembles of the same law: distance within 5x SE bound
     rng = np.random.default_rng(3)
@@ -274,7 +280,8 @@ def test_counted_ecf_distance_matches_per_path(sample_pairs):
         ma, sa = _oracle_ecf(xa, DEFAULT_UGRID)
         mb, sb = _oracle_ecf(xb, DEFAULT_UGRID)
         gap = np.abs(ma - mb) / (1.0 + DEFAULT_UGRID**2)
-        i = int(np.argmax(gap))
+        # the first arg max among u >= 0: the gap is even in u
+        i = int(np.argmax(np.where(DEFAULT_UGRID >= 0.0, gap, -1.0)))
         grid = ecf_distance(a, b, refine=False)
         assert _close(grid.weighted_gap, gap)
         assert grid.u_at == DEFAULT_UGRID[i]
@@ -282,6 +289,7 @@ def test_counted_ecf_distance_matches_per_path(sample_pairs):
         assert _close(grid.se_bound, (sa[i] + sb[i]) / (1.0 + DEFAULT_UGRID[i] ** 2))
 
         fine = ecf_distance(a, b)
+        assert fine.u_at >= 0.0
         (pa,), (ea,) = _oracle_ecf(xa, fine.u_at)
         (pb,), (eb,) = _oracle_ecf(xb, fine.u_at)
         weight = 1.0 / (1.0 + fine.u_at**2)

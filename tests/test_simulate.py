@@ -258,6 +258,70 @@ def test_lockstep_int64_fallback_inside_a_tile(spec, x0, horizon):
     assert max(fast.event_counts) > 1
 
 
+@pytest.mark.parametrize("m, horizon", [(3, 50.0), (-5, 100.0), (7 << 10, 1e8)])
+def test_lockstep_runs_symmetric_starts_off_the_ladder_of_0(m, horizon):
+    # x0's own doubling ladder is tabulated beside the ladders of 0
+    rule = jump_rule_of(SymmetricDoublingApprox(K1, 4))
+    fast = _engines_agree(rule, rule.initial_state(m), horizon=horizon, seed=12,
+                          paths=32, max_events=300)
+    assert fast.m.dtype == np.int64
+    assert max(fast.event_counts) > 1
+
+
+def _chain_table(rule, x0, monkeypatch):
+    """The table the lock-step engine builds to run rule from x0."""
+    tables = []
+    monkeypatch.setattr(simulate, "_lockstep", lambda table, cfg: tables.append(table))
+    run = (simulate._ensemble_symmetric_doubling if rule.family == "symmetric_doubling"
+           else simulate._ensemble_increasing_doubling)
+    run(rule, x0, SimConfig(horizon=1.0, seed=0, paths=2))
+    return tables[0]
+
+
+def _carried(rule, state):
+    """Whether the lock-step engine carries the state: |m| < 2**31 for the
+    symmetric family; for the increasing family, a point of the int64 lattice
+    of scale n that one more jump, at most 4**n, keeps on it."""
+    (n,) = rule.family_params
+    if rule.family == "symmetric_doubling":
+        return abs(state.m) < 1 << 31
+    return state.s <= n and -(1 << 63) <= state.m << (n - state.s) <= (1 << 63) - 1 - 4**n
+
+
+@pytest.mark.parametrize("family", [SymmetricDoublingApprox, IncreasingDoublingApprox])
+@pytest.mark.parametrize("k", ["1", "sqrt2", "cbrt2"])
+@pytest.mark.parametrize("n", [0, 1, 8, 16, 31])
+def test_chain_table_matches_the_rule(family, k, n, monkeypatch):
+    rule = jump_rule_of(family(LatticeUnit.parse(k), n))
+    for x0 in (rule.initial_state(), rule.initial_state(3)):
+        table = _chain_table(rule, x0, monkeypatch)
+        rate, up, down = table.extend(300)
+        built = len(table.rate)
+        assert table.states[0] == x0
+        assert len(set(table.states)) == len(table.states)
+        for lev, state in enumerate(table.states[:built]):
+            moves = rule.moves(state)
+            total = 0.0
+            for r, _ in moves:
+                total += r
+            assert rate[lev] == total
+            for succ, (_, (dm, ds)) in ((up[lev], moves[0]), (down[lev], moves[-1])):
+                after = state.shifted(dm, ds)
+                if _carried(rule, after):
+                    assert 0 <= succ and table.states[succ] == after
+                else:
+                    assert succ == -1
+        # levels not expanded yet, and level -1
+        assert np.isnan(rate[built:]).all()
+        assert (up[built:] == -1).all() and (down[built:] == -1).all()
+        if family is SymmetricDoublingApprox:
+            assert table.depth == math.inf  # the ladders are finite
+        else:  # level j is the state after j events
+            assert built == min(300, len(table.states))
+            assert up[:built].tolist() == down[:built].tolist()
+            assert all(succ in (lev + 1, -1) for lev, succ in enumerate(up[:built]))
+
+
 @pytest.mark.parametrize("family", [SymmetricDoublingApprox, IncreasingDoublingApprox])
 def test_per_path_engine_keeps_endpoints_beyond_int64(family):
     # no event happens before 1e-30: every path ends where it starts
