@@ -11,7 +11,9 @@ A :class:`Sample` is one float array; the support audit reads the exact
 view (:class:`Counted`): the distinct values with their multiplicities, built
 once.  A finite-n endpoint law has few atoms (a 10 000-path sample at n = 4
 holds about 16 distinct values), so each cost scales with the number of
-distinct values rather than the number of paths.
+distinct values rather than the number of paths.  The Dynkin residual reads
+one ensemble observed at every grid time and evaluates f and Af once per
+distinct value over all its columns.
 """
 
 from __future__ import annotations
@@ -300,7 +302,10 @@ def support_audit(sample: Sample, unit_tag: str, kind: str = "geometric",
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class DynkinReport:
-    """E f(X(T)) - f(x0) - trapezoid of E[Af(X(s))] over the time grid."""
+    """Pathwise mean of f(X(T)) - f(x0) - trapezoid of Af(X(s)) over the time
+    grid, with its sample standard error, from one ensemble observed at every
+    grid time; ``mean_f_terminal`` is the mean of f(X(T)) and
+    ``generator_means[j]`` the mean of Af(X(t_j)) over the same paths."""
 
     residual: float
     se: float
@@ -315,9 +320,12 @@ def dynkin_residual(spec, tf: TestFunction, x0: ExactState, horizon: float,
                     timegrid, paths: int, seed: int) -> DynkinReport:
     """Monte Carlo check that f(X(t)) - int Af(X(s)) ds is a martingale.
 
-    Fresh independent ensembles are simulated to every grid time (snapshot
-    seeds are split off the master seed), plus one more for the terminal
-    expectation, so all quantities are statistically independent.
+    One ensemble runs to the horizon and records each path's state at the
+    interior grid times in the same pass (seed split off the master seed).
+    Each path gives f(X(T)) - f(x0) - sum_j w_j Af(X(t_j)) with trapezoid
+    weights w; the residual is its mean and the SE its sample standard
+    error, so the correlation between grid times is accounted for.  f and Af
+    run once per distinct state value.
     """
     if paths < 2:
         raise DegenerateSample("need at least two paths for a standard error")
@@ -327,50 +335,33 @@ def dynkin_residual(spec, tf: TestFunction, x0: ExactState, horizon: float,
     ):
         raise ValueError("time grid must increase from 0 to the horizon")
     rule = simulate.jump_rule_of(spec)
-    g_means = []
-    g_ses = []
-    for i, t_snap in enumerate(ts):
-        if t_snap == 0.0:
-            g_means.append(apply_generator(spec, tf, x0.value))
-            g_ses.append(0.0)
-            continue
-        cfg = SimConfig(horizon=t_snap, seed=_split_seed(seed, i), paths=paths)
-        mean, se = _endpoint_mean(rule, x0, cfg, lambda x: apply_generator(spec, tf, x))
-        g_means.append(mean)
-        g_ses.append(se)
-    cfg = SimConfig(horizon=horizon, seed=_split_seed(seed, len(ts)), paths=paths)
-    mean_f, se_f = _endpoint_mean(rule, x0, cfg, tf.f)
+    cfg = SimConfig(horizon=horizon, seed=_split_seed(seed, len(ts)), paths=paths,
+                    observe=ts[1:-1])
+    result = simulate.simulate_ensemble(rule, x0, cfg)
+    xs, at = np.unique(np.vstack([result.values_at, result.values]), return_inverse=True)
+    at = at.reshape(len(ts) - 1, paths)  # row j: the distinct value at ts[j + 1]
+    af = np.array([apply_generator(spec, tf, x) for x in xs.tolist()])
+    f = np.array([tf.f(x) for x in xs.tolist()])
+    terminal = Counted.of(result.values)
+    mean_f = float(terminal.mean(f[np.searchsorted(xs, terminal.values)]))
 
     ts_arr = np.array(ts)
-    g_arr = np.array(g_means)
-    integral = float(np.trapezoid(g_arr, ts_arr))
-    residual = mean_f - tf.f(x0.value) - integral
-    # trapezoid weights for the SE combination
-    w = np.zeros(len(ts))
-    w[0] = (ts_arr[1] - ts_arr[0]) / 2.0
-    w[-1] = (ts_arr[-1] - ts_arr[-2]) / 2.0
-    w[1:-1] = (ts_arr[2:] - ts_arr[:-2]) / 2.0
-    se = math.sqrt(se_f**2 + float(np.sum((w * np.array(g_ses)) ** 2)))
+    w = np.convolve(np.diff(ts_arr), [0.5, 0.5])  # trapezoid weights
+    g0 = apply_generator(spec, tf, x0.value)
+    g = af[at]
+    pathwise = f[at[-1]] - tf.f(x0.value) - w[0] * g0 - w[1:] @ g
+    residual = float(pathwise.mean())
+    se = float(pathwise.std(ddof=1)) / math.sqrt(paths)
+    g_arr = np.concatenate([[g0], g.mean(axis=1)])
     # Euler-Maclaurin estimate: |error| ~ h^2/12 |g'(T) - g'(0)|
     h = float(np.max(np.diff(ts_arr)))
     slope0 = (g_arr[1] - g_arr[0]) / (ts_arr[1] - ts_arr[0])
     slope1 = (g_arr[-1] - g_arr[-2]) / (ts_arr[-1] - ts_arr[-2])
     quad = h * h / 12.0 * abs(slope1 - slope0)
     return DynkinReport(
-        residual, se, quad, mean_f, tuple(g_means), tuple(ts),
+        residual, se, quad, mean_f, tuple(g_arr.tolist()), tuple(ts),
         tf.finite_difference,
     )
-
-
-def _endpoint_mean(rule, x0: ExactState, cfg: SimConfig, fn) -> tuple[float, float]:
-    """Mean of fn(X(T)) over one ensemble, with its CLT standard error.
-
-    fn runs once per distinct endpoint value.
-    """
-    view = Sample.from_ensemble(simulate.simulate_ensemble(rule, x0, cfg)).counted
-    vals = np.array([fn(x) for x in view.values.tolist()])
-    mean = view.mean(vals)
-    return float(mean), float(view.se(vals, mean))
 
 
 def _split_seed(seed: int, index: int) -> int:

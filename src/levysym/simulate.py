@@ -20,7 +20,10 @@ two doubling families run instead in one vectorized lock-step loop,
 the chain reaches from x0, each with its total rate and successors as the
 per-path engine's own rule computes them.  Both engines give identical
 endpoints, event counts and truncations; an ensemble holds its endpoints as
-two columns, mantissas and scales.
+two columns, mantissas and scales.  ``SimConfig.observe`` adds the state at
+each of a sorted list of times before the horizon, recorded in the same pass
+as two more columns per time: column q of a run is the endpoint of the run
+with the same seed and horizon ``observe[q]``.
 """
 
 from __future__ import annotations
@@ -119,10 +122,15 @@ class SimConfig:
     paths: int = 1
     max_events: int = 10_000_000
     store_paths: bool = False
+    observe: tuple[float, ...] = ()  # times in (0, horizon), strictly increasing
 
     def __post_init__(self):
         if not 0.0 < self.horizon < math.inf:
             raise ValueError("horizon must be positive and finite")
+        observe = tuple(float(t) for t in self.observe)
+        if not all(0.0 < a < b for a, b in zip(observe, observe[1:] + (self.horizon,))):
+            raise ValueError("observation times must increase strictly inside (0, horizon)")
+        object.__setattr__(self, "observe", observe)
         if self.max_events < 0:
             raise ValueError("max_events must be nonnegative")
         if self.paths < 1:
@@ -149,7 +157,8 @@ class Path:
 @dataclass(frozen=True, eq=False)
 class EnsembleResult:
     """Path i ends at k * m[i] * 2**-s[i], canonical as in ExactState; ``m`` is
-    int64 (lock-step engine) or Python ints that never wrap (per-path engine)."""
+    int64 (lock-step engine) or Python ints that never wrap (per-path engine);
+    ``m_at[q, i]``, ``s_at[q, i]`` hold path i's state at ``cfg.observe[q]``."""
 
     unit_tag: str
     k: float
@@ -158,12 +167,19 @@ class EnsembleResult:
     horizon: float
     truncated_count: int
     event_counts: tuple[int, ...]
+    m_at: np.ndarray
+    s_at: np.ndarray
     paths: tuple[Path, ...] | None = None
 
     @property
     def values(self) -> np.ndarray:
         """Endpoint values, rounded as :attr:`ExactState.value` rounds them."""
         return self.k * np.ldexp(self.m.astype(float), -self.s)
+
+    @property
+    def values_at(self) -> np.ndarray:
+        """State values at the observation times, one row per time."""
+        return self.k * np.ldexp(self.m_at.astype(float), -self.s_at)
 
     @functools.cached_property
     def endpoints(self) -> tuple[ExactState, ...]:
@@ -225,12 +241,17 @@ def jump_rule_of(spec) -> JumpRule:
 _BLOCK = 1024
 
 
-def _run_path(rule: JumpRule, x0: ExactState, horizon: float, max_events: int,
-              key, record: bool) -> tuple:
+def _run_path(rule: JumpRule, x0: ExactState, cfg: SimConfig, key,
+              record: bool) -> tuple:
+    """(endpoint, events, truncated, jump times, states, observed) of one path;
+    ``observed[q]`` is its state at ``cfg.observe[q]``, jump times and states
+    are kept only with ``record``."""
     state = x0
     t = 0.0
     times: list[float] = []
     states: list[ExactState] = [x0]
+    pending = list(cfg.observe[::-1])  # the next observation time last
+    observed: list[ExactState] = []
     events = 0
     truncated = False
     while True:
@@ -246,9 +267,12 @@ def _run_path(rule: JumpRule, x0: ExactState, horizon: float, max_events: int,
             u1, u2 = rng.event_uniforms(key, counters)
             e1 = -np.log(u1)
         t += e1[i] / total
-        if t > horizon:
+        while pending and t > pending[-1]:
+            pending.pop()
+            observed.append(state)
+        if t > cfg.horizon:
             break
-        if events >= max_events:
+        if events >= cfg.max_events:
             truncated = True
             break
         # categorical choice proportional to rates
@@ -268,21 +292,21 @@ def _run_path(rule: JumpRule, x0: ExactState, horizon: float, max_events: int,
         if record:
             times.append(t)
             states.append(state)
-    return state, events, truncated, times, states
+    observed += [state] * len(pending)  # absorbed or truncated before these times
+    return state, events, truncated, times, states, observed
 
 
 def simulate_path(rule: JumpRule, x0: ExactState, cfg: SimConfig,
                   path_index: int = 0) -> Path:
     """One trajectory, deterministic in (cfg.seed, path_index)."""
     key = rng.path_keys(cfg.seed, [path_index])[0]
-    state, events, truncated, times, states = _run_path(
-        rule, x0, cfg.horizon, cfg.max_events, key, record=True
-    )
+    state, events, truncated, times, states, _ = _run_path(rule, x0, cfg, key, True)
     return Path(tuple(times), tuple(states), truncated)
 
 
 def simulate_ensemble(rule: JumpRule, x0: ExactState, cfg: SimConfig) -> EnsembleResult:
-    """N independent paths; endpoints always, trajectories on request.
+    """N independent paths; endpoints and observed states always, trajectories
+    on request.
 
     Built-in families route to a vectorized lock-step engine when only
     endpoints are needed; the streams consumed are identical either way.  An
@@ -301,23 +325,26 @@ def simulate_ensemble(rule: JumpRule, x0: ExactState, cfg: SimConfig) -> Ensembl
             pass
 
     keys = rng.path_keys(cfg.seed, np.arange(cfg.paths))
-    m = np.empty(cfg.paths, dtype=object)  # Python ints: 2**63 must not become a float
-    s = np.empty(cfg.paths, dtype=np.int64)
+    # row q: the state at cfg.observe[q], the last row the endpoint
+    shape = (len(cfg.observe) + 1, cfg.paths)
+    m = np.empty(shape, dtype=object)  # Python ints: 2**63 must not become a float
+    s = np.empty(shape, dtype=np.int64)
     counts = []
     truncated_count = 0
     paths = [] if cfg.store_paths else None
     for i in range(cfg.paths):
-        state, events, truncated, times, states = _run_path(
-            rule, x0, cfg.horizon, cfg.max_events, keys[i], record=cfg.store_paths
+        state, events, truncated, times, states, observed = _run_path(
+            rule, x0, cfg, keys[i], cfg.store_paths
         )
-        m[i], s[i] = state.m, state.s
+        for q, x in enumerate(observed + [state]):
+            m[q, i], s[q, i] = x.m, x.s
         counts.append(events)
         truncated_count += truncated
         if cfg.store_paths:
             paths.append(Path(tuple(times), tuple(states), truncated))
     return EnsembleResult(
-        x0.unit_tag, x0.k, m, s, cfg.horizon, truncated_count, tuple(counts),
-        tuple(paths) if paths is not None else None,
+        x0.unit_tag, x0.k, m[-1], s[-1], cfg.horizon, truncated_count, tuple(counts),
+        m[:-1], s[:-1], tuple(paths) if paths is not None else None,
     )
 
 
@@ -394,24 +421,40 @@ def _lockstep(table: _ChainTable, cfg: SimConfig) -> EnsembleResult:
     active paths have made j jumps at iteration j, so event j of path i
     reads counter j of stream i, as in the per-path engine.  The uniforms are
     drawn a tile at a time: counters j .. j + B - 1 for every active path in
-    one call, B about ``_TILE`` / active (never past ``max_events``).  A path
-    that finishes inside a tile is frozen where it ended and dropped when the
-    tile ends.  A path at level -1 never passes the horizon (rate NaN), and
-    the tile's end raises ``_LockstepUnfit``.
+    one call, B about ``_TILE`` / active (never past ``max_events``).
+
+    The horizon is the last of the observation times ``cfg.observe``; each
+    path holds the index of its next one.  An event that would happen after
+    that time records the path's level in the time's column instead, and
+    again for every later time it also passes; a path ends when it passes
+    the horizon, or at ``max_events``, where its state fills the columns not
+    yet recorded.  A path that ends inside a tile is frozen where it ended
+    and dropped when the tile ends.  A path at level -1 never passes a time
+    (rate NaN), and the tile's end raises ``_LockstepUnfit``.
     """
     N = cfg.paths
     keys = rng.path_keys(cfg.seed, np.arange(N))
     lev = np.zeros(N, dtype=np.int64)
     t = np.zeros(N)
     idx = np.arange(N)
-    out_lev = np.zeros(N, dtype=np.int64)
+    Q = len(cfg.observe)
+    times = np.array(cfg.observe + (cfg.horizon,))
+    nxt = np.zeros(N, dtype=np.int64)  # next column to record, Q: the endpoint
+    out_lev = np.zeros((Q + 1, N), dtype=np.int64)
     out_events = np.zeros(N, dtype=np.int64)
     truncated = np.zeros(N, dtype=bool)
     j = 0
 
     def finish(rows):  # rows (a mask or slice of the active paths) end at event j
-        out_lev[idx[rows]] = lev[rows]
+        out_lev[Q, idx[rows]] = lev[rows]
         out_events[idx[rows]] = j
+
+    def observe(passed):  # rows of mask ``passed`` are past times[nxt]
+        rows = np.flatnonzero(passed)
+        while (rows := rows[nxt[rows] < Q]).size:
+            out_lev[nxt[rows], idx[rows]] = lev[rows]
+            nxt[rows] += 1
+            rows = rows[t[rows] > times[nxt[rows]]]
 
     while idx.size:
         B = max(1, min(_TILE // idx.size, cfg.max_events + 1 - j))
@@ -419,14 +462,19 @@ def _lockstep(table: _ChainTable, cfg: SimConfig) -> EnsembleResult:
         u1, u2 = rng.event_uniforms(keys[idx][None, :], counters[:, None])
         e1 = -np.log(u1)
         first = u2 < 0.5
+        tnext = times[nxt] if Q else cfg.horizon
         live = None  # every row is live until the first path finishes
         for r in range(B):
             if j >= table.depth:
                 rate, up, down = table.extend(2 * j + 1)
             t += e1[r] / rate[lev]
-            done = t > cfg.horizon
+            done = t > tnext
             if live is not None:
                 done &= live
+            if Q and done.any():
+                observe(done)
+                tnext = times[nxt]
+                done &= t > tnext
             if done.any():
                 finish(done)
                 live = ~done if live is None else live & ~done
@@ -436,6 +484,8 @@ def _lockstep(table: _ChainTable, cfg: SimConfig) -> EnsembleResult:
                 rows = slice(None) if live is None else live
                 finish(rows)
                 truncated[idx[rows]] = True
+                late, cols = np.arange(Q)[:, None] >= nxt[rows], idx[rows]
+                out_lev[:Q, cols] = np.where(late, lev[rows], out_lev[:Q, cols])
                 live = np.zeros(idx.size, dtype=bool)
                 break
             lev_next = np.where(first[r], up[lev], down[lev])
@@ -444,11 +494,12 @@ def _lockstep(table: _ChainTable, cfg: SimConfig) -> EnsembleResult:
         if (lev < 0).any():
             raise _LockstepUnfit("a path reached a state the table does not carry")
         if live is not None:
-            idx, lev, t = idx[live], lev[live], t[live]
+            idx, lev, t, nxt = idx[live], lev[live], t[live], nxt[live]
     x0 = table.states[0]
-    m, s = np.array([(x.m, x.s) for x in table.states], dtype=np.int64)[out_lev].T.copy()
-    return EnsembleResult(x0.unit_tag, x0.k, m, s, cfg.horizon, int(truncated.sum()),
-                          tuple(out_events.tolist()))
+    table_m, table_s = np.array([(x.m, x.s) for x in table.states], dtype=np.int64).T
+    m, s = table_m[out_lev], table_s[out_lev]
+    return EnsembleResult(x0.unit_tag, x0.k, m[Q], s[Q], cfg.horizon, int(truncated.sum()),
+                          tuple(out_events.tolist()), m[:Q], s[:Q])
 
 
 def _ensemble_symmetric_doubling(rule: JumpRule, x0: ExactState,

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from levysym import simulate
+from levysym import mcstats, simulate
 from levysym.errors import DegenerateSample, RepresentationLost
 from levysym.mcstats import (
     DEFAULT_UGRID,
@@ -44,7 +44,8 @@ def _exact_sample(states, horizon=1.0):
     result = simulate.EnsembleResult(
         tag, k, np.array([state.m for state in states], dtype=object),
         np.array([state.s for state in states], dtype=np.int64), horizon, 0,
-        (0,) * len(states),
+        (0,) * len(states), np.empty((0, len(states)), dtype=object),
+        np.empty((0, len(states)), dtype=np.int64),
     )
     return Sample.from_ensemble(result)
 
@@ -304,7 +305,7 @@ def test_counted_dynkin_matches_per_path(monkeypatch):
 
     def recording(rule, x0, cfg):
         result = real(rule, x0, cfg)
-        ensembles.append(result)
+        ensembles.append((cfg, result))
         return result
 
     monkeypatch.setattr(simulate, "simulate_ensemble", recording)
@@ -314,22 +315,34 @@ def test_counted_dynkin_matches_per_path(monkeypatch):
     ts = np.linspace(0.0, 1.0, 5)
     rep = dynkin_residual(spec, tf, x0, 1.0, ts, 1500, 17)
 
-    assert len(ensembles) == ts.size  # one per nonzero grid time, plus the terminal
-    g = [np.array([apply_generator(spec, tf, e.value) for e in r.endpoints])
-         for r in ensembles[:-1]]
-    f = np.array([tf.f(e.value) for e in ensembles[-1].endpoints])
-    g_means = [apply_generator(spec, tf, 0.0)] + [v.mean() for v in g]
-    g_ses = [0.0] + [v.std(ddof=1) / math.sqrt(v.size) for v in g]
+    ((cfg, result),) = ensembles  # one ensemble, observed at the interior times
+    assert cfg.observe == tuple(ts[1:-1]) and cfg.horizon == 1.0
+    assert cfg.seed == mcstats._split_seed(17, ts.size)  # the terminal seed
+
+    def value(m, s):
+        return ExactState(result.unit_tag, result.k, m, s).value
+
+    # columns[j][i]: path i at ts[j], plain Python from the exact columns
+    columns = [[0.0] * 1500]
+    for q in range(ts.size - 2):
+        columns.append([value(m, s) for m, s in
+                        zip(result.m_at[q].tolist(), result.s_at[q].tolist())])
+    columns.append([e.value for e in result.endpoints])
+    w = [(ts[1] - ts[0]) / 2.0] + [ts[1] - ts[0]] * (ts.size - 2) + [(ts[1] - ts[0]) / 2.0]
+    gen = [[apply_generator(spec, tf, x) for x in col] for col in columns]
+    pathwise = [
+        tf.f(columns[-1][i]) - tf.f(0.0) - math.fsum(w[j] * gen[j][i] for j in range(ts.size))
+        for i in range(1500)
+    ]
+    mean = math.fsum(pathwise) / 1500
+    se = math.sqrt(math.fsum((d - mean) ** 2 for d in pathwise) / 1499 / 1500)
+    mean_f = math.fsum(tf.f(x) for x in columns[-1]) / 1500
+    g_means = [math.fsum(col) / 1500 for col in gen]
     assert _close(rep.generator_means, g_means)
-    assert _close(rep.mean_f_terminal, f.mean())
-    w = np.full(ts.size, ts[1] - ts[0])
-    w[[0, -1]] /= 2.0
-    se = math.sqrt((f.std(ddof=1) / math.sqrt(f.size)) ** 2
-                   + float(np.sum((w * np.array(g_ses)) ** 2)))
+    assert _close(rep.mean_f_terminal, mean_f)
     assert _close(rep.se, se)
-    integral = float(np.trapezoid(g_means, ts))
-    residual = f.mean() - tf.f(0.0) - integral
-    assert abs(rep.residual - residual) <= 1e-12 * max(abs(f.mean()), abs(integral))
+    integral = math.fsum(wj * g for wj, g in zip(w, g_means))
+    assert abs(rep.residual - mean) <= 1e-12 * max(abs(mean_f), abs(integral))
 
 
 def test_law_converges_as_resolution_grows():

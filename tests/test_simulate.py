@@ -322,6 +322,44 @@ def test_chain_table_matches_the_rule(family, k, n, monkeypatch):
             assert all(succ in (lev + 1, -1) for lev, succ in enumerate(up[:built]))
 
 
+@pytest.mark.parametrize(
+    "spec, budget",  # budget: about the median event count at t = 0.3
+    [(SymmetricDoublingApprox(K1, 4), 12), (IncreasingDoublingApprox(K1, 6), 5)],
+    ids=["sym", "inc"],
+)
+@pytest.mark.parametrize("truncate", [False, True], ids=["full", "truncated"])
+@pytest.mark.parametrize("store_paths", [False, True], ids=["lockstep", "perpath"])
+def test_observed_columns_are_endpoints_of_shorter_runs(spec, budget, truncate,
+                                                        store_paths):
+    rule = jump_rule_of(spec)
+    x0 = rule.initial_state()
+    cfg = dict(seed=13, paths=60, max_events=budget if truncate else 10_000_000)
+    # the second jumps of paths 0 and 1 happen exactly at observation times;
+    # path 1's passes another observation time on its way there, path 0's not
+    a, b = (simulate_path(rule, x0, SimConfig(horizon=1.0, seed=13), i).times
+            for i in (0, 1))
+    observe = sorted({0.2, 0.5, a[1], (b[0] + b[1]) / 2.0, b[1], 0.8})
+    assert not any(a[0] < tq < a[1] for tq in observe) and b[1] < 0.2
+    run = simulate_ensemble(rule, x0, SimConfig(horizon=1.0, observe=observe,
+                                                store_paths=store_paths, **cfg))
+    plain = simulate_ensemble(rule, x0, SimConfig(horizon=1.0, store_paths=store_paths,
+                                                  **cfg))
+    assert run.m.dtype == (object if store_paths else np.int64)
+    assert run.m.tolist() == plain.m.tolist()
+    assert run.s.tolist() == plain.s.tolist()
+    assert run.event_counts == plain.event_counts
+    assert run.truncated_count == plain.truncated_count
+    assert run.m_at.shape == run.s_at.shape == (len(observe), 60)
+    truncations = []
+    for q, tq in enumerate(observe):  # the per-path engine run to tq is the oracle
+        oracle = simulate_ensemble(rule, x0, SimConfig(horizon=tq, store_paths=True, **cfg))
+        assert run.m_at[q].tolist() == oracle.m.tolist()
+        assert run.s_at[q].tolist() == oracle.s.tolist()
+        truncations.append(oracle.truncated_count)
+    if truncate:  # paths truncate between the observation times
+        assert truncations[0] < truncations[-1] < run.truncated_count
+
+
 @pytest.mark.parametrize("family", [SymmetricDoublingApprox, IncreasingDoublingApprox])
 def test_per_path_engine_keeps_endpoints_beyond_int64(family):
     # no event happens before 1e-30: every path ends where it starts
@@ -421,6 +459,12 @@ def test_sim_config_validation():
     with pytest.raises(ValueError):
         SimConfig(horizon=1.0, seed=1, paths=0)
     assert SimConfig(horizon=1.0, seed=1, max_events=0).max_events == 0
+    # observation times: unsorted, repeated, <= 0, >= horizon, NaN
+    for observe in [(0.5, 0.25), (0.5, 0.5), (0.0, 0.5), (-0.1,), (1.0,), (0.5, 1.5),
+                    (math.nan,)]:
+        with pytest.raises(ValueError):
+            SimConfig(horizon=1.0, seed=1, observe=observe)
+    assert SimConfig(horizon=1.0, seed=1, observe=[0.25, 0.5]).observe == (0.25, 0.5)
 
 
 def test_artifact_formats():
