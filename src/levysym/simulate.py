@@ -439,7 +439,7 @@ def _lockstep(table: _ChainTable, cfg: SimConfig) -> EnsembleResult:
     idx = np.arange(N)
     Q = len(cfg.observe)
     times = np.array(cfg.observe + (cfg.horizon,))
-    nxt = np.zeros(N, dtype=np.int64)  # next column to record, Q: the endpoint
+    nxt = np.zeros(N, dtype=np.int64)  # per path: next column to record, Q the endpoint
     out_lev = np.zeros((Q + 1, N), dtype=np.int64)
     out_events = np.zeros(N, dtype=np.int64)
     truncated = np.zeros(N, dtype=bool)
@@ -449,12 +449,13 @@ def _lockstep(table: _ChainTable, cfg: SimConfig) -> EnsembleResult:
         out_lev[Q, idx[rows]] = lev[rows]
         out_events[idx[rows]] = j
 
-    def observe(passed):  # rows of mask ``passed`` are past times[nxt]
+    def observe(passed):  # rows of mask ``passed`` are past their next time
         rows = np.flatnonzero(passed)
-        while (rows := rows[nxt[rows] < Q]).size:
-            out_lev[nxt[rows], idx[rows]] = lev[rows]
-            nxt[rows] += 1
-            rows = rows[t[rows] > times[nxt[rows]]]
+        while (rows := rows[nxt[idx[rows]] < Q]).size:
+            paths = idx[rows]
+            out_lev[nxt[paths], paths] = lev[rows]
+            nxt[paths] += 1
+            rows = rows[t[rows] > times[nxt[paths]]]
 
     while idx.size:
         B = max(1, min(_TILE // idx.size, cfg.max_events + 1 - j))
@@ -462,7 +463,7 @@ def _lockstep(table: _ChainTable, cfg: SimConfig) -> EnsembleResult:
         u1, u2 = rng.event_uniforms(keys[idx][None, :], counters[:, None])
         e1 = -np.log(u1)
         first = u2 < 0.5
-        tnext = times[nxt] if Q else cfg.horizon
+        tnext = times[nxt[idx]] if Q else cfg.horizon
         live = None  # every row is live until the first path finishes
         for r in range(B):
             if j >= table.depth:
@@ -473,7 +474,7 @@ def _lockstep(table: _ChainTable, cfg: SimConfig) -> EnsembleResult:
                 done &= live
             if Q and done.any():
                 observe(done)
-                tnext = times[nxt]
+                tnext = times[nxt[idx]]
                 done &= t > tnext
             if done.any():
                 finish(done)
@@ -482,9 +483,10 @@ def _lockstep(table: _ChainTable, cfg: SimConfig) -> EnsembleResult:
                     break
             if j >= cfg.max_events:
                 rows = slice(None) if live is None else live
+                cols = idx[rows]
                 finish(rows)
-                truncated[idx[rows]] = True
-                late, cols = np.arange(Q)[:, None] >= nxt[rows], idx[rows]
+                truncated[cols] = True
+                late = np.arange(Q)[:, None] >= nxt[cols]  # columns not yet recorded
                 out_lev[:Q, cols] = np.where(late, lev[rows], out_lev[:Q, cols])
                 live = np.zeros(idx.size, dtype=bool)
                 break
@@ -494,7 +496,7 @@ def _lockstep(table: _ChainTable, cfg: SimConfig) -> EnsembleResult:
         if (lev < 0).any():
             raise _LockstepUnfit("a path reached a state the table does not carry")
         if live is not None:
-            idx, lev, t, nxt = idx[live], lev[live], t[live], nxt[live]
+            idx, lev, t = idx[live], lev[live], t[live]
     x0 = table.states[0]
     table_m, table_s = np.array([(x.m, x.s) for x in table.states], dtype=np.int64).T
     m, s = table_m[out_lev], table_s[out_lev]
