@@ -439,21 +439,22 @@ def _lockstep(table: _ChainTable, cfg: SimConfig) -> EnsembleResult:
     idx = np.arange(N)
     Q = len(cfg.observe)
     times = np.array(cfg.observe + (cfg.horizon,))
-    nxt = np.zeros(N, dtype=np.int64)  # per path: next column to record, Q the endpoint
-    out_lev = np.zeros((Q + 1, N), dtype=np.int64)
+    nxt = np.zeros(N, dtype=np.int64)  # per path: the next column to record, or Q
+    obs_lev = np.zeros((Q, N), dtype=np.int64)  # column q: levels at observe[q]
+    out_lev = np.zeros(N, dtype=np.int64)
     out_events = np.zeros(N, dtype=np.int64)
     truncated = np.zeros(N, dtype=bool)
     j = 0
 
     def finish(rows):  # rows (a mask or slice of the active paths) end at event j
-        out_lev[Q, idx[rows]] = lev[rows]
+        out_lev[idx[rows]] = lev[rows]
         out_events[idx[rows]] = j
 
     def observe(passed):  # rows of mask ``passed`` are past their next time
         rows = np.flatnonzero(passed)
         while (rows := rows[nxt[idx[rows]] < Q]).size:
             paths = idx[rows]
-            out_lev[nxt[paths], paths] = lev[rows]
+            obs_lev[nxt[paths], paths] = lev[rows]
             nxt[paths] += 1
             rows = rows[t[rows] > times[nxt[paths]]]
 
@@ -487,7 +488,7 @@ def _lockstep(table: _ChainTable, cfg: SimConfig) -> EnsembleResult:
                 finish(rows)
                 truncated[cols] = True
                 late = np.arange(Q)[:, None] >= nxt[cols]  # columns not yet recorded
-                out_lev[:Q, cols] = np.where(late, lev[rows], out_lev[:Q, cols])
+                obs_lev[:, cols] = np.where(late, lev[rows], obs_lev[:, cols])
                 live = np.zeros(idx.size, dtype=bool)
                 break
             lev_next = np.where(first[r], up[lev], down[lev])
@@ -499,9 +500,9 @@ def _lockstep(table: _ChainTable, cfg: SimConfig) -> EnsembleResult:
             idx, lev, t = idx[live], lev[live], t[live]
     x0 = table.states[0]
     table_m, table_s = np.array([(x.m, x.s) for x in table.states], dtype=np.int64).T
-    m, s = table_m[out_lev], table_s[out_lev]
-    return EnsembleResult(x0.unit_tag, x0.k, m[Q], s[Q], cfg.horizon, int(truncated.sum()),
-                          tuple(out_events.tolist()), m[:Q], s[:Q])
+    return EnsembleResult(x0.unit_tag, x0.k, table_m[out_lev], table_s[out_lev], cfg.horizon,
+                          int(truncated.sum()), tuple(out_events.tolist()),
+                          table_m[obs_lev], table_s[obs_lev])
 
 
 def _ensemble_symmetric_doubling(rule: JumpRule, x0: ExactState,
