@@ -342,7 +342,7 @@ def dynkin_residual(spec, tf: TestFunction, x0: ExactState, horizon: float,
     at = at.reshape(len(ts) - 1, paths)  # row j: the distinct value at ts[j + 1]
     af = np.array([apply_generator(spec, tf, x) for x in xs.tolist()])
     f = np.array([tf.f(x) for x in xs.tolist()])
-    terminal = Counted.of(result.values)
+    terminal = Counted.of(result.values)  # mean of f(X(T)) as moment_ci takes means
     mean_f = float(terminal.mean(f[np.searchsorted(xs, terminal.values)]))
 
     ts_arr = np.array(ts)
