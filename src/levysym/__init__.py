@@ -35,7 +35,6 @@ from .checks import (
 from .errors import (
     BudgetExceeded,
     DegenerateSample,
-    DerivativeUnstable,
     DomainError,
     QuadratureUnderresolved,
     RepresentationLost,

@@ -17,8 +17,8 @@ from pathlib import Path as FsPath
 import numpy as np
 
 from . import checks, mcstats, simulate, svgplot, symbols
-from .errors import (BudgetExceeded, DerivativeUnstable, DomainError, UnitMismatch,
-                     UnsupportedSpec, ViolatedDominance)
+from .errors import (BudgetExceeded, DomainError, UnitMismatch, UnsupportedSpec,
+                     ViolatedDominance)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 2
@@ -436,8 +436,6 @@ def main(argv=None) -> int:
     except BudgetExceeded as err:
         print(json.dumps({"failed": True, "reason": "numeric budget", "detail": str(err)}))
         return EXIT_BUDGET
-    except DerivativeUnstable as err:
-        return _fail("derivative unstable", detail=str(err))
     except ViolatedDominance as err:
         return _fail("dominance violated", detail=str(err))
     except (ValueError, DomainError, UnitMismatch, UnsupportedSpec, OSError) as err:

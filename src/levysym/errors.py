@@ -31,7 +31,3 @@ class QuadratureUnderresolved(BudgetExceeded):
 
 class ViolatedDominance(RuntimeError):
     """The dominance rewrite produced a zero-coefficient with positive real part."""
-
-
-class DerivativeUnstable(RuntimeError):
-    """Richardson step halving disagreed beyond the stability tolerance."""

@@ -18,9 +18,12 @@ provides the built-in families used throughout the package:
 * ``TripletField(fn)`` - arbitrary user map x -> LevyTriplet.
 
 Evaluations use cancellation-free closed forms (sinc-squared and phased
-sinc), so the symbols stay accurate near x = 0 and for large |xu|; the
-finite-difference audits downstream rely on this.  Every ``value(x, u)`` and
-``psi(u)`` broadcasts over NumPy arrays of x and u.
+sinc), so the symbols stay accurate near x = 0 and for large |xu|.  Every
+``value(x, u)`` and ``psi(u)`` broadcasts over NumPy arrays of x and u.  The
+symbols entire in x (``SymmetricDoubling``, ``ProductCosine`` and
+``ConstantSymbol``) also take complex states, which the ellipticity audit's
+Cauchy-circle derivatives evaluate; real states give the same floats as a
+real-only evaluation.
 """
 
 from __future__ import annotations
@@ -52,8 +55,9 @@ def truncation(y: float) -> float:
 
 
 def _sinc(z):
-    """sin(z)/z elementwise, 1 at z = 0."""
-    z = np.asarray(z, dtype=float)
+    """sin(z)/z elementwise, 1 at z = 0; real z give float, complex z complex."""
+    z = np.asarray(z)
+    z = z.astype(np.result_type(z, float), copy=False)
     return np.divide(np.sin(z), z, out=np.ones_like(z), where=z != 0.0)
 
 
@@ -70,8 +74,8 @@ class LatticeUnit:
     tag: str
 
     def __post_init__(self):
-        if not self.value > 0.0:
-            raise ValueError(f"lattice unit must be positive, got {self.value!r}")
+        if not 0.0 < self.value < math.inf:
+            raise ValueError(f"lattice unit must be positive and finite, got {self.value!r}")
 
     @staticmethod
     def parse(token) -> "LatticeUnit":

@@ -23,12 +23,16 @@ from levysym.checks import (
     term_measure,
     verify_term_measure,
 )
-from levysym.errors import DerivativeUnstable, ViolatedDominance
+from levysym.errors import UnsupportedSpec, ViolatedDominance
 from levysym.symbols import (
     BrownianNegative,
     ConstantSymbol,
+    LatticeUnit,
+    LevyTriplet,
     ProductCosine,
     SymmetricDoubling,
+    SymmetricDoublingApprox,
+    TripletField,
     eval_symbol,
 )
 
@@ -338,80 +342,6 @@ def test_dominance_and_K_match_row_sum_oracle():
     assert loose.passed and seen == [ugrid.shape]
 
 
-def _scalar_fd_derivative(f, x, order, u_scale=0.0, abs_tol=0.0):
-    """The step ladder evaluated one stencil point at a time."""
-    stencil = {
-        1: (((1.0, 0.5), (-1.0, -0.5)), lambda h: h),
-        2: (((1.0, 1.0), (0.0, -2.0), (-1.0, 1.0)), lambda h: h * h),
-        3: (((2.0, 0.5), (1.0, -1.0), (-1.0, 1.0), (-2.0, -0.5)), lambda h: h**3),
-    }[order]
-
-    def once(h):
-        acc, fmax = 0j, 0.0
-        for mult, coef in stencil[0]:
-            val = f(x + mult * h)
-            fmax = max(fmax, abs(val))
-            acc += coef * val
-        return acc / stencil[1](h), fmax
-
-    base = 2e-2 * (1.0 + abs(x))
-    steps = {base / 4.0**j for j in range(7)}
-    steps |= {base / (1.0 + abs(u_scale)), base / (4.0 * (1.0 + abs(u_scale)))}
-    eps = float(np.finfo(float).eps)
-    best = None
-    for h in sorted(steps, reverse=True):
-        (d1, fmax1), (d2, fmax2) = once(h), once(h / 2.0)
-        rich = (4.0 * d2 - d1) / 3.0
-        noise_floor = 80.0 * eps * max(fmax1, fmax2) / stencil[1](h / 2.0)
-        score = abs(d1 - d2) / max(abs(rich), noise_floor, 1e-300)
-        if best is None or score < best[0]:
-            best = (score, abs(d1 - d2), rich, abs(rich) > 10.0 * noise_floor)
-    score, disagreement, value, above = best
-    if score > 1e-4 and disagreement > abs_tol and above:
-        raise DerivativeUnstable("scalar ladder found no stable step")
-    return value
-
-
-@pytest.mark.parametrize("order", [1, 2, 3])
-def test_fd_derivative_matches_scalar_ladder(order):
-    ex31 = SymmetricDoubling()
-    cases = [  # (scalar f, array f, x, u_scale, abs_tol)
-        (lambda x: x**3 + 2.0 * x, lambda x: x**3 + 2.0 * x, 1.5, 0.0, 0.0),
-        (lambda x: math.cos(300.0 * x), lambda x: np.cos(300.0 * x), 0.001, 300.0, 0.0),
-        (lambda x: 1.0 + 1e-6 * math.sin(x), lambda x: 1.0 + 1e-6 * np.sin(x),
-         0.0, 0.0, 1e-6),
-        (lambda x: complex(eval_symbol(ex31, x, 40.0)),
-         lambda x: eval_symbol(ex31, x, 40.0), 2e-4, 40.0, 1e-6 * 1601.0),
-        (lambda x: complex(eval_symbol(PRODCOS, x, 7.0)),
-         lambda x: eval_symbol(PRODCOS, x, 7.0), 1.0, 7.0, 0.0),
-        # slope 1 on the long rungs, 2 on the short ones: every rung scores 0,
-        # and the first (longest) one wins the tie
-        (lambda x: 2.0 * x if abs(x) < 1e-4 else x,
-         lambda x: np.where(np.abs(x) < 1e-4, 2.0 * x, x), 0.0, 0.0, 0.0),
-    ]
-    for scalar_f, array_f, x, u, tol in cases:
-        want = _scalar_fd_derivative(scalar_f, x, order, u, tol)
-        got = fd_derivative(array_f, x, order, u_scale=u, abs_tol=tol)
-        assert abs(got - want) <= 1e-12 * max(abs(want), 1e-300)
-    # an array of states: one ladder each, every entry bit for bit the scalar call
-    xs = np.linspace(0.5, 1.5, 7)
-    for u in (0.0, 3.0, 7.0):  # u = 3 makes the u-scaled rungs repeat geometric ones
-        f = lambda x, u=u: eval_symbol(PRODCOS, x, u)
-        got = fd_derivative(f, xs, order, u_scale=u)
-        assert got.shape == xs.shape
-        for x, d in zip(xs.tolist(), got.tolist()):
-            want = fd_derivative(f, x, order, u_scale=u)
-            assert type(want) is complex
-            assert (d.real, d.imag) == (want.real, want.imag)
-    # a kink has no second derivative: both ladders reject it
-    with pytest.raises(DerivativeUnstable):
-        _scalar_fd_derivative(abs, 0.0, 2)
-    with pytest.raises(DerivativeUnstable):
-        fd_derivative(np.abs, 0.0, 2)
-    with pytest.raises(DerivativeUnstable, match="at x=0 "):
-        fd_derivative(np.abs, np.array([2.0, 0.0, 0.0]), 2)
-
-
 def test_localize_rejects_domain_exit():
     from levysym.errors import DomainError
     from levysym.symbols import IncreasingDoubling
@@ -423,23 +353,66 @@ def test_localize_rejects_domain_exit():
 # ----------------------------------------------------------------------
 # ellipticity audit
 # ----------------------------------------------------------------------
-def test_fd_derivative_polynomial():
-    f = lambda x: x**3 + 2.0 * x  # evaluated on arrays of states
-    assert fd_derivative(f, 1.5, 1) == pytest.approx(3 * 1.5**2 + 2.0, rel=1e-9)
-    assert fd_derivative(f, 1.5, 2) == pytest.approx(9.0, rel=1e-7)
-    assert fd_derivative(f, 1.5, 3) == pytest.approx(6.0, rel=1e-5)
+def _ex31_derivatives(x, u):
+    """Orders 1..3 of (cos(ux) - 1)/x^2 by Leibniz's rule, x away from 0."""
+    g = [np.cos(u * x) - 1.0] + [u**k * np.cos(u * x + k * math.pi / 2) for k in (1, 2, 3)]
+    h = [(-1) ** j * math.factorial(j + 1) * x ** (-2.0 - j) for j in range(4)]
+    return [sum(math.comb(p, k) * g[k] * h[p - k] for k in range(p + 1)) for p in (1, 2, 3)]
 
 
-def test_fd_derivative_oscillatory_needs_u_scaling():
-    # cos(xu) at u = 300: resolved by the u-scaled ladder rungs
-    u = 300.0
-    f = lambda x: np.cos(x * u)
-    d = fd_derivative(f, 0.001, 1, u_scale=u)
-    assert d == pytest.approx(-u * math.sin(0.3), rel=1e-6)
+def _prodcos_derivatives(x, u):
+    """Orders 1..3 of (1 - cos x)(-u^2/2)."""
+    return [0.5 * u * u * np.cos(x + p * math.pi / 2) for p in (1, 2, 3)]
 
 
-def test_fd_derivative_zero_function_stable():
-    assert fd_derivative(np.zeros_like, 0.5, 2) == 0.0
+FD_CASES = {  # name: (f(z, u), states, frequencies, closed orders 1..3, tolerance(u))
+    "polynomial": (lambda z, u: z**3 + 2.0 * z, np.array([1.5]), np.array([0.0]),
+                   lambda x, u: [3.0 * x * x + 2.0, 6.0 * x, 6.0 + 0.0 * x],
+                   lambda u: 1e-12),
+    "cos300x": (lambda z, u: np.cos(300.0 * z), np.array([0.001]), np.array([300.0]),
+                lambda x, u: [-300.0 * np.sin(300.0 * x), -300.0**2 * np.cos(300.0 * x),
+                              300.0**3 * np.sin(300.0 * x)],
+                lambda u: 1e-6),
+    "zero": (lambda z, u: np.zeros_like(z), np.array([0.5]), np.array([0.0]),
+             lambda x, u: [0.0 * x] * 3, lambda u: 0.0),
+    "ex31": (lambda z, u: eval_symbol(SymmetricDoubling(), z, u),
+             np.array([0.1, 0.52, 1.0, 2.5]), np.array([1.0, 8.91, 100.0, 1000.0]),
+             _ex31_derivatives, lambda u: 1e-7 * (1.0 + u * u)),
+    "prodcos": (lambda z, u: eval_symbol(PRODCOS, z, u),
+                np.array([0.1, 0.52, 1.0, 2.5]), np.array([1.0, 8.91, 100.0, 1000.0]),
+                _prodcos_derivatives, lambda u: 1e-7 * (1.0 + u * u)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FD_CASES))
+def test_fd_derivative_matches_closed_forms(case):
+    f, xs, us, closed, tol = FD_CASES[case]
+    d = fd_derivative(f, xs, us[:, None], 3)  # one call on the (u, x) grid
+    assert d.shape == (4, us.size, xs.size) and d.dtype == complex
+    want = closed(xs, us[:, None])
+    for p in (1, 2, 3):
+        assert np.all(np.abs(d[p] - want[p - 1]) <= tol(us[:, None])), p
+
+
+def test_fd_derivative_pinned_ex31_order3():
+    # a 50-digit reference gives -7.920114082056394 at x = 0.52, u = 8.91
+    d = fd_derivative(lambda z, u: eval_symbol(SymmetricDoubling(), z, u), 0.52, 8.91, 3)
+    assert abs(d[3] - (-7.920114082056394)) <= 1e-9
+
+
+@pytest.mark.parametrize("spec", [
+    SymmetricDoublingApprox(LatticeUnit.parse("1"), 4),
+    TripletField(lambda x: LevyTriplet(diffusion=1.0)),
+])
+def test_audit_rejects_symbols_not_entire_in_x(spec):
+    with pytest.raises(UnsupportedSpec):
+        audit_ellipticity(spec, BrownianNegative(), 0.5, 0.1)
+
+
+@pytest.mark.parametrize("max_order", [0, 4])
+def test_audit_rejects_orders_outside_one_to_three(max_order):
+    with pytest.raises(ValueError, match="orders run from 1 to 3"):
+        audit_ellipticity(PRODCOS, BrownianNegative(), 0.5, 0.1, max_order=max_order)
 
 
 def test_audit_counterexample_fails_smoothness():
@@ -477,22 +450,13 @@ def test_audit_order3_stable_at_generic_point():
 
 
 def test_audit_order3_near_degenerate_point():
-    # at x0 = pi the third x-derivative of the product symbol nearly
-    # vanishes; the audit must classify it as noise-level, not unstable
+    # near x0 = pi the product symbol's odd x-derivatives nearly vanish
     audit = audit_ellipticity(
         PRODCOS, BrownianNegative(), 3.14159, 0.5, max_order=3,
         ugrid=np.geomspace(1.0, 50.0, 9),
     )
     assert audit.floor_ratio == pytest.approx(1.0 - math.cos(3.14159 - 0.5), abs=1e-6)
     assert audit.growth_ratio[2] <= 0.5 + 1e-9
-
-
-def test_fd_derivative_abs_tol_accepts_noise_level():
-    # derivative ~1e-6 of the function scale: relative certification is
-    # impossible in double precision, absolute tolerance accepts it
-    f = lambda x: 1.0 + 1e-6 * np.sin(x)
-    val = fd_derivative(f, 0.0, 3, abs_tol=1e-6)
-    assert abs(val - (-1e-6)) < 1e-7
 
 
 def test_audit_rejects_zero_frequency():
@@ -533,6 +497,13 @@ def test_groenwall_recursion_tables():
     assert max(abs(p) for p in phis) <= 1e-15
     rep = groenwall_verify(ts, phis, 2.0)
     assert rep.conclusion_ok and rep.hypothesis_ok
+
+
+@pytest.mark.parametrize("horizon, steps", [(1.0, 0), (1.0, -3), (math.nan, 10),
+                                            (math.inf, 10), (0.0, 10), (-1.0, 10)])
+def test_groenwall_recursion_rejects_bad_inputs(horizon, steps):
+    with pytest.raises(ValueError, match="steps >= 1 and a finite positive horizon"):
+        groenwall_recursion_table(1.0, 1.0, horizon, steps)
 
 
 def test_groenwall_beta_as_table():

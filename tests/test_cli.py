@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from levysym.cli import EXIT_BUDGET, EXIT_CHECK_FAILED, EXIT_INPUT, main
 
 
@@ -74,7 +76,11 @@ def test_simulate_rejects_bad_config(tmp_path):
     assert code == EXIT_INPUT
     code = main(base + ["--t", "1", "--max-events", "-4", "--out", str(tmp_path / "b")])
     assert code == EXIT_INPUT
-    assert not (tmp_path / "a").exists() and not (tmp_path / "b").exists()
+    # a non-finite lattice unit would put every jump at inf or nan
+    code = main(["simulate", "--spec", "ex31approx", "--k", "inf", "--n", "4",
+                 "--paths", "3", "--out", str(tmp_path / "c")])
+    assert code == EXIT_INPUT
+    assert not any((tmp_path / d).exists() for d in "abc")
 
 
 def test_nonuniq_small(tmp_path):
@@ -120,15 +126,15 @@ def test_audit_bound_failure_exit(tmp_path):
 
 
 def test_numeric_failures_exit_with_json_line(tmp_path, capsys):
-    # an order-3 ladder that finds no stable step is a failed check
+    # the order-3 audit of the analytic ex31 symbol away from 0 writes its table
     code = main([
         "audit", "--spec", "ex31", "--x0", "0.5", "--radius", "0.1",
         "--orders", "3", "--out", str(tmp_path / "a"),
     ])
-    doc = json.loads(capsys.readouterr().out.splitlines()[-1])
-    assert code == EXIT_CHECK_FAILED
-    assert doc["failed"] and doc["reason"] == "derivative unstable"
-    assert "order-3 derivative" in doc["detail"]
+    capsys.readouterr()
+    assert code == 0
+    rows = (tmp_path / "a" / "ellipticity.csv").read_text().splitlines()
+    assert [r.split(",")[0] for r in rows[1:4]] == ["1", "2", "3"]
     # nmax = 4 cannot resolve the localized series: the truncation budget ran out
     code = main([
         "fourier-check", "--symbol", "localized-prodcos", "--x0", "0.5",
@@ -146,6 +152,21 @@ def test_numeric_failures_exit_with_json_line(tmp_path, capsys):
     assert code == EXIT_CHECK_FAILED
     assert doc["failed"] and doc["reason"] == "dominance violated"
     assert "u = 0.5" in doc["detail"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["groenwall", "--c", "1", "--steps", "0"],
+    ["groenwall", "--c", "1", "--steps", "-3"],
+    ["groenwall", "--c", "1", "--horizon", "nan"],
+    ["audit", "--spec", "ex31", "--orders", "0"],
+    ["audit", "--spec", "ex31", "--orders", "4"],
+])
+def test_bad_numeric_inputs_exit_with_json_line(argv, tmp_path, capsys):
+    code = main(argv + (["--out", str(tmp_path / "a")] if argv[0] == "audit" else []))
+    doc = json.loads(capsys.readouterr().out.splitlines()[-1])
+    assert code == EXIT_INPUT
+    assert doc["failed"] and doc["reason"] == "input error"
+    assert not (tmp_path / "a").exists()
 
 
 def test_groenwall_table_io(tmp_path):

@@ -425,6 +425,28 @@ def test_dynkin_poisson_identity():
     assert rep.quadrature_error == pytest.approx(0.0, abs=1e-12)
 
 
+def test_dynkin_reads_the_observation_columns():
+    # f = x^4 under ex31approx: Af = 7 x^2 off 0 and Af(0) = 4^-n, so
+    # E Af(X_t) = 7 t up to 4^-n, and the grid columns move the residual
+    n, paths, seed = 6, 4000, 23
+    spec = SymmetricDoublingApprox(K1, n)
+    tf = TestFunction(lambda x: x**4, lambda x: 4.0 * x**3, lambda x: 12.0 * x * x)
+    x0 = jump_rule_of(spec).initial_state()
+    ts = np.linspace(0.0, 1.0, 11)
+    rep = dynkin_residual(spec, tf, x0, 1.0, ts, paths, seed)
+    assert abs(rep.residual) <= 4.0 * rep.se + rep.quadrature_error + 1e-2
+
+    cfg = SimConfig(horizon=1.0, seed=mcstats._split_seed(seed, ts.size), paths=paths,
+                    observe=tuple(ts[1:-1]))
+    result = simulate_ensemble(jump_rule_of(spec), x0, cfg)
+    x = np.vstack([np.zeros(paths), result.values_at, result.values])
+    af = np.where(x == 0.0, 4.0**-n, 7.0 * x * x)
+    assert np.allclose(af.mean(axis=1), rep.generator_means, rtol=1e-12, atol=0.0)
+    column_se = af.std(axis=1, ddof=1) / math.sqrt(paths)
+    assert np.all(np.abs(af.mean(axis=1) - 7.0 * ts) <= 4.0 * column_se + 4.0**-n)
+    assert min(rep.generator_means[1:]) > 0.5  # not the constant Af of criterion 9
+
+
 def test_dynkin_grid_validation():
     spec = IncreasingDoublingApprox(K1, 0)
     tf = TestFunction(lambda x: x, lambda x: 1.0, lambda x: 0.0)

@@ -129,6 +129,22 @@ def test_array_value_matches_scalar_closed_form(spec, closed, signed):
             assert eval_symbol(spec, x, u) == grid[i, j]
 
 
+@pytest.mark.parametrize("spec, closed", [
+    (SymmetricDoubling(), lambda z, u: (cmath.cos(z * u) - 1.0) / (z * z)),
+    (ProductCosine(BrownianNegative()), lambda z, u: (1.0 - cmath.cos(z)) * (-0.5 * u * u)),
+    (ConstantSymbol(BrownianNegative()), lambda z, u: -0.5 * u * u + 0j),
+], ids=["ex31", "prodcos", "constant"])
+def test_entire_symbols_take_complex_states(spec, closed):
+    zs = np.array([0.3 + 0.2j, 1.0 - 0.5j, 2.0 + 1e-3j, 0.05j])
+    us = np.array([0.5, 3.0, 40.0])
+    grid = spec.value(zs[:, None], us)
+    assert grid.dtype == complex
+    for i, z in enumerate(zs.tolist()):
+        for j, u in enumerate(us.tolist()):
+            want = closed(z, u)
+            assert abs(grid[i, j] - want) <= 1e-12 * (1.0 + u * u) * max(1.0, abs(want))
+
+
 def test_increasing_rejects_array_with_negative_state():
     with pytest.raises(DomainError, match="-0.5"):
         IncreasingDoubling().value(np.array([0.0, 1.0, -0.25, 2.0, -0.5]), 1.0)
@@ -297,3 +313,6 @@ def test_lattice_unit_tokens():
     assert LatticeUnit.parse("cbrt2").value == pytest.approx(2.0 ** (1 / 3))
     with pytest.raises(ValueError):
         LatticeUnit.parse("-2")
+    for token in ("inf", "nan"):
+        with pytest.raises(ValueError, match="positive and finite"):
+            LatticeUnit.parse(token)
