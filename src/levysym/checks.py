@@ -509,6 +509,8 @@ def audit_ellipticity(spec, exponent_spec, x0: float, radius: float,
         )
     if not 1 <= max_order <= 3:
         raise ValueError(f"audit orders run from 1 to 3, got {max_order}")
+    if not (math.isfinite(x0) and math.isfinite(radius)):
+        raise ValueError(f"x0 and radius must be finite, got {x0} and {radius}")
     xs = (
         np.linspace(x0 - radius, x0 + radius, 21)
         if xgrid is None
@@ -517,6 +519,11 @@ def audit_ellipticity(spec, exponent_spec, x0: float, radius: float,
     us = (
         np.geomspace(1.0, 1e3, 61) if ugrid is None else np.asarray(ugrid, dtype=float)
     )
+    for name, grid in (("x", xs), ("u", us)):
+        if grid.size == 0:
+            raise ValueError(f"the {name} grid of the ellipticity audit is empty")
+        if not np.all(np.isfinite(grid)):
+            raise ValueError(f"the {name} grid of the ellipticity audit is not finite")
     if np.any(us == 0.0):
         raise ValueError("u = 0 must be excluded from quotient grids")
     psi = exponent_spec.psi(us)

@@ -266,6 +266,8 @@ def cmd_audit(args) -> int:
     else:
         raise ValueError(f"unknown audit spec {args.spec!r} (ex31 | prodcos)")
     psi = symbols.BrownianNegative()
+    if not (math.isfinite(args.umin) and math.isfinite(args.umax)):
+        raise ValueError(f"--umin and --umax must be finite, got {args.umin} and {args.umax}")
     ugrid = np.geomspace(max(args.umin, 1e-6), args.umax, args.upoints)
     audit = checks.audit_ellipticity(
         spec, psi, args.x0, args.radius, ugrid=ugrid, max_order=args.orders,

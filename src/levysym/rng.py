@@ -7,11 +7,13 @@ counter ``j`` and receives two independent uint64 words, i.e. two uniforms.
 Because outputs are a pure function of (key, counter), results do not
 depend on execution order, scheduling, or batch size: the same master seed
 always reproduces the same ensemble bit for bit.  :func:`event_uniforms` is
-the one reader of the event streams: the lock-step engine calls it on a
-tile of consecutive counters for all active path keys at once, the per-path
-engine on one key at a block of 1 024 consecutive counters.  Either way
-event j of path i is counter j of stream i, so drawing a counter early, or
-drawing one that no event uses, changes no result.
+the one reader of the event streams.  The lock-step engine calls it on a
+tile of consecutive counters for all active path keys at once.  The per-path
+engine calls it on counters 0 .. 255 for a group of path keys at once, and
+for a path that runs past them on further blocks of 1 024 counters of its own
+key.  Either way event j of path i is counter j of stream i, so drawing a
+counter early, drawing it beside other keys' counters, or drawing one that no
+event uses changes no result.
 
 The 64x64 -> 128 bit multiply is emulated with 32-bit limbs, which keeps
 everything inside NumPy uint64 vector arithmetic (exactness is covered by
@@ -98,8 +100,8 @@ def event_uniforms(keys, counter):
 
     ``keys`` and ``counter`` broadcast, and each output element depends only
     on its own (key, counter) pair: a column of counters against a row of
-    keys gives the lock-step engine's tile (counters x paths), one key at a
-    block of counters the per-path engine's block.
+    keys gives a tile (counters x paths), as both engines draw them, and one
+    key at a run of counters the per-path engine's later blocks.
     """
     w0, w1 = philox2x64(np.asarray(counter, dtype=np.uint64), _EVENT_DOMAIN, keys)
     return _to_unit_interval(w0), _to_unit_interval(w1)

@@ -9,21 +9,25 @@ inverse-CDF exponentials driven by the counter-based streams of
 stream keyed by (master seed, i), which makes ensembles reproducible and
 independent of scheduling.  Both engines draw counters ahead of use through
 ``rng.event_uniforms``, which cannot change a result because a draw depends
-only on (key, counter): the per-path engine reads its stream in blocks of
-1 024 counters, the lock-step engine in tiles of consecutive counters for
-all active paths, about 16 384 uniforms per call.
+only on (key, counter).  The lock-step engine draws tiles of consecutive
+counters for all active paths, about 16 384 uniforms per call.  The per-path
+engine draws counters 0 .. 255 for 64 paths in one call (the same tile
+size), and a path that runs past them reads its own stream in further blocks
+of 1 024 counters.
 
 The generic per-path engine works for any ``JumpRule``, retains
-trajectories on request and is the oracle.  Endpoint-only ensembles of the
-two doubling families run instead in one vectorized lock-step loop,
-``_lockstep``, which steps int64 levels through a chain table: the states
-the chain reaches from x0, each with its total rate and successors as the
-per-path engine's own rule computes them.  Both engines give identical
-endpoints, event counts and truncations; an ensemble holds its endpoints as
-two columns, mantissas and scales.  ``SimConfig.observe`` adds the state at
-each of a sorted list of times before the horizon, recorded in the same pass
-as two more columns per time: column q of a run is the endpoint of the run
-with the same seed and horizon ``observe[q]``.
+trajectories on request and is the oracle.  It runs on Python floats, and
+within one ensemble it computes each state's rates and successors once: a
+memo keeps them for every state a path has been to.  Endpoint-only
+ensembles of the two doubling families run instead in one vectorized
+lock-step loop, ``_lockstep``, which steps int64 levels through a chain
+table: the states the chain reaches from x0, each with its total rate and
+successors as the per-path engine's own rule computes them.  Both engines
+give identical endpoints, event counts and truncations; an ensemble holds
+its endpoints as two columns, mantissas and scales.  ``SimConfig.observe``
+adds the state at each of a sorted list of times before the horizon,
+recorded in the same pass as two more columns per time: column q of a run
+is the endpoint of the run with the same seed and horizon ``observe[q]``.
 """
 
 from __future__ import annotations
@@ -101,6 +105,11 @@ class JumpRule:
     Displacements are exact dyadic shifts in units of k.  ``family`` names a
     built-in rule so ensembles can route to the vectorized engine; generic
     user rules leave it None.
+
+    ``moves`` must be a pure function of the state: the same moves, in the
+    same order, every time it is called with equal states.  Both engines
+    call it once per state and reuse the answer, the lock-step engine in its
+    chain table and the per-path engine in a memo that lasts one ensemble.
     """
 
     moves: Callable[[ExactState], tuple[tuple[float, tuple[int, int]], ...]]
@@ -237,15 +246,55 @@ def jump_rule_of(spec) -> JumpRule:
 # ----------------------------------------------------------------------
 # generic per-path engine
 # ----------------------------------------------------------------------
-#: counters the per-path engine reads from its stream at a time
+#: counters of each path's first draw; ``_TILE // _FIRST`` paths draw them in
+#: one Philox call
+_FIRST = 256
+#: counters a path draws at a time from its own key past the first ones
 _BLOCK = 1024
 
 
-def _run_path(rule: JumpRule, x0: ExactState, cfg: SimConfig, key,
-              record: bool) -> tuple:
+def _draws(keys, counters) -> tuple[list, list]:
+    """(-log u1, u2) of ``rng.event_uniforms(keys, counters)`` as Python
+    floats, transposed: a tile (counters x keys) gives one list per key."""
+    u1, u2 = rng.event_uniforms(keys, counters)
+    return (-np.log(u1)).T.tolist(), u2.T.tolist()
+
+
+def _first_draws(keys) -> list[tuple[list, list]]:
+    """(-log u1, u2) of counters 0 .. ``_FIRST`` - 1 for each key, in one call."""
+    e1, u2 = _draws(keys[None, :], np.arange(_FIRST, dtype=np.uint64)[:, None])
+    return list(zip(e1, u2))
+
+
+def _entry(memo: dict, rule: JumpRule, state: ExactState) -> tuple:
+    """``memo``'s entry for ``state``: (state, in-order total rate, moves, the
+    entries of the successors, None until a path takes that move)."""
+    entry = memo.get(state)
+    if entry is None:
+        move_list = rule.moves(state)
+        total = 0.0
+        for r, _ in move_list:
+            total += r
+        entry = memo[state] = (state, total, move_list, [None] * len(move_list))
+    return entry
+
+
+def _run_path(rule: JumpRule, x0: ExactState, cfg: SimConfig, key, record: bool,
+              first: tuple[list, list], memo: dict) -> tuple:
     """(endpoint, events, truncated, jump times, states, observed) of one path;
     ``observed[q]`` is its state at ``cfg.observe[q]``, jump times and states
-    are kept only with ``record``."""
+    are kept only with ``record``.
+
+    Event j reads counter j of the stream ``key``: ``first`` holds the
+    (-log u1, u2) draws of counters 0 .. ``_FIRST`` - 1 as Python floats, and
+    past them the path draws ``_BLOCK`` counters at a time.  ``memo`` holds
+    the ``_entry`` of every state the rule's paths have been to; it may come
+    from earlier paths of the same rule, since ``rule.moves`` is a pure
+    function of the state.
+    """
+    e1, u2 = first
+    base, limit = 0, len(e1)  # the draws cover counters base .. limit - 1
+    entry = _entry(memo, rule, x0)
     state = x0
     t = 0.0
     times: list[float] = []
@@ -254,44 +303,41 @@ def _run_path(rule: JumpRule, x0: ExactState, cfg: SimConfig, key,
     observed: list[ExactState] = []
     events = 0
     truncated = False
+    horizon, max_events = cfg.horizon, cfg.max_events
     while True:
-        move_list = rule.moves(state)
-        total = 0.0
-        for r, _ in move_list:
-            total += r
+        state, total, move_list, succ = entry
         if total <= 0.0:
             break  # absorbing state
-        i = events % _BLOCK
-        if i == 0:  # event j reads counter j
-            counters = np.arange(events, events + _BLOCK, dtype=np.uint64)
-            u1, u2 = rng.event_uniforms(key, counters)
-            e1 = -np.log(u1)
+        if events == limit:
+            base, limit = events, events + _BLOCK
+            e1, u2 = _draws(key, np.arange(base, limit, dtype=np.uint64))
+        i = events - base
         t += e1[i] / total
         while pending and t > pending[-1]:
             pending.pop()
             observed.append(state)
-        if t > cfg.horizon:
+        if t > horizon:
             break
-        if events >= cfg.max_events:
+        if events >= max_events:
             truncated = True
             break
         # categorical choice proportional to rates
-        if len(move_list) == 1:
-            dm, ds = move_list[0][1]
-        else:
+        c = len(move_list) - 1
+        if c:
             target = u2[i] * total
             acc = 0.0
-            dm, ds = move_list[-1][1]
-            for r, disp in move_list:
+            for c_try, (r, _) in enumerate(move_list):
                 acc += r
                 if target < acc:
-                    dm, ds = disp
+                    c = c_try
                     break
-        state = state.shifted(dm, ds)
+        entry = succ[c]
+        if entry is None:
+            entry = succ[c] = _entry(memo, rule, state.shifted(*move_list[c][1]))
         events += 1
         if record:
             times.append(t)
-            states.append(state)
+            states.append(entry[0])
     observed += [state] * len(pending)  # absorbed or truncated before these times
     return state, events, truncated, times, states, observed
 
@@ -299,8 +345,9 @@ def _run_path(rule: JumpRule, x0: ExactState, cfg: SimConfig, key,
 def simulate_path(rule: JumpRule, x0: ExactState, cfg: SimConfig,
                   path_index: int = 0) -> Path:
     """One trajectory, deterministic in (cfg.seed, path_index)."""
-    key = rng.path_keys(cfg.seed, [path_index])[0]
-    state, events, truncated, times, states, _ = _run_path(rule, x0, cfg, key, True)
+    keys = rng.path_keys(cfg.seed, [path_index])
+    state, events, truncated, times, states, _ = _run_path(
+        rule, x0, cfg, keys[0], True, _first_draws(keys)[0], {})
     return Path(tuple(times), tuple(states), truncated)
 
 
@@ -332,9 +379,13 @@ def simulate_ensemble(rule: JumpRule, x0: ExactState, cfg: SimConfig) -> Ensembl
     counts = []
     truncated_count = 0
     paths = [] if cfg.store_paths else None
+    memo: dict = {}  # state -> its _entry, shared by all paths
+    group = max(1, _TILE // _FIRST)  # paths per first draw
     for i in range(cfg.paths):
+        if i % group == 0:
+            first = _first_draws(keys[i:i + group])
         state, events, truncated, times, states, observed = _run_path(
-            rule, x0, cfg, keys[i], cfg.store_paths
+            rule, x0, cfg, keys[i], cfg.store_paths, first[i % group], memo
         )
         for q, x in enumerate(observed + [state]):
             m[q, i], s[q, i] = x.m, x.s
@@ -351,7 +402,8 @@ def simulate_ensemble(rule: JumpRule, x0: ExactState, cfg: SimConfig) -> Ensembl
 # ----------------------------------------------------------------------
 # vectorized lock-step engine (endpoint-only, built-in families)
 # ----------------------------------------------------------------------
-#: uniforms the lock-step engine draws per Philox call (counters x active paths)
+#: uniforms per Philox call: a lock-step tile (counters x active paths), and the
+#: per-path engine's first draws (``_FIRST`` counters x a group of paths)
 _TILE = 16_384
 
 

@@ -465,6 +465,20 @@ def test_audit_rejects_zero_frequency():
                           ugrid=np.array([0.0, 1.0]))
 
 
+@pytest.mark.parametrize("kwargs, match", [
+    ({"ugrid": np.array([])}, "u grid .* is empty"),
+    ({"xgrid": []}, "x grid .* is empty"),
+    ({"ugrid": np.array([1.0, np.inf])}, "u grid .* not finite"),
+    ({"xgrid": [0.0, np.nan]}, "x grid .* not finite"),
+    ({"x0": np.inf}, "x0 and radius must be finite"),
+    ({"radius": np.nan}, "x0 and radius must be finite"),
+])
+def test_audit_rejects_empty_and_non_finite_grids(kwargs, match):
+    args = {"x0": 0.5, "radius": 0.1} | kwargs
+    with pytest.raises(ValueError, match=match):
+        audit_ellipticity(PRODCOS, BrownianNegative(), **args)
+
+
 # ----------------------------------------------------------------------
 # Groenwall
 # ----------------------------------------------------------------------

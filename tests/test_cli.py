@@ -160,6 +160,11 @@ def test_numeric_failures_exit_with_json_line(tmp_path, capsys):
     ["groenwall", "--c", "1", "--horizon", "nan"],
     ["audit", "--spec", "ex31", "--orders", "0"],
     ["audit", "--spec", "ex31", "--orders", "4"],
+    ["audit", "--spec", "ex31", "--radius", "nan"],
+    ["audit", "--spec", "ex31", "--x0", "inf"],
+    ["audit", "--spec", "prodcos", "--umax", "inf"],
+    ["audit", "--spec", "ex31", "--umin", "nan"],
+    ["audit", "--spec", "ex31", "--upoints", "0"],
 ])
 def test_bad_numeric_inputs_exit_with_json_line(argv, tmp_path, capsys):
     code = main(argv + (["--out", str(tmp_path / "a")] if argv[0] == "audit" else []))

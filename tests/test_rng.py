@@ -56,6 +56,21 @@ def test_per_path_engine_reads_counter_j_across_blocks():
     assert np.array_equal(np.array(path.times), np.cumsum(-np.log(u1)))
 
 
+def test_grouped_first_draws_read_counter_j_of_each_path():
+    # one move at rate 1, as above, for 130 stored paths: paths 0 and 63 share
+    # their first draw, 64 starts the next one and 129 the third, and about
+    # 2 000 events run past counter 256 (the first draw) and 1 280 (a block)
+    rule = simulate.jump_rule_of(IncreasingDoublingApprox(LatticeUnit.parse("1"), 0))
+    cfg = simulate.SimConfig(horizon=2000.0, seed=13, paths=130, store_paths=True)
+    res = simulate.simulate_ensemble(rule, rule.initial_state(), cfg)
+    keys = rng.path_keys(13, np.arange(130))
+    for i in (0, 63, 64, 129):
+        J = len(res.paths[i].times)
+        assert J > 1280
+        u1, _ = rng.event_uniforms(keys[i], np.arange(J))
+        assert np.array_equal(np.array(res.paths[i].times), np.cumsum(-np.log(u1)))
+
+
 def test_order_independence_of_event_uniforms():
     keys = rng.path_keys(5, np.arange(64))
     direct = [rng.event_uniforms(keys[i : i + 1], 9)[0][0] for i in range(64)]

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from levysym import simulate
+from levysym import rng, simulate
 from levysym.errors import UnsupportedSpec
 from levysym.mcstats import Sample, support_audit
 from levysym.simulate import (
@@ -372,6 +372,74 @@ def test_per_path_engine_keeps_endpoints_beyond_int64(family):
         audit = support_audit(Sample.from_ensemble(res), "1")
         assert (audit.off_lattice, audit.nonzero_total, audit.total) == (
             0 if on_lattice else 3, 3, 3)
+
+
+def _three_moves(state):
+    """+1, -1 and +2 at rates that depend on m; m = -3 absorbs (rate 0)."""
+    m = state.m
+    if m == -3:
+        return ((0.0, (1, 0)), (0.0, (-1, 0)), (0.0, (2, 0)))
+    return ((1.5 + 0.5 * (m % 3), (1, 0)), (1.5 + 0.25 * (m % 2), (-1, 0)),
+            (0.25 + 0.125 * (m % 4), (2, 0)))
+
+
+def _reference_path(cfg, i):
+    """Path i of ``_three_moves`` from 0, event by event: (m, events,
+    truncated, jump times, m at each observation time)."""
+    u1, u2 = rng.event_uniforms(rng.path_keys(cfg.seed, [i])[0],
+                                np.arange(cfg.max_events + 1))
+    e1 = -np.log(u1)
+    m, t, j, truncated = 0, 0.0, 0, False
+    times, observed = [], []
+    while True:
+        moves = _three_moves(ExactState("1", 1.0, m, 0))
+        total = 0.0
+        for r, _ in moves:
+            total += r
+        if total <= 0.0:
+            break
+        t += float(e1[j]) / total  # event j reads counter j
+        while len(observed) < len(cfg.observe) and t > cfg.observe[len(observed)]:
+            observed.append(m)
+        if t > cfg.horizon:
+            break
+        if j >= cfg.max_events:
+            truncated = True
+            break
+        target, acc, (dm, _) = float(u2[j]) * total, 0.0, moves[-1][1]
+        for r, (d, _) in moves:
+            acc += r
+            if acc > target:
+                dm = d
+                break
+        m += dm
+        j += 1
+        times.append(t)
+    observed += [m] * (len(cfg.observe) - len(observed))
+    return m, j, truncated, times, observed
+
+
+def test_generic_three_move_rule_matches_reference_loop():
+    # family None runs per path without store_paths; paths absorb at -3, end
+    # at the horizon or at the budget, some past counter 256 of the first draw
+    rule = JumpRule(_three_moves, "1", 1.0)
+    cfg = SimConfig(horizon=100.0, seed=21, paths=140, max_events=400,
+                    observe=(1.0, 10.0, 40.0, 99.0))
+    res = simulate_ensemble(rule, rule.initial_state(), cfg)
+    refs = [_reference_path(cfg, i) for i in range(cfg.paths)]
+    assert res.m.tolist() == [r[0] for r in refs]
+    assert res.s.tolist() == [0] * cfg.paths
+    assert res.event_counts == tuple(r[1] for r in refs)
+    assert res.truncated_count == sum(r[2] for r in refs)
+    assert res.m_at.T.tolist() == [r[4] for r in refs]
+    absorbed = [r[0] == -3 for r in refs]
+    assert 0 < sum(absorbed) and 0 < res.truncated_count
+    assert 256 < max(res.event_counts[i] for i in range(cfg.paths) if not absorbed[i])
+    for i in (5, 63, 64, 139):
+        path = simulate_path(rule, rule.initial_state(), cfg, path_index=i)
+        assert path.endpoint == res.endpoints[i]
+        assert list(path.times) == refs[i][3]
+        assert path.truncated == refs[i][2]
 
 
 def test_single_path_equals_ensemble_member():
