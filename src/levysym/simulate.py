@@ -22,9 +22,13 @@ memo keeps them for every state a path has been to.  Endpoint-only
 ensembles of the two doubling families run instead in one vectorized
 lock-step loop, ``_lockstep``, which steps int64 levels through a chain
 table: the states the chain reaches from x0, each with its total rate and
-successors as the per-path engine's own rule computes them.  Both engines
-give identical endpoints, event counts and truncations; an ensemble holds
-its endpoints as two columns, mantissas and scales.  ``SimConfig.observe``
+successors as the per-path engine's own rule computes them.  An event index
+costs it seven array operations and no live mask: the next level is one
+gather from the table's successor array, and a path that has ended is frozen
+by setting its time to NaN.  Both engines give identical endpoints, event
+counts and truncations; an ensemble holds its endpoints as two columns,
+mantissas and scales, and builds ``ExactState`` endpoints on request, one
+per distinct state, shared by the paths that end there.  ``SimConfig.observe``
 adds the state at each of a sorted list of times before the horizon,
 recorded in the same pass as two more columns per time: column q of a run
 is the endpoint of the run with the same seed and horizon ``observe[q]``.
@@ -35,6 +39,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -124,7 +129,8 @@ class JumpRule:
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Ensemble parameters; ``seed`` is the 64-bit master seed."""
+    """Ensemble parameters; ``seed`` is the 64-bit master seed, an integer in
+    [0, 2**64)."""
 
     horizon: float
     seed: int
@@ -140,6 +146,12 @@ class SimConfig:
         if not all(0.0 < a < b for a, b in zip(observe, observe[1:] + (self.horizon,))):
             raise ValueError("observation times must increase strictly inside (0, horizon)")
         object.__setattr__(self, "observe", observe)
+        for name in ("seed", "paths", "max_events"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if not 0 <= self.seed < 1 << 64:
+            raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
         if self.max_events < 0:
             raise ValueError("max_events must be nonnegative")
         if self.paths < 1:
@@ -192,8 +204,12 @@ class EnsembleResult:
 
     @functools.cached_property
     def endpoints(self) -> tuple[ExactState, ...]:
-        ms, ss = self.m.tolist(), self.s.tolist()
-        return tuple(ExactState(self.unit_tag, self.k, m, s) for m, s in zip(ms, ss))
+        """Path i's endpoint as an ExactState.  Paths that end at the same
+        (m, s) share one state object, which is safe since states are frozen;
+        an ensemble ends at few distinct states, so this builds few of them."""
+        pairs = list(zip(self.m.tolist(), self.s.tolist()))
+        shared = {pair: ExactState(self.unit_tag, self.k, *pair) for pair in set(pairs)}
+        return tuple(map(shared.__getitem__, pairs))
 
 
 # ----------------------------------------------------------------------
@@ -441,9 +457,11 @@ class _ChainTable:
             self.states.append(state)
         return self.level[state]
 
-    def extend(self, depth) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def extend(self, depth) -> tuple[np.ndarray, np.ndarray]:
         """Expand the levels reached in fewer than ``depth`` events (all: depth
-        inf); return rate, up and down arrays, NaN and -1 at unexpanded levels."""
+        inf); return the rate array and the successor array, whose row is a
+        level's (first move, last move) successors; NaN and -1 at unexpanded
+        levels and at level -1, the last row."""
         while self.depth < depth:
             frontier = self.states[len(self.rate):]  # the levels at self.depth
             if not frontier:
@@ -459,99 +477,104 @@ class _ChainTable:
                                   for _, d in (moves[0], moves[-1])])
             self.depth += 1
         pad = len(self.states) + 1 - len(self.rate)
-        up, down = np.array(self.succ + [[-1, -1]] * pad).T
-        return np.array(self.rate + [math.nan] * pad), up, down
+        return np.array(self.rate + [math.nan] * pad), np.array(self.succ + [[-1, -1]] * pad)
 
 
 def _lockstep(table: _ChainTable, cfg: SimConfig) -> EnsembleResult:
     """One loop over all active paths, one iteration per event index.
 
-    Paths step through ``table``'s levels from level 0: the total rate is
-    ``rate[lev]``, the next level ``up[lev]`` if u2 < 0.5 else ``down[lev]``
-    (two moves have equal rates, so this is the per-path engine's choice),
-    and the table doubles its depth whenever iteration j reaches it.  All
-    active paths have made j jumps at iteration j, so event j of path i
-    reads counter j of stream i, as in the per-path engine.  The uniforms are
-    drawn a tile at a time: counters j .. j + B - 1 for every active path in
-    one call, B about ``_TILE`` / active (never past ``max_events``).
+    Paths step through ``table``'s levels from level 0, each held as its
+    position ``at`` = 2 * level in the flattened successor array: the total
+    rate is ``rate[at]`` and the next position one gather, ``succ[at + c]``
+    with c = 1 if u2 >= 0.5 else 0 (the first move or the last; two moves
+    have equal rates, so this is the per-path engine's choice).  The table
+    doubles its depth whenever iteration j reaches it.  All active paths
+    have made j jumps at iteration j, so event j of path i reads counter j of
+    stream i, as in the per-path engine.  The uniforms are drawn a tile at a
+    time: counters j .. j + B - 1 for every active path in one call, B about
+    ``_TILE`` / active (never past ``max_events``).
 
     The horizon is the last of the observation times ``cfg.observe``; each
     path holds the index of its next one.  An event that would happen after
     that time records the path's level in the time's column instead, and
     again for every later time it also passes; a path ends when it passes
     the horizon, or at ``max_events``, where its state fills the columns not
-    yet recorded.  A path that ends inside a tile is frozen where it ended
-    and dropped when the tile ends.  A path at level -1 never passes a time
-    (rate NaN), and the tile's end raises ``_LockstepUnfit``.
+    yet recorded.  A path that ends inside a tile is frozen: its time
+    becomes NaN, which passes no time again (its position may still move,
+    unread), and it is dropped when the tile ends.  No step reads a live
+    mask.  A path at level -1 never passes a time either (rate NaN): the
+    live paths are checked for it at each tile's end, before they truncate,
+    and one there raises ``_LockstepUnfit``.
     """
     N = cfg.paths
     keys = rng.path_keys(cfg.seed, np.arange(N))
-    lev = np.zeros(N, dtype=np.int64)
+    at = np.zeros(N, dtype=np.int64)
     t = np.zeros(N)
     idx = np.arange(N)
     Q = len(cfg.observe)
     times = np.array(cfg.observe + (cfg.horizon,))
     nxt = np.zeros(N, dtype=np.int64)  # per path: the next column to record, or Q
-    obs_lev = np.zeros((Q, N), dtype=np.int64)  # column q: levels at observe[q]
-    out_lev = np.zeros(N, dtype=np.int64)
+    obs_at = np.zeros((Q, N), dtype=np.int64)  # column q: positions at observe[q]
+    out_at = np.zeros(N, dtype=np.int64)
     out_events = np.zeros(N, dtype=np.int64)
     truncated = np.zeros(N, dtype=bool)
     j = 0
 
     def finish(rows):  # rows (a mask or slice of the active paths) end at event j
-        out_lev[idx[rows]] = lev[rows]
+        out_at[idx[rows]] = at[rows]
         out_events[idx[rows]] = j
 
     def observe(passed):  # rows of mask ``passed`` are past their next time
         rows = np.flatnonzero(passed)
         while (rows := rows[nxt[idx[rows]] < Q]).size:
             paths = idx[rows]
-            obs_lev[nxt[paths], paths] = lev[rows]
+            obs_at[nxt[paths], paths] = at[rows]
             nxt[paths] += 1
             rows = rows[t[rows] > times[nxt[paths]]]
 
     while idx.size:
         B = max(1, min(_TILE // idx.size, cfg.max_events + 1 - j))
+        last = j + B > cfg.max_events  # the tile's last row is event max_events
         counters = np.arange(j, j + B, dtype=np.uint64)
         u1, u2 = rng.event_uniforms(keys[idx][None, :], counters[:, None])
         e1 = -np.log(u1)
-        first = u2 < 0.5
+        col = (u2 >= 0.5).view(np.int8)
         tnext = times[nxt[idx]] if Q else cfg.horizon
-        live = None  # every row is live until the first path finishes
+        ended = np.zeros(idx.size, dtype=bool)
         for r in range(B):
             if j >= table.depth:
-                rate, up, down = table.extend(2 * j + 1)
-            t += e1[r] / rate[lev]
+                rate, succ = table.extend(2 * j + 1)
+                rate, succ = rate.repeat(2), 2 * succ.ravel()  # indexed by position
+            t += e1[r] / rate[at]
             done = t > tnext
-            if live is not None:
-                done &= live
-            if Q and done.any():
-                observe(done)
-                tnext = times[nxt[idx]]
-                done &= t > tnext
             if done.any():
+                if Q:
+                    observe(done)
+                    tnext = times[nxt[idx]]
+                    done &= t > tnext
                 finish(done)
-                live = ~done if live is None else live & ~done
-                if not live.any():
+                t[done] = math.nan  # frozen
+                ended |= done
+                if ended.all():
                     break
-            if j >= cfg.max_events:
-                rows = slice(None) if live is None else live
-                cols = idx[rows]
-                finish(rows)
-                truncated[cols] = True
-                late = np.arange(Q)[:, None] >= nxt[cols]  # columns not yet recorded
-                obs_lev[:, cols] = np.where(late, lev[rows], obs_lev[:, cols])
-                live = np.zeros(idx.size, dtype=bool)
+            if j == cfg.max_events:
                 break
-            lev_next = np.where(first[r], up[lev], down[lev])
-            lev = lev_next if live is None else np.where(live, lev_next, lev)  # frozen
+            at = succ[at + col[r]]
             j += 1
-        if (lev < 0).any():
+        if ended.any():
+            live = ~ended
+            idx, at, t = idx[live], at[live], t[live]
+        if (at < 0).any():
             raise _LockstepUnfit("a path reached a state the table does not carry")
-        if live is not None:
-            idx, lev, t = idx[live], lev[live], t[live]
+        if last:  # the live paths truncate at event max_events
+            finish(slice(None))
+            truncated[idx] = True
+            late = np.arange(Q)[:, None] >= nxt[idx]  # columns not yet recorded
+            obs_at[:, idx] = np.where(late, at, obs_at[:, idx])
+            break
     x0 = table.states[0]
     table_m, table_s = np.array([(x.m, x.s) for x in table.states], dtype=np.int64).T
+    out_lev, obs_lev = out_at >> 1, obs_at >> 1
     return EnsembleResult(x0.unit_tag, x0.k, table_m[out_lev], table_s[out_lev], cfg.horizon,
                           int(truncated.sum()), tuple(out_events.tolist()),
                           table_m[obs_lev], table_s[obs_lev])

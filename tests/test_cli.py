@@ -165,9 +165,12 @@ def test_numeric_failures_exit_with_json_line(tmp_path, capsys):
     ["audit", "--spec", "prodcos", "--umax", "inf"],
     ["audit", "--spec", "ex31", "--umin", "nan"],
     ["audit", "--spec", "ex31", "--upoints", "0"],
+    ["simulate", "--spec", "ex31approx", "--seed", "-1"],
+    ["nonuniq", "--n", "4", "--seed", str(2**64)],
+    ["moments", "--spec", "ex32approx", "--seed", str(2**70)],
 ])
 def test_bad_numeric_inputs_exit_with_json_line(argv, tmp_path, capsys):
-    code = main(argv + (["--out", str(tmp_path / "a")] if argv[0] == "audit" else []))
+    code = main(argv + (["--out", str(tmp_path / "a")] if argv[0] != "groenwall" else []))
     doc = json.loads(capsys.readouterr().out.splitlines()[-1])
     assert code == EXIT_INPUT
     assert doc["failed"] and doc["reason"] == "input error"

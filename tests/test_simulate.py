@@ -258,6 +258,77 @@ def test_lockstep_int64_fallback_inside_a_tile(spec, x0, horizon):
     assert max(fast.event_counts) > 1
 
 
+@pytest.mark.parametrize(
+    "spec, horizon, seed",
+    [(IncreasingDoublingApprox(K1, 0), 5.0, 2), (SymmetricDoublingApprox(K1, 1), 1.5, 3)],
+    ids=["inc", "sym"],
+)
+def test_lockstep_freezes_paths_at_every_exit_of_a_tile(spec, horizon, seed, monkeypatch):
+    # one tile holds events 0 .. 6 of all 16 paths: some paths end at its
+    # first row, some at its last, and the rest truncate there
+    calls = []
+    draw = rng.event_uniforms
+    monkeypatch.setattr(rng, "event_uniforms", lambda *a: calls.append(a) or draw(*a))
+    monkeypatch.setattr(simulate, "_TILE", 7 * 16)
+    rule = jump_rule_of(spec)
+    x0 = rule.initial_state()
+    cfg = dict(horizon=horizon, seed=seed, paths=16, max_events=6,
+               observe=(horizon / 4, horizon / 2))
+    fast = simulate_ensemble(rule, x0, SimConfig(**cfg))
+    assert fast.m.dtype == np.int64 and len(calls) == 1
+    slow = simulate_ensemble(rule, x0, SimConfig(**cfg, store_paths=True))
+    assert fast.endpoints == slow.endpoints
+    assert fast.event_counts == slow.event_counts
+    assert fast.truncated_count == slow.truncated_count
+    assert fast.m_at.tolist() == slow.m_at.tolist()
+    assert fast.s_at.tolist() == slow.s_at.tolist()
+    last_row = [n == 6 and not p.truncated for n, p in zip(slow.event_counts, slow.paths)]
+    assert 0 in fast.event_counts and any(last_row) and fast.truncated_count > 0
+
+
+@pytest.mark.parametrize("family", [SymmetricDoublingApprox, IncreasingDoublingApprox])
+@pytest.mark.parametrize("n", [4, 8])
+@pytest.mark.parametrize("store_paths", [False, True], ids=["lockstep", "perpath"])
+def test_unit_two_at_n_plus_one_runs_as_unit_one_at_n(family, n, store_paths):
+    # k**2 = 4 scales every rate by a power of two: (k = 2, n + 1) and
+    # (k = 1, n) have the same rate floats, so the same draws give the same run
+    cfg = SimConfig(horizon=1.0, seed=5, paths=3000 if not store_paths else 300,
+                    store_paths=store_paths)
+    one, two = (simulate_ensemble(rule, rule.initial_state(), cfg)
+                for rule in (jump_rule_of(family(K1, n)),
+                             jump_rule_of(family(LatticeUnit.parse("2"), n + 1))))
+    assert one.m.dtype == two.m.dtype == (object if store_paths else np.int64)
+    assert one.values.tolist() == two.values.tolist()
+    assert one.event_counts == two.event_counts
+
+
+@pytest.mark.parametrize("store_paths", [False, True], ids=["lockstep", "perpath"])
+@pytest.mark.parametrize("family", [SymmetricDoublingApprox, IncreasingDoublingApprox])
+def test_endpoints_share_one_state_per_point(family, store_paths):
+    rule = jump_rule_of(family(K1, 4))
+    res = simulate_ensemble(rule, rule.initial_state(),
+                            SimConfig(horizon=1.0, seed=9, paths=300, store_paths=store_paths))
+    fresh = [ExactState(res.unit_tag, res.k, m, s)
+             for m, s in zip(res.m.tolist(), res.s.tolist())]
+    assert list(res.endpoints) == fresh
+    shared = {}
+    for state in res.endpoints:  # equal states are one object
+        assert shared.setdefault(state, state) is state
+    assert len(shared) < len(fresh)
+
+
+def test_lockstep_endpoints_are_at_most_one_object_per_level(monkeypatch):
+    tables = []
+    run = simulate._lockstep
+    monkeypatch.setattr(simulate, "_lockstep",
+                        lambda table, cfg: tables.append(table) or run(table, cfg))
+    rule = jump_rule_of(SymmetricDoublingApprox(K1, 4))
+    res = simulate_ensemble(rule, rule.initial_state(),
+                            SimConfig(horizon=1.0, seed=1, paths=10_000))
+    (table,) = tables
+    assert len({id(state) for state in res.endpoints}) <= len(table.states)
+
+
 @pytest.mark.parametrize("m, horizon", [(3, 50.0), (-5, 100.0), (7 << 10, 1e8)])
 def test_lockstep_runs_symmetric_starts_off_the_ladder_of_0(m, horizon):
     # x0's own doubling ladder is tabulated beside the ladders of 0
@@ -295,7 +366,8 @@ def test_chain_table_matches_the_rule(family, k, n, monkeypatch):
     rule = jump_rule_of(family(LatticeUnit.parse(k), n))
     for x0 in (rule.initial_state(), rule.initial_state(3)):
         table = _chain_table(rule, x0, monkeypatch)
-        rate, up, down = table.extend(300)
+        rate, succ = table.extend(300)
+        up, down = succ.T
         built = len(table.rate)
         assert table.states[0] == x0
         assert len(set(table.states)) == len(table.states)
@@ -533,6 +605,27 @@ def test_sim_config_validation():
         with pytest.raises(ValueError):
             SimConfig(horizon=1.0, seed=1, observe=observe)
     assert SimConfig(horizon=1.0, seed=1, observe=[0.25, 0.5]).observe == (0.25, 0.5)
+    # seeds outside [0, 2**64) would wrap onto another seed's streams
+    for seed in (-1, 2**64, 2**70):
+        with pytest.raises(ValueError, match="seed"):
+            SimConfig(horizon=1.0, seed=seed)
+    # seed, paths and max_events must be integers, bool excluded
+    for field, value in [("seed", 1.0), ("seed", True), ("seed", "1"), ("paths", 2.5),
+                         ("paths", True), ("max_events", 10.0), ("max_events", False),
+                         ("paths", np.bool_(True))]:
+        with pytest.raises(ValueError, match=field):
+            SimConfig(**{"horizon": 1.0, "seed": 1, field: value})
+    assert SimConfig(horizon=1.0, seed=np.uint64(7), paths=np.int64(3)).paths == 3
+
+
+def test_in_range_seeds_keep_their_streams():
+    rule = jump_rule_of(SymmetricDoublingApprox(K1, 4))
+    for seed, head, total in [(0, (83, 70, 9, 37, 30, 87, 50, 20), 949),
+                              (2**63, (29, 24, 8, 39, 25, 12, 13, 46), 706),
+                              (2**64 - 1, (9, 51, 67, 7, 33, 38, 6, 49), 874)]:
+        res = simulate_ensemble(rule, rule.initial_state(),
+                                SimConfig(horizon=1.0, seed=seed, paths=20))
+        assert res.event_counts[:8] == head and sum(res.event_counts) == total
 
 
 def test_artifact_formats():
