@@ -4,7 +4,7 @@ state-dependent Levy exponents.
 The package has five layers:
 
 * :mod:`levysym.measures` - exact complex-measure algebra on 1-D lattices;
-* :mod:`levysym.symbols` - symbols q(x, u), triplets, generators, audits;
+* :mod:`levysym.symbols` - symbols q(x, u), triplets and generators;
 * :mod:`levysym.simulate` - exact-lattice kinetic Monte Carlo simulation;
 * :mod:`levysym.mcstats` - moments, empirical characteristic functions,
   support audits, martingale residuals;
@@ -44,12 +44,9 @@ from .errors import (
 )
 from .measures import (
     LatticeComplexMeasure,
-    cosh_measure,
     convolve_sequence,
     dirac,
     exp_measure,
-    sinh_measure,
-    zero_measure,
 )
 from .mcstats import (
     Sample,
@@ -82,13 +79,8 @@ from .symbols import (
     SymmetricDoublingApprox,
     TestFunction,
     TripletExponent,
-    TripletField,
     apply_generator,
-    boundedness_audit,
     eval_symbol,
-    hoelder_modulus,
-    spec_from_json,
-    spec_to_json,
     triplet_of,
 )
 

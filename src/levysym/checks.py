@@ -122,13 +122,12 @@ def plateau_bump(y):
     return smoothstep(8.0 * (y - 0.125)) * smoothstep(8.0 * (0.875 - y))
 
 
-def localize_fourierize(spec, x0: float, ell: int, nmax: int = 64,
-                        quad_points: int = 4096, ugrid=None) -> FourierSymbol:
+def localize_fourierize(spec, x0: float, ell: int, nmax: int = 64) -> FourierSymbol:
     """Window the symbol around x0 and extract its Fourier series.
 
     Builds q_l(y,u) = bump(y) (q(gamma(y),u) - psi(u)) + psi(u) on the unit
     interval, gamma(y) = (y - 1/2)/ell + x0 and psi = q(x0, .), computes
-    c_n(u) by ``quad_points``-point periodic trapezoid for |n| <= nmax, and
+    c_n(u) by 4096-point periodic trapezoid for |n| <= nmax, and
     phases them into cosine/sine coefficients at wavenumber k = 2 pi ell:
     a_n = e^{2 pi i n (1/2 - ell x0)} c_n, b_n = i a_n.  Each call of the
     returned ``coefficients(u)`` makes one array evaluation of the symbol on
@@ -136,8 +135,8 @@ def localize_fourierize(spec, x0: float, ell: int, nmax: int = 64,
 
     The reported residual is the heuristic decay estimate
     nmax * max(|c_{+-nmax}(u)|).  Raises QuadratureUnderresolved when the
-    edge coefficients exceed 1e-3 of the total coefficient mass on the
-    check grid.
+    edge coefficients exceed 1e-3 of the total coefficient mass at u = 1
+    or u = 5.
     """
     if ell < 1:
         raise ValueError("window parameter ell must be a positive integer")
@@ -150,7 +149,8 @@ def localize_fourierize(spec, x0: float, ell: int, nmax: int = 64,
                 f"localization window [{x0 - 0.5 / ell}, {x0 + 0.5 / ell}] leaves "
                 f"the symbol's state space: {err}"
             ) from err
-    ys = np.arange(quad_points) / quad_points
+    nodes = 4096
+    ys = np.arange(nodes) / nodes
     bump = plateau_bump(ys)
     states = (ys - 0.5) / ell + x0  # gamma_ell(y)
     idx = np.arange(-nmax, nmax + 1)
@@ -161,10 +161,9 @@ def localize_fourierize(spec, x0: float, ell: int, nmax: int = 64,
         """c_n(u) for n = -nmax..nmax (index shifted by nmax)."""
         psi_u = eval_symbol(spec, x0, u)
         windowed = bump * (eval_symbol(spec, states, u) - psi_u) + psi_u
-        return (np.fft.fft(windowed) / quad_points)[idx % quad_points]
+        return (np.fft.fft(windowed) / nodes)[idx % nodes]
 
-    check_grid = [1.0, 5.0] if ugrid is None else [float(u) for u in ugrid]
-    for u in check_grid:
+    for u in (1.0, 5.0):
         c = spectrum(u)
         total = float(np.sum(np.abs(c)))
         edge = max(abs(c[0]), abs(c[-1]))
@@ -615,9 +614,8 @@ def groenwall_verify(ts, phis, c: float, beta=None) -> GronwallReport:
     return GronwallReport(hypothesis_ok, first, conclusion_ok, excess)
 
 
-def groenwall_recursion_table(phi0: float, c: float, horizon: float, steps: int,
-                              beta_step: float = 0.0):
-    """Table from the discrete recursion phi_{m+1} = (1 + c h) phi_m + beta,
+def groenwall_recursion_table(phi0: float, c: float, horizon: float, steps: int):
+    """Table from the discrete recursion phi_{m+1} = (1 + c h) phi_m,
     h = horizon / steps; the horizon must be finite and positive, steps >= 1."""
     if steps < 1 or not 0.0 < horizon < math.inf:
         raise ValueError(f"recursion tables need steps >= 1 and a finite positive "
@@ -627,5 +625,5 @@ def groenwall_recursion_table(phi0: float, c: float, horizon: float, steps: int,
     phis = [phi0]
     for _ in range(steps):
         ts.append(ts[-1] + h)
-        phis.append((1.0 + c * h) * phis[-1] + beta_step)
+        phis.append((1.0 + c * h) * phis[-1])
     return ts, phis

@@ -19,6 +19,7 @@ distinct value over all its columns.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -262,10 +263,6 @@ class SupportAudit:
     total: int
     nonzero_total: int
 
-    @property
-    def clean(self) -> bool:
-        return self.off_lattice == 0
-
 
 def support_audit(sample: Sample, unit_tag: str, kind: str = "geometric",
                   scale: int | None = None) -> SupportAudit:
@@ -313,7 +310,6 @@ class DynkinReport:
     mean_f_terminal: float
     generator_means: tuple[float, ...]
     time_grid: tuple[float, ...]
-    finite_difference_derivatives: bool
 
 
 def dynkin_residual(spec, tf: TestFunction, x0: ExactState, horizon: float,
@@ -321,12 +317,16 @@ def dynkin_residual(spec, tf: TestFunction, x0: ExactState, horizon: float,
     """Monte Carlo check that f(X(t)) - int Af(X(s)) ds is a martingale.
 
     One ensemble runs to the horizon and records each path's state at the
-    interior grid times in the same pass (seed split off the master seed).
+    interior grid times in the same pass (seed split off the master seed,
+    an integer in [0, 2**64)).
     Each path gives f(X(T)) - f(x0) - sum_j w_j Af(X(t_j)) with trapezoid
     weights w; the residual is its mean and the SE its sample standard
     error, so the correlation between grid times is accounted for.  f and Af
     run once per distinct state value.
     """
+    if (isinstance(seed, bool) or not isinstance(seed, numbers.Integral)
+            or not 0 <= seed < 1 << 64):
+        raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
     if paths < 2:
         raise DegenerateSample("need at least two paths for a standard error")
     ts = [float(t) for t in timegrid]
@@ -358,10 +358,7 @@ def dynkin_residual(spec, tf: TestFunction, x0: ExactState, horizon: float,
     slope0 = (g_arr[1] - g_arr[0]) / (ts_arr[1] - ts_arr[0])
     slope1 = (g_arr[-1] - g_arr[-2]) / (ts_arr[-1] - ts_arr[-2])
     quad = h * h / 12.0 * abs(slope1 - slope0)
-    return DynkinReport(
-        residual, se, quad, mean_f, tuple(g_arr.tolist()), tuple(ts),
-        tf.finite_difference,
-    )
+    return DynkinReport(residual, se, quad, mean_f, tuple(g_arr.tolist()), tuple(ts))
 
 
 def _split_seed(seed: int, index: int) -> int:

@@ -256,10 +256,6 @@ class LatticeComplexMeasure:
 # ----------------------------------------------------------------------
 # constructors
 # ----------------------------------------------------------------------
-def zero_measure(unit: float = 1.0, unit_tag: str = "unit") -> LatticeComplexMeasure:
-    return LatticeComplexMeasure(unit, unit_tag, {})
-
-
 def dirac(index: int, unit: float = 1.0, unit_tag: str = "unit",
           weight: complex = 1.0) -> LatticeComplexMeasure:
     """Point mass ``weight * delta_{index * unit}``."""
@@ -291,29 +287,6 @@ def _series_order(norm: float, tol: float, cap: int) -> tuple[int, float]:
     )
 
 
-def _exp_series(mu: LatticeComplexMeasure, tol: float, cap: int, parity) -> tuple:
-    """Sum of the terms mu^{*m}/m!, m <= M, whose order m passes ``parity``.
-
-    The terms and their sum stay raw arrays; term m starts at index m * lo,
-    so the sum spans [min(0, M lo), max(0, M hi)] and is canonicalized once.
-    """
-    order, tail = _series_order(mu.tv_norm(), tol, cap)
-    lo, hi = mu._lo, mu._lo + mu._a.size - 1
-    start = min(0, order * lo)
-    span = max(0, order * hi) - start + 1
-    _check_span(span)
-    total = np.zeros(span, dtype=np.complex128)
-    term = np.ones(1, dtype=np.complex128)  # the m = 0 term, delta_0
-    if parity(0):
-        total[-start] = 1.0
-    for m in range(1, order + 1):
-        term = np.convolve(term, mu._a) * complex(1.0 / m)
-        if parity(m):
-            first = m * lo - start
-            total[first:first + term.size] += term
-    return mu._of(start, total), ExpSeriesReport(order, tail)
-
-
 def exp_measure(mu: LatticeComplexMeasure, tol: float = 1e-12,
                 max_terms: int = EXP_TERM_CAP, with_report: bool = False):
     """Truncated convolution exponential sum_{m<=M} mu^{*m} / m!.
@@ -321,21 +294,23 @@ def exp_measure(mu: LatticeComplexMeasure, tol: float = 1e-12,
     M is the smallest order whose crude tail bound sum_{m>M} ||mu||^m/m!
     falls below ``tol``; raises BudgetExceeded when that would take more
     than ``max_terms`` terms (the norm is too large for the tolerance).
+    The terms and their sum stay raw arrays; term m starts at index m * lo,
+    so the sum spans [min(0, M lo), max(0, M hi)] and is canonicalized once.
     """
-    result, report = _exp_series(mu, tol, max_terms, lambda m: True)
-    return (result, report) if with_report else result
-
-
-def cosh_measure(mu, tol: float = 1e-12, max_terms: int = EXP_TERM_CAP):
-    """Even part of the exponential series (functional cosh)."""
-    result, _ = _exp_series(mu, tol, max_terms, lambda m: m % 2 == 0)
-    return result
-
-
-def sinh_measure(mu, tol: float = 1e-12, max_terms: int = EXP_TERM_CAP):
-    """Odd part of the exponential series (functional sinh)."""
-    result, _ = _exp_series(mu, tol, max_terms, lambda m: m % 2 == 1)
-    return result
+    order, tail = _series_order(mu.tv_norm(), tol, max_terms)
+    lo, hi = mu._lo, mu._lo + mu._a.size - 1
+    start = min(0, order * lo)
+    span = max(0, order * hi) - start + 1
+    _check_span(span)
+    total = np.zeros(span, dtype=np.complex128)
+    term = np.ones(1, dtype=np.complex128)  # the m = 0 term, delta_0
+    total[-start] = 1.0
+    for m in range(1, order + 1):
+        term = np.convolve(term, mu._a) * complex(1.0 / m)
+        first = m * lo - start
+        total[first:first + term.size] += term
+    result = mu._of(start, total)
+    return (result, ExpSeriesReport(order, tail)) if with_report else result
 
 
 # ----------------------------------------------------------------------
@@ -391,32 +366,3 @@ def to_csv(mu: LatticeComplexMeasure) -> str:
         lines.append(f"{j},{z.real:.17g},{z.imag:.17g}")
     return "\n".join(lines) + "\n"
 
-
-def from_csv(text: str) -> LatticeComplexMeasure:
-    """Parse ``to_csv`` output; a repeated index or a non-finite weight is a
-    ``ValueError`` and a span beyond ``MAX_SPAN`` is ``BudgetExceeded``."""
-    unit = None
-    unit_tag = None
-    weights: dict[int, complex] = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            for field in line[1:].split():
-                key, _, value = field.partition("=")
-                if key == "unit":
-                    unit = float(value)
-                elif key == "tag":
-                    unit_tag = value
-            continue
-        if line.startswith("index,"):
-            continue
-        j_s, re_s, im_s = line.split(",")
-        j = int(j_s)
-        if j in weights:
-            raise ValueError(f"measure CSV repeats index {j}")
-        weights[j] = complex(float(re_s), float(im_s))
-    if unit is None or unit_tag is None:
-        raise ValueError("measure CSV is missing the '# unit=... tag=...' line")
-    return LatticeComplexMeasure(unit, unit_tag, weights)

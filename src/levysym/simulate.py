@@ -85,11 +85,6 @@ class ExactState:
     def is_zero(self) -> bool:
         return self.m == 0
 
-    def in_geometric_lattice(self) -> bool:
-        """Exact membership of the value in M_k = k {+-2^z : z in Z} u {0}."""
-        a = abs(self.m)
-        return a == 0 or (a & (a - 1)) == 0
-
     def shifted(self, dm: int, ds: int) -> "ExactState":
         """State displaced by k * dm * 2**-ds, exactly."""
         s = max(self.s, ds)

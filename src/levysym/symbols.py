@@ -15,7 +15,6 @@ provides the built-in families used throughout the package:
   [k 2^-n, k 2^n], totally defined on R.
 * ``ProductCosine(psi)`` - q(x,u) = (1 - cos x) psi(u).
 * ``ConstantSymbol(psi)`` - state-independent exponent.
-* ``TripletField(fn)`` - arbitrary user map x -> LevyTriplet.
 
 Evaluations use cancellation-free closed forms (sinc-squared and phased
 sinc), so the symbols stay accurate near x = 0 and for large |xu|.  Every
@@ -28,7 +27,6 @@ real-only evaluation.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -90,10 +88,6 @@ class LatticeUnit:
     def to_json(self) -> dict:
         return {"value": self.value, "tag": self.tag}
 
-    @staticmethod
-    def from_json(obj: dict) -> "LatticeUnit":
-        return LatticeUnit(float(obj["value"]), str(obj["tag"]))
-
 
 @dataclass(frozen=True)
 class LevyTriplet:
@@ -117,11 +111,6 @@ class LevyTriplet:
             if r <= 0.0:
                 raise ValueError("jump rates must be positive")
 
-    @property
-    def finite_activity(self) -> bool:
-        """True when the triplet is directly simulable (no diffusion part)."""
-        return self.diffusion == 0.0
-
     def exponent(self, u):
         """Levy-Khintchine exponent of this triplet at frequency u (or an
         array of them)."""
@@ -129,13 +118,6 @@ class LevyTriplet:
         for y, r in self.jumps:
             q += r * (np.exp(1j * u * y) - 1.0 - 1j * u * truncation(y))
         return q
-
-    def second_jump_moment(self) -> float:
-        return sum(r * y * y for y, r in self.jumps)
-
-    def activity_bound(self) -> float:
-        """g(x) = |b| + c + integral of y^2 against the jump measure."""
-        return abs(self.drift) + self.diffusion + self.second_jump_moment()
 
 
 # ----------------------------------------------------------------------
@@ -169,21 +151,6 @@ class TripletExponent:
             "c": self.triplet.diffusion,
             "jumps": [[y, r] for y, r in self.triplet.jumps],
         }
-
-
-def exponent_from_json(obj: dict):
-    variant = obj["variant"]
-    if variant == "brownian":
-        return BrownianNegative()
-    if variant == "triplet":
-        return TripletExponent(
-            LevyTriplet(
-                drift=float(obj.get("b", 0.0)),
-                diffusion=float(obj.get("c", 0.0)),
-                jumps=tuple((float(y), float(r)) for y, r in obj.get("jumps", [])),
-            )
-        )
-    raise ValueError(f"unknown exponent variant {variant!r}")
 
 
 # ----------------------------------------------------------------------
@@ -343,28 +310,6 @@ class ConstantSymbol:
         return {"variant": self.wire_name, "psi": self.exponent_spec.to_json()}
 
 
-@dataclass(frozen=True)
-class TripletField:
-    """Symbol given directly by a user-supplied state -> triplet map."""
-
-    triplet_fn: Callable[[float], LevyTriplet]
-
-    wire_name = "tripletfield"
-
-    def value(self, x, u):
-        # the user's map takes one state at a time
-        xb, ub = np.broadcast_arrays(np.asarray(x, dtype=float),
-                                     np.asarray(u, dtype=float))
-        q = [self.triplet(float(xi)).exponent(ui) for xi, ui in zip(xb.flat, ub.flat)]
-        return np.array(q, dtype=complex).reshape(xb.shape)[()]
-
-    def triplet(self, x: float) -> LevyTriplet:
-        return self.triplet_fn(x)
-
-    def to_json(self) -> dict:
-        raise TypeError("TripletField symbols hold a callable and do not serialize")
-
-
 def _base_triplet(exponent_spec) -> LevyTriplet:
     if isinstance(exponent_spec, BrownianNegative):
         return LevyTriplet(diffusion=1.0)
@@ -385,38 +330,20 @@ def eval_symbol(spec, x, u):
 
 
 def triplet_of(spec, x: float) -> LevyTriplet:
-    """Levy-Khintchine triplet of q(x, .); check ``finite_activity`` before
-    handing it to a jump simulator."""
+    """Levy-Khintchine triplet of q(x, .); a jump simulator needs zero
+    diffusion."""
     return spec.triplet(x)
 
 
 @dataclass(frozen=True)
 class TestFunction:
-    """A test function with caller-supplied first and second derivatives.
-
-    ``from_finite_differences`` builds the derivatives numerically (central,
-    step 1e-5 * (1 + |x|)); results computed that way carry the
-    ``finite_difference`` flag so reports can qualify their accuracy.
-    """
+    """A test function with caller-supplied first and second derivatives."""
 
     __test__ = False  # "Test" prefix is domain vocabulary, not a pytest class
 
     f: Callable[[float], float]
     grad: Callable[[float], float]
     hess: Callable[[float], float]
-    finite_difference: bool = False
-
-    @staticmethod
-    def from_finite_differences(f) -> "TestFunction":
-        def grad(x, f=f):
-            h = 1e-5 * (1.0 + abs(x))
-            return (f(x + h) - f(x - h)) / (2.0 * h)
-
-        def hess(x, f=f):
-            h = 1e-5 * (1.0 + abs(x))
-            return (f(x + h) - 2.0 * f(x) + f(x - h)) / (h * h)
-
-        return TestFunction(f, grad, hess, finite_difference=True)
 
 
 def apply_generator(spec, tf: TestFunction, x: float) -> float:
@@ -432,80 +359,3 @@ def apply_generator(spec, tf: TestFunction, x: float) -> float:
     for y, r in trip.jumps:
         out += r * (tf.f(x + y) - fx - gx * truncation(y))
     return out
-
-
-@dataclass(frozen=True)
-class BoundednessReport:
-    """Grid audit of g(x) = |b(x)| + c(x) + int y^2 F(x, dy)."""
-
-    xs: tuple[float, ...]
-    g_values: tuple[float, ...]
-    sup: float
-    arg_sup: float
-
-
-def boundedness_audit(spec, xgrid) -> BoundednessReport:
-    xs = [float(x) for x in xgrid]
-    gs = [triplet_of(spec, x).activity_bound() for x in xs]
-    i = int(np.argmax(gs))
-    return BoundednessReport(tuple(xs), tuple(gs), gs[i], xs[i])
-
-
-@dataclass(frozen=True)
-class HoelderRow:
-    x: float
-    y: float
-    modulus: float
-    closed_bound: float | None
-
-
-def hoelder_modulus(spec, xpairs, ugrid, sup_q_norm: float | None = None,
-                    sup_dq_norm: float | None = None) -> list[HoelderRow]:
-    """Empirical Hoelder modulus sup_u |q(x,u) - q(y,u)| / (1 + u^2) per pair.
-
-    When the caller supplies bounds on sup |q|/(1+u^2) and on
-    sup |d_x q|/(1+u^2), the closed-form bound
-    min(2 sup_q_norm, |x-y| sup_dq_norm) is evaluated alongside.
-    """
-    u = np.asarray(ugrid, dtype=float)
-    pairs = np.array(list(xpairs), dtype=float).reshape(-1, 2)
-    gap = eval_symbol(spec, pairs[:, :1], u) - eval_symbol(spec, pairs[:, 1:], u)
-    worst = np.max(np.hypot(gap.real, gap.imag) / (1.0 + u * u), axis=1)
-    rows = []
-    for (x, y), w in zip(pairs.tolist(), worst):
-        bound = None
-        if sup_q_norm is not None and sup_dq_norm is not None:
-            bound = min(2.0 * sup_q_norm, abs(x - y) * sup_dq_norm)
-        rows.append(HoelderRow(float(x), float(y), float(w), bound))
-    return rows
-
-
-# ----------------------------------------------------------------------
-# JSON wire format
-# ----------------------------------------------------------------------
-_WIRE_CLASSES = {
-    "ex31": SymmetricDoubling,
-    "ex32": IncreasingDoubling,
-}
-
-
-def spec_to_json(spec) -> str:
-    return json.dumps(spec.to_json(), sort_keys=True)
-
-
-def spec_from_json(obj) -> object:
-    """Rebuild a symbol spec from its JSON object (or JSON text)."""
-    if isinstance(obj, str):
-        obj = json.loads(obj)
-    variant = obj["variant"]
-    if variant in _WIRE_CLASSES:
-        return _WIRE_CLASSES[variant]()
-    if variant == "ex31approx":
-        return SymmetricDoublingApprox(LatticeUnit.from_json(obj["k"]), int(obj["n"]))
-    if variant == "ex32approx":
-        return IncreasingDoublingApprox(LatticeUnit.from_json(obj["k"]), int(obj["n"]))
-    if variant == "prodcos":
-        return ProductCosine(exponent_from_json(obj["psi"]))
-    if variant == "constant":
-        return ConstantSymbol(exponent_from_json(obj["psi"]))
-    raise ValueError(f"unknown symbol variant {variant!r}")

@@ -27,12 +27,11 @@ from levysym.errors import UnsupportedSpec, ViolatedDominance
 from levysym.symbols import (
     BrownianNegative,
     ConstantSymbol,
+    IncreasingDoublingApprox,
     LatticeUnit,
-    LevyTriplet,
     ProductCosine,
     SymmetricDoubling,
     SymmetricDoublingApprox,
-    TripletField,
     eval_symbol,
 )
 
@@ -402,7 +401,7 @@ def test_fd_derivative_pinned_ex31_order3():
 
 @pytest.mark.parametrize("spec", [
     SymmetricDoublingApprox(LatticeUnit.parse("1"), 4),
-    TripletField(lambda x: LevyTriplet(diffusion=1.0)),
+    IncreasingDoublingApprox(LatticeUnit.parse("1"), 4),
 ])
 def test_audit_rejects_symbols_not_entire_in_x(spec):
     with pytest.raises(UnsupportedSpec):

@@ -15,14 +15,18 @@ def test_simulate_writes_artifacts_and_svg(tmp_path):
     out = tmp_path / "sim"
     svg = tmp_path / "fig.svg"
     code = main([
-        "simulate", "--spec", "ex31approx", "--k", "1", "--n", "6", "--t", "1",
+        "simulate", "--spec", "ex31approx", "--k", "sqrt2", "--n", "6", "--t", "1",
         "--paths", "3", "--seed", "7", "--svg", str(svg), "--out", str(out),
     ])
     assert code == 0
     assert (out / "endpoints.csv").exists()
     assert (out / "paths.csv").exists()
-    manifest = json.loads((out / "manifest.json").read_text())
+    text = (out / "manifest.json").read_text()
+    assert '"variant": "ex31approx"' in text and '"tag": "sqrt2"' in text
+    manifest = json.loads(text)
     assert manifest["config"]["seed"] == 7
+    assert manifest["spec"] == {"variant": "ex31approx", "n": 6,
+                                "k": {"value": 2.0**0.5, "tag": "sqrt2"}}
     text = svg.read_text()
     assert text.startswith("<svg") and "polyline" in text
 

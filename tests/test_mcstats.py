@@ -176,7 +176,7 @@ def test_support_audit_exactness():
         ExactState("1", 1.0, -8, 0),
     )
     audit = support_audit(_exact_sample(states), "1")
-    assert audit.clean and audit.nonzero_total == 2
+    assert audit.off_lattice == 0 and audit.nonzero_total == 2
     # off-lattice mantissa
     audit2 = support_audit(_exact_sample(states + (ExactState("1", 1.0, 3, 1),)), "1")
     assert audit2.off_lattice == 1
@@ -192,7 +192,7 @@ def test_support_audit_exactness():
 def test_support_audit_dyadic_kind():
     states = (ExactState("1", 1.0, 5, 3), ExactState("1", 1.0, 1, 0))
     audit = support_audit(_exact_sample(states), "1", kind="dyadic", scale=3)
-    assert audit.clean
+    assert audit.off_lattice == 0
     neg = (ExactState("1", 1.0, -1, 2),)
     assert support_audit(_exact_sample(neg), "1", kind="dyadic", scale=3).off_lattice == 1
     mixed = _exact_sample(neg * 3 + states)
@@ -395,7 +395,7 @@ def test_simulated_supports_are_disjoint():
         out[token] = Sample.from_ensemble(res)
     for own, other in (("1", "sqrt2"), ("sqrt2", "1")):
         own_audit = support_audit(out[own], own)
-        assert own_audit.clean
+        assert own_audit.off_lattice == 0
         cross = support_audit(out[own], other)
         assert cross.off_lattice == cross.nonzero_total > 0
 
@@ -461,6 +461,22 @@ def test_dynkin_needs_two_paths():
     x0 = jump_rule_of(spec).initial_state()
     with pytest.raises(DegenerateSample):
         dynkin_residual(spec, tf, x0, 1.0, np.linspace(0.0, 1.0, 3), 1, 1)
+
+
+def test_dynkin_seed_is_checked_where_it_enters():
+    # seeds outside [0, 2**64) used to wrap onto in-range ones (5 + 2**64 ran
+    # as 5, -1 as 2**64 - 1); in-range seeds keep their residuals
+    spec = SymmetricDoublingApprox(K1, 4)
+    tf = TestFunction(lambda x: x * x, lambda x: 2.0 * x, lambda x: 2.0)
+    x0 = jump_rule_of(spec).initial_state()
+    ts = np.linspace(0.0, 1.0, 5)
+    for seed in (5 + 2**64, -1, 2**64, 5.0, True):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            dynkin_residual(spec, tf, x0, 1.0, ts, 200, seed)
+    for seed, residual, se in ((5, 0.4700390625, 0.342728109453538),
+                               (2**64 - 1, -0.0344921875, 0.13047326383104954)):
+        rep = dynkin_residual(spec, tf, x0, 1.0, ts, 200, seed)
+        assert (rep.residual, rep.se) == (residual, se)
 
 
 # ----------------------------------------------------------------------

@@ -28,6 +28,7 @@ from levysym.symbols import (
     IncreasingDoublingApprox,
     LatticeUnit,
     SymmetricDoublingApprox,
+    truncation,
 )
 
 K1 = LatticeUnit.parse("1")
@@ -42,13 +43,6 @@ def test_exact_state_canonical():
     assert (s.m, s.s) == (3, 2)
     assert ExactState("1", 1.0, 0, 9).s == 0
     assert ExactState("1", 1.0, 8, 0).m == 8  # scale floor: stays
-
-
-def test_exact_state_lattice_membership():
-    assert ExactState("1", 1.0, 0, 0).in_geometric_lattice()
-    assert ExactState("1", 1.0, 1, 7).in_geometric_lattice()
-    assert ExactState("1", 1.0, -4, 0).in_geometric_lattice()
-    assert not ExactState("1", 1.0, 3, 2).in_geometric_lattice()
 
 
 def test_exact_state_shift():
@@ -394,6 +388,30 @@ def test_chain_table_matches_the_rule(family, k, n, monkeypatch):
             assert all(succ in (lev + 1, -1) for lev, succ in enumerate(up[:built]))
 
 
+@pytest.mark.parametrize("family", [SymmetricDoublingApprox, IncreasingDoublingApprox])
+def test_chain_levels_move_as_the_symbol_triplet(family, monkeypatch):
+    # one dynamics: at every level of the engine's table the rule's moves,
+    # mapped to (k dm 2^-ds, rate), are the jumps of the symbol's triplet,
+    # with no diffusion and a drift that is all compensator, no true drift
+    def close(a, b):
+        return math.isclose(a, b, rel_tol=1e-15, abs_tol=0.0)
+
+    for k in ("1", "sqrt2", "cbrt2"):
+        for n in (0, 2, 4, 10):
+            spec = family(LatticeUnit.parse(k), n)
+            rule = jump_rule_of(spec)
+            table = _chain_table(rule, rule.initial_state(), monkeypatch)
+            table.extend(40)
+            for state in table.states[:len(table.rate)]:
+                chain = [(rule.k * math.ldexp(dm, -ds), r) for r, (dm, ds) in rule.moves(state)]
+                trip = spec.triplet(state.value)
+                assert trip.diffusion == 0.0
+                assert len(chain) == len(trip.jumps)
+                for (y, r), (ty, tr) in zip(chain, trip.jumps):
+                    assert close(y, ty) and close(r, tr), (k, n, state)
+                assert close(trip.drift, sum(r * truncation(y) for y, r in chain))
+
+
 @pytest.mark.parametrize(
     "spec, budget",  # budget: about the median event count at t = 0.3
     [(SymmetricDoublingApprox(K1, 4), 12), (IncreasingDoublingApprox(K1, 6), 5)],
@@ -544,7 +562,8 @@ def test_paths_stay_on_exact_lattice():
         assert len(path.states) == len(path.times) + 1
         for state in path.states:
             assert state.unit_tag == "sqrt2"
-            assert state.in_geometric_lattice()
+            a = abs(state.m)  # a power of two, or zero
+            assert a & (a - 1) == 0
         assert all(b > a for a, b in zip(path.times, path.times[1:]))
 
 
