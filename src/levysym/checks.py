@@ -8,7 +8,8 @@ The pipeline mirrors the structure of the uniqueness argument:
     and one function of u that returns a_0 and the a_n, b_n as complex
     arrays aligned with n.  The series comes in closed form (product-cosine
     symbols) or from windowed localization around a point: one array
-    evaluation of the symbol on the quadrature states and one FFT per u.
+    evaluation of the symbol on the quadrature states and one FFT per
+    distinct u, kept in the series' own memo of coefficient rows.
 2.  ``check_dominance`` tests that -Re a_0(u) dominates the absolute sum of
     all other coefficients, and ``compute_K`` evaluates the curvature
     constant K = k^2 sup_u sum |n|^2 (|a_n|+|b_n|) / (1+u^2).
@@ -53,6 +54,10 @@ from .symbols import ConstantSymbol, ProductCosine, SymmetricDoubling, eval_symb
 #: default frequency grid for the dominance, K and ECF-distance scans
 DEFAULT_UGRID = np.linspace(-20.0, 20.0, 201)
 
+#: rows a localized series keeps (about 2.2 KiB each at nmax = 64); its
+#: memo is cleared when full
+SERIES_MEMO_ROWS = 512
+
 
 # ----------------------------------------------------------------------
 # Fourier-series view of a symbol
@@ -65,7 +70,12 @@ class FourierSymbol:
     wavenumbers are k*n).  ``coefficients(u)`` returns ``(a0, a, b,
     residual)`` at one frequency u: the constant coefficient, the complex
     cosine and sine coefficient arrays aligned with ``n``, and a bound on
-    the dropped coefficient tail (zero for closed forms).
+    the dropped coefficient tail (zero for closed forms).  Callers treat
+    ``a`` and ``b`` as read-only: a localized series hands out the same
+    read-only ``a`` from its memo on every call at one u (``b`` is a fresh
+    array each call), so ``reconstruct``, ``coefficient_rows``, the
+    dominance and K scans and the majorant all share one computation per
+    frequency.
     """
 
     k: float
@@ -129,14 +139,20 @@ def localize_fourierize(spec, x0: float, ell: int, nmax: int = 64) -> FourierSym
     interval, gamma(y) = (y - 1/2)/ell + x0 and psi = q(x0, .), computes
     c_n(u) by 4096-point periodic trapezoid for |n| <= nmax, and
     phases them into cosine/sine coefficients at wavenumber k = 2 pi ell:
-    a_n = e^{2 pi i n (1/2 - ell x0)} c_n, b_n = i a_n.  Each call of the
-    returned ``coefficients(u)`` makes one array evaluation of the symbol on
-    the quadrature states and one FFT; nothing is cached.
+    a_n = e^{2 pi i n (1/2 - ell x0)} c_n, b_n = i a_n.
+
+    The returned series memoizes its rows by frequency: the first
+    ``coefficients(u)`` at a u makes one array evaluation of the symbol on
+    the quadrature states and one FFT, and keeps ``(a0, a, residual)`` with
+    ``a`` read-only; later calls at the same float u (-0.0 apart from 0.0)
+    return that row and a fresh ``b = 1j * a``.  The memo belongs to the
+    series, holds at most ``SERIES_MEMO_ROWS`` rows and is cleared when
+    full.
 
     The reported residual is the heuristic decay estimate
     nmax * max(|c_{+-nmax}(u)|).  Raises QuadratureUnderresolved when the
     edge coefficients exceed 1e-3 of the total coefficient mass at u = 1
-    or u = 5.
+    or u = 5; the rows of both frequencies go into the memo.
     """
     if ell < 1:
         raise ValueError("window parameter ell must be a positive integer")
@@ -156,12 +172,23 @@ def localize_fourierize(spec, x0: float, ell: int, nmax: int = 64) -> FourierSym
     idx = np.arange(-nmax, nmax + 1)
     n = idx[idx != 0]
     phase = np.exp(2j * math.pi * n * (0.5 - ell * x0))
+    rows: dict[str, tuple[complex, np.ndarray, float]] = {}
 
     def spectrum(u: float) -> np.ndarray:
         """c_n(u) for n = -nmax..nmax (index shifted by nmax)."""
         psi_u = eval_symbol(spec, x0, u)
         windowed = bump * (eval_symbol(spec, states, u) - psi_u) + psi_u
         return (np.fft.fft(windowed) / nodes)[idx % nodes]
+
+    def remember(u: float, c: np.ndarray):
+        """Store and return the row (a0, a, residual) of the spectrum c at u."""
+        a = phase * np.delete(c, nmax)
+        a.flags.writeable = False
+        if len(rows) >= SERIES_MEMO_ROWS:
+            rows.clear()
+        residual = float(max(abs(c[0]), abs(c[-1])) * nmax)
+        row = rows[u.hex()] = complex(c[nmax]), a, residual
+        return row
 
     for u in (1.0, 5.0):
         c = spectrum(u)
@@ -172,12 +199,12 @@ def localize_fourierize(spec, x0: float, ell: int, nmax: int = 64) -> FourierSym
                 f"|c_(+-{nmax})| = {edge:.3g} exceeds 1e-3 of the coefficient "
                 f"mass {total:.3g} at u = {u}"
             )
+        remember(u, c)
 
     def coefficients(u):
-        c = spectrum(float(u))
-        a = phase * np.delete(c, nmax)
-        residual = float(max(abs(c[0]), abs(c[-1])) * nmax)
-        return complex(c[nmax]), a, 1j * a, residual
+        u = float(u)
+        a0, a, residual = rows.get(u.hex()) or remember(u, spectrum(u))
+        return a0, a, 1j * a, residual
 
     return FourierSymbol(k=2.0 * math.pi * ell, n=n, coefficients=coefficients)
 
@@ -202,11 +229,32 @@ def default_dominance_tol(u: float) -> float:
 
 
 def _coefficient_grid(fs: FourierSymbol, u: np.ndarray):
-    """a0, |a_n| + |b_n| (one row per u) and the residual on the grid,
-    computed one u at a time: the (u x state) grid is never held at once."""
-    a0, a, b, residual = zip(*(fs.coefficients(v) for v in u.tolist()))
-    weight = _modulus(np.array(a, dtype=complex)) + _modulus(np.array(b, dtype=complex))
-    return np.array(a0, dtype=complex), weight, np.array(residual, dtype=float)
+    """a0, |a_n| + |b_n| (one row per u) and the residual on the grid.
+
+    The rows are filled one u at a time into preallocated arrays, so the
+    (u x state) grid is never held at once; a localized series serves each
+    u from its memo, so a second scan of the same grid evaluates no symbol.
+    """
+    a0 = np.empty(u.size, dtype=complex)
+    weight = np.empty((u.size, fs.n.size))
+    residual = np.empty(u.size)
+    for i, v in enumerate(u.tolist()):
+        a0[i], a, b, residual[i] = fs.coefficients(v)
+        weight[i] = _modulus(a) + _modulus(b)
+    return a0, weight, residual
+
+
+def _frequency_grid(ugrid, scan: str) -> np.ndarray:
+    """The u grid of a dominance or K scan (default ``DEFAULT_UGRID``):
+    ValueError unless it is a non-empty, one-dimensional, finite array."""
+    u = np.asarray(DEFAULT_UGRID if ugrid is None else ugrid, dtype=float)
+    if u.ndim != 1:
+        raise ValueError(f"the u grid of the {scan} is not one-dimensional")
+    if u.size == 0:
+        raise ValueError(f"the u grid of the {scan} is empty")
+    if not np.all(np.isfinite(u)):
+        raise ValueError(f"the u grid of the {scan} is not finite")
+    return u
 
 
 def _k_integrand(k: float, n: np.ndarray, weight: np.ndarray, u):
@@ -219,14 +267,16 @@ def check_dominance(fs: FourierSymbol, ugrid=None, tol_eq=None) -> DominanceRepo
     """Margins -Re a0(u) - sum(|a_n(u)| + |b_n(u)|) - residual(u) on the grid.
 
     ``tol_eq`` (default ``default_dominance_tol``) is called once, on the
-    array of grid frequencies, and must return the allowance per u; a
-    margin passes when it is at least -tol_eq(u).
+    array of grid frequencies, and must return the allowance per u; the
+    check passes when every margin is at least -tol_eq(u), so a NaN margin
+    fails it.  Raises ValueError for a grid that is empty, not
+    one-dimensional or not finite.
     """
-    u = np.asarray(DEFAULT_UGRID if ugrid is None else ugrid, dtype=float)
+    u = _frequency_grid(ugrid, "dominance check")
     tol = default_dominance_tol if tol_eq is None else tol_eq
     a0, weight, residual = _coefficient_grid(fs, u)
     margins = -a0.real - np.sum(weight, axis=1) - residual
-    ok = not np.any(margins < -tol(u))
+    ok = bool(np.all(margins >= -tol(u)))
     j = int(np.argmin(margins))
     return DominanceReport(u, margins, ok, float(u[j]), float(margins[j]))
 
@@ -243,7 +293,9 @@ class KReport:
 
 
 def compute_K(fs: FourierSymbol, ugrid=None) -> KReport:
-    u = np.asarray(DEFAULT_UGRID if ugrid is None else ugrid, dtype=float)
+    """K on the grid; ValueError for a grid that is empty, not
+    one-dimensional or not finite."""
+    u = _frequency_grid(ugrid, "K computation")
     _, weight, _ = _coefficient_grid(fs, u)
     vals = _k_integrand(fs.k, fs.n, weight, u)
     j = int(np.argmax(vals))
@@ -255,14 +307,17 @@ def compute_K(fs: FourierSymbol, ugrid=None) -> KReport:
 # ----------------------------------------------------------------------
 def term_measure(a: complex, b: complex, kind: str, spacing: float, t: float,
                  tol: float = 1e-12, unit: float | None = None,
-                 unit_tag: str | None = None, index: int = 1) -> LatticeComplexMeasure:
+                 unit_tag: str | None = None, index: int = 1,
+                 with_report: bool = False):
     """Measure with Fourier transform exp(t (b trig(spacing x) - a)).
 
     ``trig`` is cos or sin according to ``kind``.  The base measure is
     mu = (delta_{+spacing} + delta_{-spacing})/2 for cosine and
     (delta_{+spacing} - delta_{-spacing})/(2i) for sine; the result is
     e^{-t a} exp(t b mu).  Atoms land on the lattice of ``unit`` (defaults
-    to the spacing itself) at index multiples of ``index``.
+    to the spacing itself) at index multiples of ``index``.  With
+    ``with_report`` the result comes with the ``ExpSeriesReport`` of the
+    exp series.
     """
     if not 0.0 <= t <= 1.0:
         raise ValueError("term measures are built for t in [0, 1]")
@@ -279,11 +334,13 @@ def term_measure(a: complex, b: complex, kind: str, spacing: float, t: float,
     else:
         raise ValueError(f"kind must be 'cos' or 'sin', got {kind!r}")
     mu = LatticeComplexMeasure(unit, unit_tag, base).scale(t * b)
-    return exp_measure(mu, tol).scale(cmath.exp(-t * complex(a)))
+    series, report = exp_measure(mu, tol, with_report=True)
+    P = series.scale(cmath.exp(-t * complex(a)))
+    return (P, report) if with_report else P
 
 
 def build_term_measure(coef: complex, kind: str, spacing: float, t: float,
-                       tol: float = 1e-12, **kwargs) -> LatticeComplexMeasure:
+                       tol: float = 1e-12, **kwargs):
     """Dominance-rewrite term: transform exp(t(coef trig(spacing x) - |coef|))."""
     return term_measure(abs(coef), coef, kind, spacing, t, tol, **kwargs)
 
@@ -349,7 +406,12 @@ def verify_term_measure(P: LatticeComplexMeasure, a: complex, b: complex,
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class MajorantReport:
-    """Transform match and weighted-mass bound for the assembled measure."""
+    """Transform match and weighted-mass bound for the assembled measure.
+
+    ``series_order`` is the largest truncation order of the term measures'
+    exp series and ``series_tail`` the sum of their tail bounds (0 and 0.0
+    when no term enters).
+    """
 
     u: float
     t: float
@@ -360,6 +422,8 @@ class MajorantReport:
     mass_ok: bool
     K_sigma: float
     rewritten_a0: complex
+    series_order: int
+    series_tail: float
 
     @property
     def all_ok(self) -> bool:
@@ -393,19 +457,16 @@ def assemble_majorant(fs: FourierSymbol, u: float, t: float, ncut: int, xgrid,
     unit = fs.k
     unit_tag = f"series-k{fs.k:.17g}"
     parts = [dirac(0, unit, unit_tag, cmath.exp(t * rewritten))]
+    series = []
     for n_j, a_n, b_n in zip(n.tolist(), a.tolist(), b.tolist()):
-        spacing = fs.k * abs(n_j)
-        if abs(a_n) > 0.0:
-            parts.append(
-                build_term_measure(a_n, "cos", spacing, t, exp_tol,
-                                   unit=unit, unit_tag=unit_tag, index=abs(n_j))
-            )
-        if abs(b_n) > 0.0:
-            sin_coef = b_n if n_j > 0 else -b_n  # sin is odd: fold onto |n|
-            parts.append(
-                build_term_measure(sin_coef, "sin", spacing, t, exp_tol,
-                                   unit=unit, unit_tag=unit_tag, index=abs(n_j))
-            )
+        # sin is odd: fold onto |n|
+        for coef, kind in ((a_n, "cos"), (b_n if n_j > 0 else -b_n, "sin")):
+            if abs(coef) > 0.0:
+                P_n, rep = build_term_measure(coef, kind, fs.k * abs(n_j), t, exp_tol,
+                                              unit=unit, unit_tag=unit_tag,
+                                              index=abs(n_j), with_report=True)
+                parts.append(P_n)
+                series.append(rep)
     P = convolve_sequence(parts)
 
     x = np.asarray(xgrid, dtype=float)
@@ -420,6 +481,8 @@ def assemble_majorant(fs: FourierSymbol, u: float, t: float, ncut: int, xgrid,
         u=float(u), t=float(t), transform_error=worst, transform_ok=worst <= tol,
         weighted_mass=mass, weighted_mass_bound=bound, mass_ok=mass <= bound,
         K_sigma=k_sigma, rewritten_a0=rewritten,
+        series_order=max((r.terms for r in series), default=0),
+        series_tail=sum(r.tail_bound for r in series),
     )
     return P, report
 
@@ -564,8 +627,17 @@ class GronwallReport:
     """Hypothesis and conclusion checks of the perturbed Groenwall lemma.
 
     Hypothesis: phi(t_j) <= (1 + (t_j - t_i) c) phi(t_i) + beta(t_j - t_i)
-    on every grid pair i < j.  Conclusion: phi(t) <= phi(0) e^{c t} up to a
-    1e-12 relative float allowance.
+    on every grid pair i < j, not only adjacent ones (beta = 0 unless
+    given).  Conclusion: phi(t) <= phi(0) e^{c t} up to a 1e-12 relative
+    float allowance.
+
+    A table of the recursion phi_{m+1} = (1 + c h) phi_m
+    (``groenwall_recursion_table``) meets the hypothesis on adjacent pairs
+    only: for c h > 0 and phi_0 > 0 a pair m >= 2 steps apart fails it,
+    because (1 + c h)^m > 1 + m c h (once the relative excess, about
+    m (m - 1) (c h)^2 / 2, clears the float allowance).  Its conclusion
+    holds, as (1 + c h)^m <= e^{m c h}, so checks of recursion tables
+    (acceptance criterion 10, the benchmark) read only ``conclusion_ok``.
     """
 
     hypothesis_ok: bool

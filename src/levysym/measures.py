@@ -222,9 +222,15 @@ class LatticeComplexMeasure:
     # ------------------------------------------------------------------
     def fourier(self, u):
         """Fourier transform sum of w_j * exp(i*u*j*unit) at frequency u, a
-        number or an array of frequencies (then an array of u's shape)."""
-        phase = np.multiply.outer(u, self._locations())
-        value = np.exp(1j * phase) @ self._a
+        number or an array of frequencies (then an array of u's shape).
+
+        One complex (u x span) array is allocated: the phases u * j * unit
+        go into its imaginary part and the exponential is taken in place.
+        """
+        loc = self._locations()
+        z = np.zeros(np.shape(u) + loc.shape, dtype=np.complex128)
+        np.multiply.outer(u, loc, out=z.imag)
+        value = np.exp(z, out=z) @ self._a
         return complex(value) if np.ndim(u) == 0 else value
 
     def moment(self, p: int) -> complex:

@@ -24,6 +24,7 @@ from levysym.checks import (
     verify_term_measure,
 )
 from levysym.errors import UnsupportedSpec, ViolatedDominance
+from levysym.measures import LatticeComplexMeasure, exp_measure
 from levysym.symbols import (
     BrownianNegative,
     ConstantSymbol,
@@ -218,6 +219,29 @@ def test_majorant_rejects_broken_dominance():
         assemble_majorant(fs, 1.0, 1.0, 1, XGRID)
 
 
+@pytest.mark.parametrize("fs, u, t, ncut", [
+    (localize_fourierize(PRODCOS, math.pi, 1, nmax=64), 0.5, 1.0, 8),
+    (fourier_symbol_of_product_cosine(BrownianNegative()), 3.0, 0.5, 1),
+    (constant_fourier_symbol(), 2.0, 0.5, 1),
+])
+def test_majorant_reports_term_series(fs, u, t, ncut):
+    _, rep = assemble_majorant(fs, u, t, ncut, XGRID, exp_tol=1e-10)
+    _, a, b, _ = fs.coefficients(u)
+    reports = []
+    for n, a_n, b_n in zip(fs.n.tolist(), a.tolist(), b.tolist()):
+        if abs(n) > ncut:
+            continue
+        i = abs(n)
+        for coef, base in ((a_n, {i: 0.5, -i: 0.5}),
+                           (b_n if n > 0 else -b_n, {i: -0.5j, -i: 0.5j})):
+            if abs(coef) > 0.0:
+                mu = LatticeComplexMeasure(fs.k, "series", base).scale(t * coef)
+                reports.append(exp_measure(mu, 1e-10, with_report=True)[1])
+    assert rep.series_order == max((r.terms for r in reports), default=0)
+    assert rep.series_tail == sum(r.tail_bound for r in reports)
+    assert (rep.series_order > 0) == bool(fs.n.size)
+
+
 def test_majorant_transform_residual_shrinks_with_exp_tol():
     fs = fourier_symbol_of_product_cosine(BrownianNegative())
     _, loose = assemble_majorant(fs, 5.0, 1.0, 1, XGRID, exp_tol=1e-6)
@@ -347,6 +371,98 @@ def test_localize_rejects_domain_exit():
 
     with pytest.raises(DomainError):
         localize_fourierize(IncreasingDoubling(), 0.0, 1, nmax=8)
+
+
+class CountingSpec:
+    """Symbol wrapper that counts the evaluations on the quadrature states
+    (array x) apart from the scalar ones at x0."""
+
+    def __init__(self, spec):
+        self.spec = spec
+        self.state_calls = 0
+
+    def value(self, x, u):
+        self.state_calls += np.ndim(x) > 0
+        return self.spec.value(x, u)
+
+
+def test_localized_series_evaluates_each_frequency_once():
+    spec = CountingSpec(PRODCOS)
+    fs = localize_fourierize(spec, math.pi, 1, nmax=64)
+    assert spec.state_calls == 2  # the u = 1 and u = 5 preconditions
+    ugrid = np.linspace(-20.0, 20.0, 201)
+    assert {1.0, 5.0} <= set(ugrid.tolist())
+    check_dominance(fs, ugrid)
+    compute_K(fs, ugrid)
+    for u in ugrid:
+        fs.coefficient_rows(u)
+    for u in (0.25, 0.5, 1.0):
+        for x in np.linspace(math.pi - 0.25, math.pi + 0.25, 41):
+            fs.reconstruct(x, u)
+    assert spec.state_calls == 203  # 201 grid points, 0.25 and 0.5
+
+
+def test_localized_memo_rows_equal_fresh_rows():
+    fs = localize_fourierize(PRODCOS, 1.0, 2, nmax=32)
+    us = [0.0, -0.0, 1.0, 5.0, -3.25, 20.0, 1e-300]
+    for _ in range(2):  # the second pass reads every row from the memo
+        for u in us:
+            got = fs.coefficients(u)
+            want = localize_fourierize(PRODCOS, 1.0, 2, nmax=32).coefficients(u)
+            assert got[0] == want[0] and got[3] == want[3]
+            assert np.array_equal(got[1], want[1]) and np.array_equal(got[2], want[2])
+    spec = CountingSpec(PRODCOS)
+    fs = localize_fourierize(spec, 1.0, 2, nmax=32)
+    fs.coefficients(0.0)
+    fs.coefficients(-0.0)
+    fs.coefficients(np.float64(-0.0))
+    assert spec.state_calls == 2 + 2  # -0.0 is a frequency of its own
+
+
+def test_localized_rows_are_read_only():
+    fs = localize_fourierize(PRODCOS, math.pi, 1, nmax=64)
+    a0, a, b, residual = fs.coefficients(2.0)
+    with pytest.raises(ValueError):
+        a[0] = 1.0
+    b[:] = 7.0
+    again = fs.coefficients(2.0)
+    assert again[1] is a
+    assert np.array_equal(again[2], 1j * a)
+
+
+def test_localized_memo_is_bounded(monkeypatch):
+    monkeypatch.setattr("levysym.checks.SERIES_MEMO_ROWS", 3)
+    spec = CountingSpec(PRODCOS)
+    fs = localize_fourierize(spec, math.pi, 1, nmax=64)  # rows at u = 1, 5
+    fs.coefficients(2.0)  # three rows: full
+    fs.coefficients(3.0)  # cleared, then one row
+    fs.coefficients(3.0)
+    assert spec.state_calls == 4
+    fs.coefficients(1.0)  # gone with the clear
+    assert spec.state_calls == 5
+
+
+@pytest.mark.parametrize("ugrid, problem", [
+    (np.array([]), "empty"),
+    (np.zeros((3, 2)), "not one-dimensional"),
+    (np.array(0.5), "not one-dimensional"),
+    (np.linspace(-math.nan, math.nan, 5), "not finite"),
+    (np.array([0.0, math.inf]), "not finite"),
+])
+def test_dominance_and_K_reject_bad_grids(ugrid, problem):
+    fs = fourier_symbol_of_product_cosine(BrownianNegative())
+    with pytest.raises(ValueError, match=f"the u grid of the dominance check is {problem}"):
+        check_dominance(fs, ugrid)
+    with pytest.raises(ValueError, match=f"the u grid of the K computation is {problem}"):
+        compute_K(fs, ugrid)
+
+
+def test_nan_margin_fails_dominance():
+    fs = series(1.0, lambda u: math.nan if u == 2.0 else -(u * u) - 1.0, {})
+    ugrid = np.linspace(-4.0, 4.0, 9)
+    assert check_dominance(fs, ugrid[ugrid != 2.0]).passed
+    dom = check_dominance(fs, ugrid)
+    assert math.isnan(dom.margin[6]) and not dom.passed
 
 
 # ----------------------------------------------------------------------
@@ -506,6 +622,8 @@ def test_groenwall_recursion_tables():
             ts, phis = groenwall_recursion_table(1.0, c, 1.0, steps)
             rep = groenwall_verify(ts, phis, c)
             assert rep.conclusion_ok
+            # (1 + c h)^2 > 1 + 2 c h: the first pair two steps apart fails
+            assert not rep.hypothesis_ok and rep.first_violation == (0, 2)
     ts, phis = groenwall_recursion_table(0.0, 2.0, 1.0, 100)
     assert max(abs(p) for p in phis) <= 1e-15
     rep = groenwall_verify(ts, phis, 2.0)

@@ -1,6 +1,7 @@
 """CLI: exit codes, artifact layout, byte-identical reruns."""
 
 import json
+import math
 
 import pytest
 
@@ -116,6 +117,28 @@ def test_fourier_check_and_csv(tmp_path):
     assert (out / "k_integrand.csv").read_text().splitlines()[0] == "u,K_integrand"
 
 
+def test_localized_fourier_check_repeats_byte_for_byte(tmp_path, monkeypatch):
+    # each localized series keeps its own memo: a second run in the same
+    # process starts from nothing, evaluates as often and writes the same bytes
+    from levysym.symbols import ProductCosine
+
+    calls = []
+    value = ProductCosine.value
+    monkeypatch.setattr(ProductCosine, "value",
+                        lambda self, x, u: calls.append(1) or value(self, x, u))
+    outs = [tmp_path / "first", tmp_path / "second"]
+    counts = []
+    for out in outs:
+        assert main([
+            "fourier-check", "--symbol", "localized-prodcos", "--x0", str(math.pi),
+            "--csv", "--out", str(out),
+        ]) == 0
+        counts.append(len(calls) - sum(counts))
+    assert counts[0] == counts[1] > 0
+    for name in ("fourier_check.json", "dominance.csv", "k_integrand.csv"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
 def test_audit_bound_failure_exit(tmp_path):
     code = main([
         "audit", "--spec", "ex31", "--x0", "0", "--radius", "1e-3",
@@ -169,6 +192,8 @@ def test_numeric_failures_exit_with_json_line(tmp_path, capsys):
     ["audit", "--spec", "prodcos", "--umax", "inf"],
     ["audit", "--spec", "ex31", "--umin", "nan"],
     ["audit", "--spec", "ex31", "--upoints", "0"],
+    ["fourier-check", "--umax", "nan"],
+    ["fourier-check", "--upoints", "0"],
     ["simulate", "--spec", "ex31approx", "--seed", "-1"],
     ["nonuniq", "--n", "4", "--seed", str(2**64)],
     ["moments", "--spec", "ex32approx", "--seed", str(2**70)],

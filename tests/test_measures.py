@@ -79,6 +79,26 @@ def test_fourier_examples():
     assert meas({3: 1j, -4: 2.0}).fourier(0.0) == meas({3: 1j, -4: 2.0}).total_mass()
 
 
+def test_fourier_matches_phase_grid_oracle():
+    # the in-place complex grid gives the bits of exp(1j * outer) @ weights
+    rng = np.random.default_rng(17)
+    for _ in range(50):
+        lo = int(rng.integers(-40, 40))
+        weights = {lo + j: complex(*rng.normal(size=2))
+                   for j in range(int(rng.integers(1, 60))) if rng.random() < 0.7}
+        mu = meas(weights, unit=float(rng.uniform(0.1, 3.0)))
+        locations = np.arange(mu._lo, mu._lo + mu._a.size) * mu.unit
+        us = rng.normal(scale=10.0, size=int(rng.integers(0, 20)))
+        oracle = np.exp(1j * np.multiply.outer(us, locations)) @ mu._a
+        assert np.array_equal(mu.fourier(us), oracle)
+        for u in us[:3].tolist() + [0.0, -0.0]:
+            got = mu.fourier(u)
+            assert type(got) is complex
+            assert got == complex(np.exp(1j * np.multiply.outer(u, locations)) @ mu._a)
+    grid = np.linspace(-1.0, 1.0, 6).reshape(2, 3)
+    assert ZERO.fourier(grid).shape == (2, 3) and not ZERO.fourier(grid).any()
+
+
 def test_moment_examples():
     assert dirac(0).moment(1) == 0.0
     mu = meas({1: 0.5, -1: 0.5}, unit=1.5)
