@@ -11,6 +11,15 @@ lattice and the spacing-sqrt(2) lattice stay incommensurable even when their
 floating units happen to collide; every binary operation requires matching
 tags.
 
+Each result pays for at most one canonical-form pass (``_store``: the entry
+moduli, the finiteness test, the pruning and the trim).  Construction,
+``add``, ``-``, ``scale``, ``convolve`` and ``exp_measure`` run it, because
+their raw arrays can overflow, cancel to zero or underflow below the
+threshold.  ``total_variation`` and the mirror in ``symmetry_class`` skip
+it: the moduli of a canonical array are finite, its pruned entries are
+exact zeros whose modulus is zero, and reversing or taking moduli keeps the
+end atoms atoms, so those arrays are canonical by construction.
+
 The class closes under the convolution Banach-algebra operations: addition,
 scalar multiple, convolution (exact integer index addition, which is why
 only a single shared lattice is supported), total variation (atom-wise
@@ -22,6 +31,7 @@ bound.  Kept free of any symbol- or simulation-level concepts on purpose.
 from __future__ import annotations
 
 import cmath
+import math
 import warnings
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -64,8 +74,8 @@ class LatticeComplexMeasure:
     __slots__ = ("unit", "unit_tag", "_lo", "_a")
 
     def __init__(self, unit: float, unit_tag: str, weights):
-        if not unit > 0.0:
-            raise ValueError(f"lattice unit must be positive, got {unit!r}")
+        if not 0.0 < unit < math.inf:
+            raise ValueError(f"lattice unit must be positive and finite, got {unit!r}")
         if not unit_tag or any(ch.isspace() for ch in unit_tag):
             raise ValueError(f"unit_tag must be a non-empty token, got {unit_tag!r}")
         object.__setattr__(self, "unit", float(unit))
@@ -80,31 +90,49 @@ class LatticeComplexMeasure:
         self._store(lo, a)
 
     def _store(self, lo: int, a) -> None:
-        """Set the canonical form of the weights ``a`` starting at index ``lo``."""
+        """Set the canonical form of the weights ``a`` starting at index ``lo``.
+
+        This is the one canonical-form pass: it rejects non-finite weights,
+        turns weights of modulus at most ``PRUNE_THRESHOLD`` into exact
+        zeros and trims the array to its first and last atoms.  The moduli
+        are computed once and give both the finiteness test and the kept
+        entries; when those form one contiguous run nothing is pruned, so
+        the count and the copy are skipped.  Results canonical by
+        construction (``total_variation``, the mirror in ``symmetry_class``)
+        go to ``_set`` directly.
+        """
         a = np.asarray(a, dtype=np.complex128)
         mod = _modulus(a)
-        if not np.isfinite(mod.max(initial=0.0)):
+        if not mod.max(initial=0.0) < math.inf:  # an inf or NaN weight
             raise ValueError("measure weights must be finite")
         keep = mod > PRUNE_THRESHOLD
         nz = keep.nonzero()[0]
         if nz.size:
             first, last = int(nz[0]), int(nz[-1]) + 1
             a = a[first:last]
-            if np.count_nonzero(a) > nz.size:  # nonzero weights to prune
-                a = np.where(keep[first:last], a, 0j)
+            if last - first > nz.size and np.count_nonzero(a) > nz.size:
+                a = np.where(keep[first:last], a, 0j)  # nonzero weights to prune
             lo += first
         else:
             lo, a = 0, np.zeros(0, dtype=np.complex128)
+        self._set(lo, a)
+
+    def _set(self, lo: int, a: np.ndarray) -> None:
+        """Set weights ``a`` that are already in canonical form, read-only."""
         a.flags.writeable = False
         object.__setattr__(self, "_lo", int(lo))
         object.__setattr__(self, "_a", a)
 
-    def _of(self, lo: int, a) -> "LatticeComplexMeasure":
-        """Measure on this lattice with weights ``a`` starting at index ``lo``."""
+    def _of(self, lo: int, a, canonical: bool = False) -> "LatticeComplexMeasure":
+        """Measure on this lattice with weights ``a`` starting at index ``lo``;
+        ``canonical`` skips the canonical-form pass for arrays already in it."""
         mu = object.__new__(LatticeComplexMeasure)
         object.__setattr__(mu, "unit", self.unit)
         object.__setattr__(mu, "unit_tag", self.unit_tag)
-        mu._store(lo, a)
+        if canonical:
+            mu._set(lo, a)
+        else:
+            mu._store(lo, a)
         return mu
 
     def __setattr__(self, name, value):
@@ -165,29 +193,43 @@ class LatticeComplexMeasure:
         return complex(self._a.sum())
 
     def total_variation(self) -> "LatticeComplexMeasure":
-        """Atom-wise modulus measure |mu| (exact: atoms cannot be split)."""
-        return self._of(self._lo, _modulus(self._a))
+        """Atom-wise modulus measure |mu| (exact: atoms cannot be split).
+
+        Canonical by construction: the moduli of canonical weights are
+        finite, pruned entries stay zero and the end atoms stay atoms.
+        """
+        return self._of(self._lo, _modulus(self._a).astype(np.complex128), canonical=True)
 
     def tv_norm(self) -> float:
         """Total variation norm, sum of atom moduli."""
         return float(_modulus(self._a).sum())
 
+    def sup_norm(self) -> float:
+        """Largest atom modulus, 0 for the zero measure."""
+        return float(_modulus(self._a).max(initial=0.0))
+
     # ------------------------------------------------------------------
     # linear structure
     # ------------------------------------------------------------------
-    def add(self, other: "LatticeComplexMeasure") -> "LatticeComplexMeasure":
+    def _combine(self, other: "LatticeComplexMeasure", op) -> "LatticeComplexMeasure":
+        """``op(self, other)`` on the joint span in one aligned pass, for
+        ``op`` one of ``np.add`` and ``np.subtract``."""
         self._require_same_lattice(other)
         if not other._a.size:
             return self
         if not self._a.size:
-            return other
+            return other if op is np.add else other.scale(-1.0)
         lo = min(self._lo, other._lo)
         hi = max(self._lo + self._a.size, other._lo + other._a.size)
         _check_span(hi - lo)
         total = np.zeros(hi - lo, dtype=np.complex128)
-        for mu in (self, other):
-            total[mu._lo - lo:mu._lo - lo + mu._a.size] += mu._a
+        total[self._lo - lo:self._lo - lo + self._a.size] += self._a
+        part = total[other._lo - lo:other._lo - lo + other._a.size]
+        op(part, other._a, out=part)
         return self._of(lo, total)
+
+    def add(self, other: "LatticeComplexMeasure") -> "LatticeComplexMeasure":
+        return self._combine(other, np.add)
 
     def scale(self, z: complex) -> "LatticeComplexMeasure":
         z = complex(z)
@@ -199,7 +241,7 @@ class LatticeComplexMeasure:
         return self.add(other)
 
     def __sub__(self, other):
-        return self.add(other.scale(-1.0))
+        return self._combine(other, np.subtract)
 
     def __mul__(self, z):
         return self.scale(z)
@@ -242,6 +284,12 @@ class LatticeComplexMeasure:
     # ------------------------------------------------------------------
     # symmetry
     # ------------------------------------------------------------------
+    def _mirror(self) -> "LatticeComplexMeasure":
+        """The reflection x -> -x, canonical by construction."""
+        if not self._a.size:
+            return self
+        return self._of(-(self._lo + self._a.size - 1), self._a[::-1], canonical=True)
+
     def symmetry_class(self, tol: float | None = None) -> str:
         """Classify as 'symmetric', 'antisymmetric' or 'neither'.
 
@@ -251,10 +299,10 @@ class LatticeComplexMeasure:
         """
         if tol is None:
             tol = SYMMETRY_RTOL * self.tv_norm()
-        mirror = self._of(-(self._lo + self._a.size - 1), self._a[::-1])
-        if _modulus((self - mirror)._a).max(initial=0.0) <= tol:
+        mirror = self._mirror()
+        if (self - mirror).sup_norm() <= tol:
             return "symmetric"
-        if _modulus((self + mirror)._a).max(initial=0.0) <= tol:
+        if (self + mirror).sup_norm() <= tol:
             return "antisymmetric"
         return "neither"
 
@@ -299,22 +347,30 @@ def exp_measure(mu: LatticeComplexMeasure, tol: float = 1e-12,
 
     M is the smallest order whose crude tail bound sum_{m>M} ||mu||^m/m!
     falls below ``tol``; raises BudgetExceeded when that would take more
-    than ``max_terms`` terms (the norm is too large for the tolerance).
+    than ``max_terms`` terms (the norm is too large for the tolerance) and
+    ValueError for a NaN or negative ``tol``.
     The terms and their sum stay raw arrays; term m starts at index m * lo,
     so the sum spans [min(0, M lo), max(0, M hi)] and is canonicalized once.
+    The terms come from ``np.convolve``, whose accumulation order fixes the
+    bits of every exp-series result.
     """
+    if not tol >= 0.0:
+        raise ValueError(f"exp series tolerance must be >= 0, got {tol!r}")
     order, tail = _series_order(mu.tv_norm(), tol, max_terms)
-    lo, hi = mu._lo, mu._lo + mu._a.size - 1
+    a, lo = mu._a, mu._lo
     start = min(0, order * lo)
-    span = max(0, order * hi) - start + 1
+    span = max(0, order * (lo + a.size - 1)) - start + 1
     _check_span(span)
     total = np.zeros(span, dtype=np.complex128)
     term = np.ones(1, dtype=np.complex128)  # the m = 0 term, delta_0
-    total[-start] = 1.0
+    first = -start  # where term m starts in the sum
+    total[first] = 1.0
     for m in range(1, order + 1):
-        term = np.convolve(term, mu._a) * complex(1.0 / m)
-        first = m * lo - start
-        total[first:first + term.size] += term
+        term = np.convolve(term, a)
+        term *= complex(1.0 / m)
+        first += lo
+        part = total[first:first + term.size]
+        part += term
     result = mu._of(start, total)
     return (result, ExpSeriesReport(order, tail)) if with_report else result
 

@@ -8,6 +8,7 @@ per property family.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,13 +41,20 @@ def _random_measure(rng, max_atoms: int = 6, span: int = 8,
 
 def _max_gap(x: LatticeComplexMeasure, y: LatticeComplexMeasure) -> float:
     """Largest atom-wise modulus of x - y."""
-    return max((abs(w) for w in (x - y).weights.values()), default=0.0)
+    return (x - y).sup_norm()
+
+
+def _check_trials(trials) -> None:
+    if isinstance(trials, bool) or not isinstance(trials, numbers.Integral) or trials < 1:
+        raise ValueError(f"a sweep needs an integer trial count >= 1, got {trials!r}")
 
 
 def measure_algebra_sweep(trials: int = 500, seed: int = 2024) -> SweepResult:
     """Banach-algebra laws, Fourier homomorphism, total-variation laws,
     exponential moment identities, and total-variation symmetry."""
+    _check_trials(trials)
     rng = np.random.default_rng(seed)
+    delta0 = dirac(0)
     worst = {
         "commutative": 0.0, "associative": 0.0, "unit": 0.0,
         "submultiplicative": 0.0, "fourier_hom": 0.0, "tv_domination": 0.0,
@@ -66,7 +74,7 @@ def measure_algebra_sweep(trials: int = 500, seed: int = 2024) -> SweepResult:
         lhs = ab.convolve(rho)
         rhs = mu.convolve(nu.convolve(rho))
         worst["associative"] = max(worst["associative"], _max_gap(lhs, rhs))
-        worst["unit"] = max(worst["unit"], _max_gap(mu.convolve(dirac(0)), mu))
+        worst["unit"] = max(worst["unit"], _max_gap(mu.convolve(delta0), mu))
         worst["submultiplicative"] = max(
             worst["submultiplicative"], ab.tv_norm() - mu.tv_norm() * nu.tv_norm()
         )
@@ -74,8 +82,9 @@ def measure_algebra_sweep(trials: int = 500, seed: int = 2024) -> SweepResult:
             worst["fourier_hom"], abs(ab.fourier(u) - mu.fourier(u) * nu.fourier(u))
         )
         # |mu * nu| <= |mu| * |nu| atom-wise
+        tv_mu = mu.total_variation()
         tv_conv = ab.total_variation()
-        conv_tv = mu.total_variation().convolve(nu.total_variation())
+        conv_tv = tv_mu.convolve(nu.total_variation())
         worst["tv_domination"] = max(
             worst["tv_domination"],
             max((w.real for w in (tv_conv - conv_tv).weights.values()), default=0.0),
@@ -86,15 +95,15 @@ def measure_algebra_sweep(trials: int = 500, seed: int = 2024) -> SweepResult:
             1.0, "unit", {j + shift: w for j, w in nu.weights.items()}
         )
         both = mu.add(far).total_variation()
-        split = mu.total_variation().add(far.total_variation())
+        split = tv_mu.add(far.total_variation())
         worst["orthogonal_additivity"] = max(
             worst["orthogonal_additivity"], _max_gap(both, split)
         )
         # |mu({x})| <= |mu|({x})
-        tv_mu = mu.total_variation().weights
+        tv_weights = tv_mu.weights
         worst["atom_bound"] = max(
             worst["atom_bound"],
-            max((abs(w) - tv_mu[j].real for j, w in mu.weights.items()), default=0.0),
+            max((abs(w) - tv_weights[j].real for j, w in mu.weights.items()), default=0.0),
         )
         # exponential moment identities (mass / first / second); the series
         # tail is amplified by atom locations squared in the second moment,
@@ -144,6 +153,7 @@ def term_measure_sweep(trials: int = 200, seed: int = 2025,
                        fourier_tol: float = 1e-8) -> SweepResult:
     """Random (a, b, spacing, t) with Re(a) >= |b|: the four term-measure
     properties on a 101-point x grid."""
+    _check_trials(trials)
     rng = np.random.default_rng(seed)
     worst = {"fourier": 0.0, "tv_excess": 0.0, "first_moment": 0.0,
              "second_excess": 0.0}

@@ -139,6 +139,35 @@ def test_criterion_3_nonuniqueness(symmetric_k1_sample, symmetric_sqrt2_sample):
     assert supports_ok and moments_ok and distance_ok, detail
 
 
+#: worst deviations of the criterion 4 and 5 sweeps as float.hex, recorded
+#: before the measure algebra dropped its per-object work: speed never
+#: changes results
+ALGEBRA_WORST_HEX = {
+    "commutative": "0x1.0000000000000p-50",
+    "associative": "0x1.01fe03f61bad0p-49",
+    "unit": "0x0.0p+0",
+    "submultiplicative": "0x1.0000000000000p-49",
+    "fourier_hom": "0x1.323a8a4bbaf84p-46",
+    "tv_domination": "0x1.0000000000000p-50",
+    "orthogonal_additivity": "0x0.0p+0",
+    "atom_bound": "0x0.0p+0",
+    "exp_mass": "0x1.26280b3476096p-47",
+    "exp_first_moment": "0x1.5b32272a4d461p-40",
+    "exp_second_moment": "0x1.9db7970a23740p-33",
+    "odd_exp_tv_symmetry": "0x1.0000000000000p-51",
+}
+TERM_WORST_HEX = {
+    "fourier": "0x1.c5f5370ffb5b4p-41",
+    "tv_excess": "0x0.0p+0",
+    "first_moment": "0x1.979770b8597cep-55",
+    "second_excess": "0x0.0p+0",
+}
+
+
+def _hex(worst: dict) -> dict:
+    return {key: float(val).hex() for key, val in worst.items()}
+
+
 def test_criterion_4_measure_algebra_suite():
     result = selftest.measure_algebra_sweep(trials=500, seed=2024)
     worst_line = max(result.worst.items(), key=lambda kv: kv[1])
@@ -147,12 +176,14 @@ def test_criterion_4_measure_algebra_suite():
         f"500 random measures; worst deviation {worst_line[1]:.2e} ({worst_line[0]})",
     )
     assert result.passed, result.lines
+    assert _hex(result.worst) == ALGEBRA_WORST_HEX
 
 
 def test_criterion_5_term_measure_sweep():
     result = selftest.term_measure_sweep(trials=200, seed=2025, fourier_tol=1e-8)
     _report("criterion 5 (series-term measure sweep)", result.passed, result.lines[0])
     assert result.passed, result.lines
+    assert _hex(result.worst) == TERM_WORST_HEX
 
 
 def test_criterion_6_majorant_conditions():

@@ -6,6 +6,7 @@ import math
 import pytest
 
 from levysym.cli import EXIT_BUDGET, EXIT_CHECK_FAILED, EXIT_INPUT, main
+from levysym.selftest import measure_algebra_sweep, term_measure_sweep
 
 
 def run(tmp_path, *argv):
@@ -197,9 +198,13 @@ def test_numeric_failures_exit_with_json_line(tmp_path, capsys):
     ["simulate", "--spec", "ex31approx", "--seed", "-1"],
     ["nonuniq", "--n", "4", "--seed", str(2**64)],
     ["moments", "--spec", "ex32approx", "--seed", str(2**70)],
+    ["measure-selftest", "--trials", "0"],
+    ["measure-selftest", "--trials", "-5"],
+    ["measure-selftest", "--term-trials", "0"],
 ])
 def test_bad_numeric_inputs_exit_with_json_line(argv, tmp_path, capsys):
-    code = main(argv + (["--out", str(tmp_path / "a")] if argv[0] != "groenwall" else []))
+    takes_out = argv[0] not in ("groenwall", "measure-selftest")
+    code = main(argv + (["--out", str(tmp_path / "a")] if takes_out else []))
     doc = json.loads(capsys.readouterr().out.splitlines()[-1])
     assert code == EXIT_INPUT
     assert doc["failed"] and doc["reason"] == "input error"
@@ -217,6 +222,38 @@ def test_groenwall_table_io(tmp_path):
 
 def test_selftest_quick():
     assert main(["measure-selftest", "--trials", "40", "--term-trials", "15"]) == 0
+
+
+@pytest.mark.parametrize("sweep", [measure_algebra_sweep, term_measure_sweep])
+@pytest.mark.parametrize("trials", [0, -5, 2.0, True, "3", None])
+def test_sweeps_reject_bad_trial_counts(sweep, trials):
+    with pytest.raises(ValueError, match="trial count"):
+        sweep(trials, 1)
+
+
+#: stdout of `levysym measure-selftest` at its defaults (500 and 200 trials,
+#: seed 2024), recorded before the measure algebra dropped its per-object work
+SELFTEST_DEFAULT_STDOUT = """\
+PASS measure[commutative]: worst 8.882e-16 (tol 1e-12)
+PASS measure[associative]: worst 1.790e-15 (tol 1e-12)
+PASS measure[unit]: worst 0.000e+00 (tol 1e-12)
+PASS measure[submultiplicative]: worst 1.776e-15 (tol 1e-12)
+PASS measure[fourier_hom]: worst 1.700e-14 (tol 1e-12)
+PASS measure[tv_domination]: worst 8.882e-16 (tol 1e-12)
+PASS measure[orthogonal_additivity]: worst 0.000e+00 (tol 1e-12)
+PASS measure[atom_bound]: worst 0.000e+00 (tol 1e-12)
+PASS measure[exp_mass]: worst 8.164e-15 (tol 1e-08)
+PASS measure[exp_first_moment]: worst 1.233e-12 (tol 1e-08)
+PASS measure[exp_second_moment]: worst 1.881e-10 (tol 1e-08)
+PASS measure[odd_exp_tv_symmetry]: worst 4.441e-16 (tol 1e-12)
+PASS term_measure sweep (200 draws): fourier 8.064e-13, tv excess 0.000e+00, \
+centering 4.419e-17, second-moment excess 0.000e+00
+"""
+
+
+def test_selftest_default_stdout_is_pinned(capsys):
+    assert main(["measure-selftest"]) == 0
+    assert capsys.readouterr().out == SELFTEST_DEFAULT_STDOUT
 
 
 def test_run_config_replays(tmp_path):

@@ -16,7 +16,9 @@ from levysym.measures import (
     MAX_SPAN,
     PRUNE_THRESHOLD,
     ConvolveSequenceReport,
+    ExpSeriesReport,
     LatticeComplexMeasure,
+    _modulus,
     convolve_sequence,
     dirac,
     exp_measure,
@@ -231,6 +233,26 @@ def test_non_finite_weights_rejected(bad):
         dirac(0).scale(bad)
 
 
+@pytest.mark.parametrize("unit", [0.0, -1.0, math.inf, math.nan])
+def test_bad_lattice_unit_rejected(unit):
+    with pytest.raises(ValueError, match="lattice unit"):
+        meas({1: 1.0}, unit=unit)
+
+
+@pytest.mark.parametrize("tol", [math.nan, -1e-12, -math.inf])
+def test_exp_measure_rejects_bad_tolerance(tol):
+    with pytest.raises(ValueError, match="tolerance"):
+        exp_measure(meas({1: 0.5}), tol=tol)
+
+
+def test_exp_measure_zero_tolerance_sums_until_terms_vanish():
+    # tol = 0 stays valid: the series runs until the tail bound underflows
+    mu = meas({1: 0.5, -1: 0.25j})
+    e, report = exp_measure(mu, tol=0.0, with_report=True)
+    assert report == ExpSeriesReport(terms=168, tail_bound=0.0)
+    assert abs(e.total_mass() - cmath.exp(mu.total_mass())) <= 1e-15
+
+
 def test_span_guard():
     # a dense array allocates the span: the guard must fire before NumPy
     # is asked for 2**40 entries
@@ -385,3 +407,108 @@ def test_dense_measure_matches_dict_oracle(x, y, u):
         moment = sum(z * (j * ORACLE_UNIT) ** p for j, z in x.items())
         scale = sum(abs(z) * abs(j * ORACLE_UNIT) ** p for j, z in x.items())
         assert abs(mx.moment(p) - moment) <= 1e-12 * scale
+
+
+# ----------------------------------------------------------------------
+# canonical form of every result: each operation's result equals the full
+# canonical-form pass (``_store``) over the raw array it stands for
+# ----------------------------------------------------------------------
+#: weights at and around the prune threshold (also through hypot), signed
+#: zeros, and weights whose sums, products or multiples overflow
+EDGE_WEIGHTS = [
+    PRUNE_THRESHOLD, -PRUNE_THRESHOLD * 1j,
+    float(np.nextafter(PRUNE_THRESHOLD, 1.0)), float(np.nextafter(PRUNE_THRESHOLD, 0.0)),
+    complex(PRUNE_THRESHOLD / math.sqrt(2.0), -PRUNE_THRESHOLD / math.sqrt(2.0)),
+    1e-150, -1e-150j, 1e-160,
+    0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0),
+    1e154, -1e300j, 1e308, complex(-1e308, 1e308),
+]
+EDGE_FACTORS = [0.0, -0.0, -1.0, 1j, 1e-150, 1e-300, 1e-310, 1e150, 1e300]
+edge_dicts = st.dictionaries(
+    st.integers(-4, 4), st.one_of(complex_weights, st.sampled_from(EDGE_WEIGHTS)),
+    max_size=6,
+)
+
+
+@st.composite
+def cancelling_pairs(draw):
+    """Weights of two measures that share some entries exactly, with either
+    sign, so sums and differences cancel to exact zeros at the ends and inside
+    (dicts, not measures: the repr of a measure with an overflowing mass warns)."""
+    x = draw(edge_dicts)
+    y = draw(edge_dicts)
+    shared = draw(st.sets(st.sampled_from(sorted(x)))) if x else set()
+    sign = draw(st.sampled_from([1.0, -1.0]))
+    y.update({j: sign * x[j] for j in shared})
+    return x, y
+
+
+def _dense(mu, lo, hi):
+    """mu's weights on the index window [lo, hi) as a raw array."""
+    out = np.zeros(hi - lo, dtype=np.complex128)
+    out[mu._lo - lo:mu._lo - lo + mu._a.size] = mu._a
+    return out
+
+
+def _raw_exp_series(mu, tol):
+    """exp_measure's sum as the raw term-by-term array, before any pass."""
+    _, report = exp_measure(mu, tol, with_report=True)
+    lo, hi = mu._lo, mu._lo + mu._a.size - 1
+    start = min(0, report.terms * lo)
+    total = np.zeros(max(0, report.terms * hi) - start + 1, dtype=np.complex128)
+    term = np.ones(1, dtype=np.complex128)
+    total[-start] = 1.0
+    for m in range(1, report.terms + 1):
+        term = np.convolve(term, mu._a) * complex(1.0 / m)
+        total[m * lo - start:m * lo - start + term.size] += term
+    return start, total
+
+
+def _assert_canonical(mu):
+    assert not mu._a.flags.writeable
+    modulus = _modulus(mu._a)
+    assert np.all(np.isfinite(modulus))
+    if mu._a.size:
+        assert modulus[0] > PRUNE_THRESHOLD and modulus[-1] > PRUNE_THRESHOLD
+        assert np.all((modulus == 0.0) | (modulus > PRUNE_THRESHOLD))
+    else:
+        assert mu._lo == 0
+
+
+def _assert_result_is_full_pass(result, lo, raw):
+    """``result()`` equals the canonical pass over ``raw`` at ``lo``, or both
+    raise ValueError (a weight overflowed)."""
+    try:
+        expected = ZERO._of(lo, raw)
+    except ValueError:
+        with pytest.raises(ValueError, match="finite"):
+            result()
+        return
+    got = result()
+    assert got._lo == expected._lo
+    assert np.array_equal(got._a, expected._a)
+    _assert_canonical(got)
+
+
+@settings(max_examples=300, deadline=None)
+@given(cancelling_pairs(), st.one_of(complex_weights, st.sampled_from(EDGE_FACTORS)))
+def test_every_result_is_in_canonical_form(pair, z):
+    x, y = (meas(w) for w in pair)
+    with np.errstate(over="ignore"):  # overflow must surface as ValueError
+        lo = min(x._lo, y._lo)
+        hi = max(x._lo + x._a.size, y._lo + y._a.size)
+        _assert_result_is_full_pass(lambda: x.add(y), lo, _dense(x, lo, hi) + _dense(y, lo, hi))
+        _assert_result_is_full_pass(lambda: x - y, lo, _dense(x, lo, hi) - _dense(y, lo, hi))
+        _assert_result_is_full_pass(lambda: x.scale(z), x._lo, x._a * complex(z))
+        if x._a.size and y._a.size:
+            _assert_result_is_full_pass(
+                lambda: x.convolve(y), x._lo + y._lo, np.convolve(x._a, y._a)
+            )
+    _assert_result_is_full_pass(x.total_variation, x._lo, _modulus(x._a).astype(complex))
+    _assert_result_is_full_pass(
+        x._mirror, -(x._lo + x._a.size - 1), np.array(x._a[::-1])
+    )
+    if x.sup_norm() <= 4.0:  # larger weights overflow the mirror sum or the series
+        assert x.symmetry_class() == _oracle_symmetry(dict(x.weights))
+        start, raw = _raw_exp_series(x, 1e-12)
+        _assert_result_is_full_pass(lambda: exp_measure(x, 1e-12), start, raw)
