@@ -327,13 +327,20 @@ def term_measure(a: complex, b: complex, kind: str, spacing: float, t: float,
         unit_tag = f"u{unit:.17g}"
     if abs(index * unit - spacing) > 1e-12 * max(1.0, abs(spacing)):
         raise ValueError("spacing must equal index * unit on the shared lattice")
+    if index == 0:
+        raise ValueError("term measures need a nonzero lattice index")
     if kind == "cos":
-        base = {index: 0.5, -index: 0.5}
+        ends = (0.5, 0.5)  # the weights at -index and at +index
     elif kind == "sin":
-        base = {index: -0.5j, -index: 0.5j}
+        ends = (0.5j, -0.5j)
     else:
         raise ValueError(f"kind must be 'cos' or 'sin', got {kind!r}")
-    mu = LatticeComplexMeasure(unit, unit_tag, base).scale(t * b)
+    z = complex(t * b)
+    if not cmath.isfinite(z):
+        raise ValueError(f"scale factor must be finite, got {z!r}")
+    base = np.zeros(2 * abs(index) + 1, dtype=np.complex128)
+    base[0], base[-1] = ends if index > 0 else ends[::-1]
+    mu = LatticeComplexMeasure.from_array(unit, unit_tag, -abs(index), base * z)
     series, report = exp_measure(mu, tol, with_report=True)
     P = series.scale(cmath.exp(-t * complex(a)))
     return (P, report) if with_report else P

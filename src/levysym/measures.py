@@ -11,14 +11,22 @@ lattice and the spacing-sqrt(2) lattice stay incommensurable even when their
 floating units happen to collide; every binary operation requires matching
 tags.
 
+There are two constructors.  ``LatticeComplexMeasure(unit, tag, mapping)``
+takes an index -> weight mapping (user input: demos, tests);
+``LatticeComplexMeasure.from_array(unit, tag, lo, weights)`` takes the
+dense weights starting at index ``lo`` and is what the library builds
+with (``dirac``, the term measures, the self-test).  Lattice indices must
+be integers; a float, string or bool index is a ``ValueError``, never
+truncated.
+
 Each result pays for at most one canonical-form pass (``_store``: the entry
-moduli, the finiteness test, the pruning and the trim).  Construction,
+moduli, the finiteness test, the pruning and the trim).  Both constructors,
 ``add``, ``-``, ``scale``, ``convolve`` and ``exp_measure`` run it, because
 their raw arrays can overflow, cancel to zero or underflow below the
-threshold.  ``total_variation`` and the mirror in ``symmetry_class`` skip
-it: the moduli of a canonical array are finite, its pruned entries are
-exact zeros whose modulus is zero, and reversing or taking moduli keeps the
-end atoms atoms, so those arrays are canonical by construction.
+threshold.  ``shift``, ``mirror`` and ``total_variation`` skip it: the
+moduli of a canonical array are finite, its pruned entries are exact zeros
+whose modulus is zero, and translating, reversing or taking moduli keeps
+the end atoms atoms, so those arrays are canonical by construction.
 
 The class closes under the convolution Banach-algebra operations: addition,
 scalar multiple, convolution (exact integer index addition, which is why
@@ -32,6 +40,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -65,29 +74,60 @@ def _check_span(span: int) -> None:
         raise BudgetExceeded(f"measure span {span} exceeds MAX_SPAN = {MAX_SPAN}")
 
 
+def _index(j) -> int:
+    """A lattice index as an int; ValueError for anything not integral
+    (floats, strings, bools), which would otherwise be truncated or parsed."""
+    if isinstance(j, bool) or not isinstance(j, numbers.Integral):
+        raise ValueError(f"lattice indices must be integers, got {j!r}")
+    return int(j)
+
+
 class LatticeComplexMeasure:
     """Immutable finite complex measure on the lattice ``{j * unit : j in Z}``.
 
-    Built from a mapping index -> weight; weights must be finite.
+    Built from a mapping index -> weight, or by ``from_array`` from dense
+    weights; weights must be finite.
     """
 
     __slots__ = ("unit", "unit_tag", "_lo", "_a")
 
     def __init__(self, unit: float, unit_tag: str, weights):
-        if not 0.0 < unit < math.inf:
-            raise ValueError(f"lattice unit must be positive and finite, got {unit!r}")
-        if not unit_tag or any(ch.isspace() for ch in unit_tag):
-            raise ValueError(f"unit_tag must be a non-empty token, got {unit_tag!r}")
-        object.__setattr__(self, "unit", float(unit))
-        object.__setattr__(self, "unit_tag", str(unit_tag))
+        self._set_lattice(unit, unit_tag)
         weights = dict(weights)
-        keys = [int(j) for j in weights]
+        keys = [_index(j) for j in weights]
         lo = min(keys, default=0)
         span = max(keys) - lo + 1 if keys else 0
         _check_span(span)
         a = np.zeros(span, dtype=np.complex128)
         a[[j - lo for j in keys]] = [complex(z) for z in weights.values()]
         self._store(lo, a)
+
+    @classmethod
+    def from_array(cls, unit: float, unit_tag: str, lo: int,
+                   weights) -> "LatticeComplexMeasure":
+        """Measure with weight ``weights[i]`` at index ``lo + i``.
+
+        The weights are copied (the stored array is read-only and never
+        aliases the caller's) and go through the canonical-form pass once.
+        """
+        mu = object.__new__(cls)
+        mu._set_lattice(unit, unit_tag)
+        lo = _index(lo)
+        a = np.array(weights, dtype=np.complex128)
+        if a.ndim != 1:
+            raise ValueError(f"weights must be one-dimensional, got shape {a.shape}")
+        _check_span(a.size)
+        mu._store(lo, a)
+        return mu
+
+    def _set_lattice(self, unit: float, unit_tag: str) -> None:
+        """Check and set the lattice: a positive finite unit, a token tag."""
+        if not 0.0 < unit < math.inf:
+            raise ValueError(f"lattice unit must be positive and finite, got {unit!r}")
+        if not unit_tag or any(ch.isspace() for ch in unit_tag):
+            raise ValueError(f"unit_tag must be a non-empty token, got {unit_tag!r}")
+        object.__setattr__(self, "unit", float(unit))
+        object.__setattr__(self, "unit_tag", str(unit_tag))
 
     def _store(self, lo: int, a) -> None:
         """Set the canonical form of the weights ``a`` starting at index ``lo``.
@@ -97,9 +137,10 @@ class LatticeComplexMeasure:
         zeros and trims the array to its first and last atoms.  The moduli
         are computed once and give both the finiteness test and the kept
         entries; when those form one contiguous run nothing is pruned, so
-        the count and the copy are skipped.  Results canonical by
-        construction (``total_variation``, the mirror in ``symmetry_class``)
-        go to ``_set`` directly.
+        the count and the copy are skipped.  Both constructors, ``add``,
+        ``-``, ``scale``, ``convolve`` and ``exp_measure`` run it; results
+        canonical by construction (``shift``, ``mirror``,
+        ``total_variation``) go to ``_set`` directly.
         """
         a = np.asarray(a, dtype=np.complex128)
         mod = _modulus(a)
@@ -225,8 +266,11 @@ class LatticeComplexMeasure:
         total = np.zeros(hi - lo, dtype=np.complex128)
         total[self._lo - lo:self._lo - lo + self._a.size] += self._a
         part = total[other._lo - lo:other._lo - lo + other._a.size]
-        op(part, other._a, out=part)
-        return self._of(lo, total)
+        # an overflow in the sum or in _store's moduli is _store's ValueError,
+        # not a NumPy warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            op(part, other._a, out=part)
+            return self._of(lo, total)
 
     def add(self, other: "LatticeComplexMeasure") -> "LatticeComplexMeasure":
         return self._combine(other, np.add)
@@ -235,7 +279,16 @@ class LatticeComplexMeasure:
         z = complex(z)
         if not cmath.isfinite(z):
             raise ValueError(f"scale factor must be finite, got {z!r}")
-        return self._of(self._lo, self._a * z)
+        with np.errstate(over="ignore", invalid="ignore"):  # as in _combine
+            return self._of(self._lo, self._a * z)
+
+    def shift(self, k: int) -> "LatticeComplexMeasure":
+        """Translate by ``k`` lattice steps (convolution with ``dirac(k)``),
+        canonical by construction and sharing the read-only weights."""
+        k = _index(k)
+        if not self._a.size:
+            return self
+        return self._of(self._lo + k, self._a, canonical=True)
 
     def __add__(self, other):
         return self.add(other)
@@ -284,7 +337,7 @@ class LatticeComplexMeasure:
     # ------------------------------------------------------------------
     # symmetry
     # ------------------------------------------------------------------
-    def _mirror(self) -> "LatticeComplexMeasure":
+    def mirror(self) -> "LatticeComplexMeasure":
         """The reflection x -> -x, canonical by construction."""
         if not self._a.size:
             return self
@@ -299,7 +352,7 @@ class LatticeComplexMeasure:
         """
         if tol is None:
             tol = SYMMETRY_RTOL * self.tv_norm()
-        mirror = self._mirror()
+        mirror = self.mirror()
         if (self - mirror).sup_norm() <= tol:
             return "symmetric"
         if (self + mirror).sup_norm() <= tol:
@@ -313,7 +366,7 @@ class LatticeComplexMeasure:
 def dirac(index: int, unit: float = 1.0, unit_tag: str = "unit",
           weight: complex = 1.0) -> LatticeComplexMeasure:
     """Point mass ``weight * delta_{index * unit}``."""
-    return LatticeComplexMeasure(unit, unit_tag, {index: weight})
+    return LatticeComplexMeasure.from_array(unit, unit_tag, index, (weight,))
 
 
 # ----------------------------------------------------------------------

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import checks
-from .measures import LatticeComplexMeasure, dirac, exp_measure
+from .measures import LatticeComplexMeasure, _modulus, dirac, exp_measure
 
 ALGEBRA_TOL = 1e-12
 EXP_IDENTITY_TOL = 1e-8
@@ -32,11 +32,14 @@ def _random_measure(rng, max_atoms: int = 6, span: int = 8,
     count = int(rng.integers(1, max_atoms + 1))
     idx = rng.integers(-span, span + 1, size=count)
     w = rng.normal(size=count) + 1j * rng.normal(size=count)
-    mu = LatticeComplexMeasure(1.0, "unit", dict(zip((int(i) for i in idx), w)))
-    tv = mu.tv_norm()
+    lo = int(idx.min())
+    a = np.zeros(int(idx.max()) - lo + 1, dtype=np.complex128)
+    for j, z in zip(idx.tolist(), w.tolist()):  # a repeated index keeps its last draw
+        a[j - lo] = z
+    tv = float(_modulus(a).sum())
     if tv > norm_cap:
-        mu = mu.scale(norm_cap * rng.uniform(0.2, 1.0) / tv)
-    return mu
+        a *= complex(norm_cap * rng.uniform(0.2, 1.0) / tv)
+    return LatticeComplexMeasure.from_array(1.0, "unit", lo, a)
 
 
 def _max_gap(x: LatticeComplexMeasure, y: LatticeComplexMeasure) -> float:
@@ -85,25 +88,22 @@ def measure_algebra_sweep(trials: int = 500, seed: int = 2024) -> SweepResult:
         tv_mu = mu.total_variation()
         tv_conv = ab.total_variation()
         conv_tv = tv_mu.convolve(nu.total_variation())
+        _, excess = (tv_conv - conv_tv).atoms()
         worst["tv_domination"] = max(
-            worst["tv_domination"],
-            max((w.real for w in (tv_conv - conv_tv).weights.values()), default=0.0),
+            worst["tv_domination"], float(excess.real.max(initial=0.0))
         )
         # orthogonal (disjoint-support) additivity of total variation
-        shift = int(rng.integers(30, 60))
-        far = LatticeComplexMeasure(
-            1.0, "unit", {j + shift: w for j, w in nu.weights.items()}
-        )
+        far = nu.shift(int(rng.integers(30, 60)))
         both = mu.add(far).total_variation()
         split = tv_mu.add(far.total_variation())
         worst["orthogonal_additivity"] = max(
             worst["orthogonal_additivity"], _max_gap(both, split)
         )
         # |mu({x})| <= |mu|({x})
-        tv_weights = tv_mu.weights
+        _, w = mu.atoms()
+        _, tv_w = tv_mu.atoms()
         worst["atom_bound"] = max(
-            worst["atom_bound"],
-            max((abs(w) - tv_weights[j].real for j, w in mu.weights.items()), default=0.0),
+            worst["atom_bound"], float((_modulus(w) - tv_w.real).max(initial=0.0))
         )
         # exponential moment identities (mass / first / second); the series
         # tail is amplified by atom locations squared in the second moment,
@@ -127,14 +127,12 @@ def measure_algebra_sweep(trials: int = 500, seed: int = 2024) -> SweepResult:
         if abs(z) > 1.5:
             z *= 1.5 / abs(z)
         s_idx = int(rng.integers(1, 6))
-        odd = LatticeComplexMeasure(1.0, "unit", {s_idx: z, -s_idx: -z})
-        tv_exp = exp_measure(odd, 1e-12).total_variation().weights
+        odd_a = np.zeros(2 * s_idx + 1, dtype=np.complex128)
+        odd_a[0], odd_a[-1] = -z, z
+        odd = LatticeComplexMeasure.from_array(1.0, "unit", -s_idx, odd_a)
+        tv_exp = exp_measure(odd, 1e-12).total_variation()
         worst["odd_exp_tv_symmetry"] = max(
-            worst["odd_exp_tv_symmetry"],
-            max(
-                (abs(w - tv_exp.get(-j, 0j)) for j, w in tv_exp.items()),
-                default=0.0,
-            ),
+            worst["odd_exp_tv_symmetry"], (tv_exp - tv_exp.mirror()).sup_norm()
         )
     exp_keys = {"exp_mass", "exp_first_moment", "exp_second_moment"}
     lines = []

@@ -177,6 +177,24 @@ def test_term_measure_rejects_bad_t():
         term_measure(1.0, 1.0, "cos", 1.0, 1.5)
 
 
+def test_term_measure_on_a_sublattice_with_either_sign_of_index():
+    b, a, t = 0.4 - 0.3j, 0.9, 0.8
+    for kind, trig in (("cos", math.cos), ("sin", math.sin)):
+        for index in (3, -3):
+            spacing = index * 0.5
+            P = term_measure(a, b, kind, spacing, t, tol=1e-13, unit=0.5, index=index)
+            for x in np.linspace(-2.0, 2.0, 9):
+                target = cmath.exp(t * (b * trig(spacing * x) - a))
+                assert abs(P.fourier(x) - target) < 1e-10
+
+
+def test_term_measure_rejects_non_finite_factor_and_zero_index():
+    with pytest.raises(ValueError, match="finite"):
+        term_measure(1.0, complex(math.inf, 0.0), "cos", 1.0, 0.5)
+    with pytest.raises(ValueError, match="nonzero"):
+        term_measure(1.0, 1.0, "cos", 0.0, 0.5, unit=1.0, index=0)
+
+
 # ----------------------------------------------------------------------
 # majorant assembly
 # ----------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """CLI: exit codes, artifact layout, byte-identical reruns."""
 
+import hashlib
 import json
 import math
 
@@ -138,6 +139,35 @@ def test_localized_fourier_check_repeats_byte_for_byte(tmp_path, monkeypatch):
     assert counts[0] == counts[1] > 0
     for name in ("fourier_check.json", "dominance.csv", "k_integrand.csv"):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
+#: SHA-256 of every fourier-check artifact, recorded before the term
+#: measures and point masses were built from arrays; the majorant rows of
+#: fourier_check.json come from term_measure, dirac and their convolution
+FOURIER_CHECK_SHA256 = {
+    "prodcos": {
+        "dominance.csv": "74812916ab477a63dea9f86a4084579a936cd10d5e14d65c2a73ede61894f84f",
+        "fourier_check.json": "5c4eac0152f51ebbb5266891c93520a3a46adfaa8c63af1e6a60ab0ceba5f8e4",
+        "k_integrand.csv": "a1ab8908cd9ebd2b3d27b39e9398a63cf81dd3da0dba73b661a66b0e541ae07b",
+    },
+    "localized-prodcos": {
+        "dominance.csv": "5c0295b2c77073405f02b503e90aed055cd69bf9d2ba5928ce9f03aa18dff523",
+        "fourier_check.json": "8acfd3ceb7b550d1f6f952894cc03c3c26eb489d45c8bef3f3079e3e1483c3fc",
+        "k_integrand.csv": "a5dcb2c047eb3b349077d2c337ca739af0cb489bbb53d03a9856ce382be83e5f",
+    },
+}
+
+
+@pytest.mark.parametrize("symbol,extra", [
+    ("prodcos", []), ("localized-prodcos", ["--x0", str(math.pi)]),
+])
+def test_fourier_check_artifacts_are_pinned(tmp_path, symbol, extra):
+    out = tmp_path / "fc"
+    assert main(["fourier-check", "--symbol", symbol, *extra, "--csv",
+                 "--out", str(out)]) == 0
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in sorted(out.iterdir())}
+    assert digests == FOURIER_CHECK_SHA256[symbol]
 
 
 def test_audit_bound_failure_exit(tmp_path):

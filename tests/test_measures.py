@@ -479,7 +479,8 @@ def _assert_result_is_full_pass(result, lo, raw):
     """``result()`` equals the canonical pass over ``raw`` at ``lo``, or both
     raise ValueError (a weight overflowed)."""
     try:
-        expected = ZERO._of(lo, raw)
+        with np.errstate(over="ignore"):  # the oracle's hypot may overflow
+            expected = ZERO._of(lo, raw)
     except ValueError:
         with pytest.raises(ValueError, match="finite"):
             result()
@@ -491,24 +492,142 @@ def _assert_result_is_full_pass(result, lo, raw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(cancelling_pairs(), st.one_of(complex_weights, st.sampled_from(EDGE_FACTORS)))
-def test_every_result_is_in_canonical_form(pair, z):
+@given(cancelling_pairs(), st.one_of(complex_weights, st.sampled_from(EDGE_FACTORS)),
+       st.integers(-3, 3))
+def test_every_result_is_in_canonical_form(pair, z, k):
+    # the raw oracle arrays may overflow; add, - and scale run under the
+    # suite's error::RuntimeWarning filter and must raise ValueError
     x, y = (meas(w) for w in pair)
-    with np.errstate(over="ignore"):  # overflow must surface as ValueError
-        lo = min(x._lo, y._lo)
-        hi = max(x._lo + x._a.size, y._lo + y._a.size)
-        _assert_result_is_full_pass(lambda: x.add(y), lo, _dense(x, lo, hi) + _dense(y, lo, hi))
-        _assert_result_is_full_pass(lambda: x - y, lo, _dense(x, lo, hi) - _dense(y, lo, hi))
-        _assert_result_is_full_pass(lambda: x.scale(z), x._lo, x._a * complex(z))
-        if x._a.size and y._a.size:
-            _assert_result_is_full_pass(
-                lambda: x.convolve(y), x._lo + y._lo, np.convolve(x._a, y._a)
-            )
+    lo = min(x._lo, y._lo)
+    hi = max(x._lo + x._a.size, y._lo + y._a.size)
+    with np.errstate(over="ignore", invalid="ignore"):
+        raw_sum = _dense(x, lo, hi) + _dense(y, lo, hi)
+        raw_diff = _dense(x, lo, hi) - _dense(y, lo, hi)
+        raw_scaled = x._a * complex(z)
+        raw_conv = np.convolve(x._a, y._a) if x._a.size and y._a.size else None
+    _assert_result_is_full_pass(lambda: x.add(y), lo, raw_sum)
+    _assert_result_is_full_pass(lambda: x - y, lo, raw_diff)
+    _assert_result_is_full_pass(lambda: x.scale(z), x._lo, raw_scaled)
+    if raw_conv is not None:
+        # a product with finite parts can still have a modulus past the float
+        # range; the canonical pass's hypot warns about it before raising
+        with np.errstate(over="ignore"):
+            _assert_result_is_full_pass(lambda: x.convolve(y), x._lo + y._lo, raw_conv)
     _assert_result_is_full_pass(x.total_variation, x._lo, _modulus(x._a).astype(complex))
     _assert_result_is_full_pass(
-        x._mirror, -(x._lo + x._a.size - 1), np.array(x._a[::-1])
+        x.mirror, -(x._lo + x._a.size - 1), np.array(x._a[::-1])
+    )
+    _assert_result_is_full_pass(lambda: x.shift(k), x._lo + k, np.array(x._a))
+    padded = _dense(y, y._lo - 2, y._lo + y._a.size + 1)  # zeros at both ends
+    _assert_result_is_full_pass(
+        lambda: LatticeComplexMeasure.from_array(1.0, "unit", y._lo - 2, padded),
+        y._lo - 2, padded,
     )
     if x.sup_norm() <= 4.0:  # larger weights overflow the mirror sum or the series
         assert x.symmetry_class() == _oracle_symmetry(dict(x.weights))
         start, raw = _raw_exp_series(x, 1e-12)
         _assert_result_is_full_pass(lambda: exp_measure(x, 1e-12), start, raw)
+
+
+@pytest.mark.parametrize("op", [
+    lambda: meas({0: 1e308}) + meas({0: 1e308}),
+    lambda: meas({0: 1e308, 1: 1.0}) - meas({0: -1e308}),
+    lambda: meas({0: complex(1e308, 1e308)}).scale(1e10),
+    lambda: meas({0: complex(1e308, 1e308), 2: 1.0}).scale(complex(1e308, 1e308)),
+    lambda: meas({0: 1e308}).scale(1.5 + 1j),
+    lambda: meas({0: 1e200}).convolve(meas({0: 1e200})),
+], ids=["add", "sub", "scale", "scale-inf-minus-inf", "scale-modulus", "convolve"])
+def test_overflow_raises_value_error_not_runtime_warning(op):
+    # the suite turns RuntimeWarnings into errors: NumPy's overflow warning
+    # must not pre-empt the typed error
+    with pytest.raises(ValueError, match="finite"):
+        op()
+
+
+# ----------------------------------------------------------------------
+# array constructor, shift and mirror
+# ----------------------------------------------------------------------
+#: raw weights for ``from_array``: ordinary values, exact and signed zeros
+#: (at the ends and inside) and values at and just past the prune threshold
+array_weights = st.lists(
+    st.one_of(
+        complex_weights,
+        st.sampled_from([
+            0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0),
+            PRUNE_THRESHOLD, -PRUNE_THRESHOLD * 1j,
+            float(np.nextafter(PRUNE_THRESHOLD, 1.0)),
+            float(np.nextafter(PRUNE_THRESHOLD, 0.0)),
+        ]),
+    ),
+    max_size=12,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(-50, 50), array_weights)
+def test_from_array_equals_mapping_construction(lo, weights):
+    raw = np.array(weights, dtype=np.complex128)
+    mu = LatticeComplexMeasure.from_array(0.5, "half", lo, raw)
+    expected = meas({lo + i: w for i, w in enumerate(weights)}, unit=0.5, tag="half")
+    assert mu == expected
+    assert mu._lo == expected._lo and np.array_equal(mu._a, expected._a)
+    _assert_canonical(mu)
+    # the measure holds its own copy
+    raw[:] = 7.0
+    assert mu == expected
+    # and so does a measure built from a list or a NumPy integer index
+    assert LatticeComplexMeasure.from_array(0.5, "half", np.int64(lo), weights) == expected
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf)])
+def test_from_array_rejects_non_finite_weights(bad):
+    with pytest.raises(ValueError, match="finite"):
+        LatticeComplexMeasure.from_array(1.0, "unit", 0, [1.0, bad, 0.0])
+
+
+def test_from_array_span_guard():
+    with pytest.raises(BudgetExceeded):
+        LatticeComplexMeasure.from_array(1.0, "unit", 0, np.zeros(MAX_SPAN + 1))
+    wide = LatticeComplexMeasure.from_array(1.0, "unit", -3, np.ones(MAX_SPAN))
+    assert wide._lo == -3 and len(wide) == MAX_SPAN
+
+
+@pytest.mark.parametrize("unit,tag,match", [
+    (0.0, "unit", "lattice unit"), (-1.0, "unit", "lattice unit"),
+    (math.inf, "unit", "lattice unit"), (math.nan, "unit", "lattice unit"),
+    (1.0, "", "unit_tag"), (1.0, "a b", "unit_tag"),
+])
+def test_from_array_rejects_bad_lattice_as_init_does(unit, tag, match):
+    with pytest.raises(ValueError, match=match):
+        meas({0: 1.0}, unit=unit, tag=tag)
+    with pytest.raises(ValueError, match=match):
+        LatticeComplexMeasure.from_array(unit, tag, 0, [1.0])
+
+
+@pytest.mark.parametrize("bad", [0.5, 2.9, 1.0, "4", True, None, np.float64(3.0)])
+def test_non_integer_indices_rejected(bad):
+    with pytest.raises(ValueError, match="integers"):
+        meas({0: 1.0, bad: 2.0})
+    with pytest.raises(ValueError, match="integers"):
+        dirac(bad)
+    with pytest.raises(ValueError, match="integers"):
+        LatticeComplexMeasure.from_array(1.0, "unit", bad, [1.0])
+    with pytest.raises(ValueError, match="integers"):
+        dirac(0).shift(bad)
+
+
+def test_numpy_integer_indices_accepted():
+    assert meas({np.int64(2): 1.0, np.int32(-1): 0.5}) == meas({2: 1.0, -1: 0.5})
+    assert dirac(np.int64(3)) == dirac(3)
+    assert dirac(1).shift(np.int16(-4)) == dirac(-3)
+
+
+@settings(max_examples=100, deadline=None)
+@given(edge_dicts, st.integers(-40, 40))
+def test_shift_is_convolution_with_a_point_mass(w, k):
+    mu = meas(w)
+    shifted = mu.shift(k)
+    assert shifted == mu.convolve(dirac(k))
+    assert shifted.shift(-k) == mu
+    assert mu.mirror().mirror() == mu
+    assert mu.mirror().shift(-k) == mu.shift(k).mirror()
