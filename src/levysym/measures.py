@@ -348,14 +348,23 @@ class LatticeComplexMeasure:
 
         Symmetric wins the tie on the zero measure.  Default tolerance is
         SYMMETRY_RTOL relative to the total variation norm.  The span cap
-        applies to the window about index 0 that holds the support.
+        applies to the window about index 0 that holds the support.  The
+        weights are compared after scaling by the power of two just above
+        the largest modulus, which is exact, so that neither the entry sums
+        nor the norm overflow for weights near the float range.
         """
-        if tol is None:
-            tol = SYMMETRY_RTOL * self.tv_norm()
-        mirror = self.mirror()
-        if (self - mirror).sup_norm() <= tol:
+        lo, n = self._lo, self._a.size
+        if not n:
             return "symmetric"
-        if (self + mirror).sup_norm() <= tol:
+        start = min(lo, -(lo + n - 1))  # the window start .. -start about 0
+        _check_span(1 - 2 * start)
+        scale = math.ldexp(1.0, -math.frexp(self.sup_norm())[1])
+        a = np.zeros(1 - 2 * start, dtype=np.complex128)
+        a[lo - start:lo - start + n] = self._a * scale
+        tol = SYMMETRY_RTOL * float(_modulus(a).sum()) if tol is None else tol * scale
+        if _modulus(a - a[::-1]).max() <= tol:  # a[::-1] is the mirror image
+            return "symmetric"
+        if _modulus(a + a[::-1]).max() <= tol:
             return "antisymmetric"
         return "neither"
 

@@ -13,7 +13,10 @@ engine calls it on counters 0 .. 255 for a group of path keys at once, and
 for a path that runs past them on further blocks of 1 024 counters of its own
 key.  Either way event j of path i is counter j of stream i, so drawing a
 counter early, drawing it beside other keys' counters, or drawing one that no
-event uses changes no result.
+event uses changes no result.  Each ensemble owns one work buffer
+(:func:`work_buffer`) and passes it to every Philox call it makes, so its
+draws allocate no scratch memory; the words a call returns are fresh arrays
+and never alias the buffer.
 
 The 64x64 -> 128 bit multiply is emulated with 32-bit limbs, which keeps
 everything inside NumPy uint64 vector arithmetic (exactness is covered by
@@ -21,6 +24,8 @@ a big-integer oracle in the tests).
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -38,21 +43,57 @@ _KEY_DOMAIN = np.uint64(0x5CA1AB1E)
 _EVENT_DOMAIN = np.uint64(0x0DDC0FFE)
 
 ROUNDS = 10
+#: full-shape words a philox2x64 call keeps in ``work``: the key schedule and
+#: six round temporaries
+_WORK_SLOTS = 7
 
 
-def philox2x64(c0, c1, key, rounds: int = ROUNDS):
+def work_buffer(size: int) -> np.ndarray:
+    """A ``work`` buffer for :func:`philox2x64` calls whose arguments
+    broadcast to at most ``size`` elements."""
+    return np.empty(_WORK_SLOTS * size, dtype=np.uint64)
+
+
+def philox2x64(c0, c1, key, rounds: int = ROUNDS, work=None):
     """Return the two uint64 output words for counters (c0, c1) under key.
 
     All three arguments broadcast against each other; inputs are consumed
     as uint64.  The first round's multiply depends on c0 alone and runs on
-    its shape; the other rounds work in place on full-shape buffers.
+    its shape; the other rounds work in place on full-shape buffers.  Those
+    buffers and the key schedule are carved from ``work``, a 1-D writable
+    uint64 array of at least ``_WORK_SLOTS`` x (broadcast size) entries (from
+    :func:`work_buffer`; one is allocated when it is None), so a caller that
+    passes the same buffer to every call allocates no scratch per call.  The
+    two output words are fresh arrays and never alias ``work``.
     """
     x0 = np.asarray(c0, dtype=np.uint64)
     x1 = np.asarray(c1, dtype=np.uint64)
     key = np.asarray(key, dtype=np.uint64)
     shape = np.broadcast_shapes(x0.shape, x1.shape, key.shape)
-    k = np.broadcast_to(key, shape).copy()
-    bl, bh, t, t2, hi, lo = (np.empty(x0.shape, np.uint64) for _ in range(6))
+    size = math.prod(shape)
+    if work is None:
+        work = work_buffer(size)
+    elif not (isinstance(work, np.ndarray) and work.dtype == np.uint64 and work.ndim == 1
+              and work.flags.c_contiguous and work.flags.writeable):
+        raise ValueError("work must be a 1-D, C-contiguous, writable uint64 array")
+    elif work.size < _WORK_SLOTS * size:
+        raise ValueError(f"work holds {work.size} words, a call of size {size} needs "
+                         f"{_WORK_SLOTS * size}")
+    out0, out1 = np.empty(shape, np.uint64), np.empty(shape, np.uint64)
+    if not size:
+        return out0, out1
+
+    def slot(i, shp):  # slot i of work, a block of ``size`` words, as an array
+        return work[i * size:i * size + math.prod(shp)].reshape(shp)
+
+    k = slot(0, shape)
+    np.copyto(k, key)
+    # round 0 runs on x0's shape; its bl sits in slot 6 and its lo in slot 1,
+    # so that slot 6 is free for the full-shape x1 it copies lo into
+    bl, bh, t, t2, hi, lo = (slot(i, x0.shape) for i in (6, 2, 3, 4, 5, 1))
+    # x1 and lo trade buffers every later round: start x1 in the one of out1
+    # and slot 6 from which the trades bring it to out1
+    x1_full, lo_full = (slot(6, shape), out1) if rounds % 2 == 0 else (out1, slot(6, shape))
     with np.errstate(over="ignore"):
         for r in range(rounds):
             # hi,lo = (M * x0) as 128-bit product, via 32-bit limbs
@@ -73,8 +114,12 @@ def philox2x64(c0, c1, key, rounds: int = ROUNDS):
             np.multiply(_M, x0, out=lo)
             # feistel swap: x0' = hi ^ key ^ x1, x1' = lo
             if r == 0:  # from here on every word has the full shape
-                x0, x1 = hi ^ k ^ x1, np.broadcast_to(lo, shape).copy()
-                bl, bh, t, t2, hi, lo = (np.empty(shape, np.uint64) for _ in range(6))
+                np.bitwise_xor(hi, k, out=out0)
+                np.bitwise_xor(out0, x1, out=out0)
+                np.copyto(x1_full, lo)
+                x0, x1 = out0, x1_full
+                bl, bh, t, t2, hi = (slot(i, shape) for i in range(1, 6))
+                lo = lo_full
             else:
                 np.bitwise_xor(hi, k, out=t)
                 np.bitwise_xor(t, x1, out=x0)
@@ -88,21 +133,25 @@ def _to_unit_interval(words):
     return ((words >> _S11).astype(np.float64) + 0.5) * 2.0**-53
 
 
-def path_keys(master_seed: int, indices) -> np.ndarray:
-    """Derive one independent stream key per path index from the master seed."""
+def path_keys(master_seed: int, indices, work=None) -> np.ndarray:
+    """Derive one independent stream key per path index from the master seed;
+    ``work`` is passed to :func:`philox2x64`."""
     idx = np.asarray(indices, dtype=np.uint64)
-    k0, _ = philox2x64(idx, _KEY_DOMAIN, np.uint64(master_seed & 0xFFFFFFFFFFFFFFFF))
+    k0, _ = philox2x64(idx, _KEY_DOMAIN, np.uint64(master_seed & 0xFFFFFFFFFFFFFFFF),
+                       ROUNDS, work)
     return k0
 
 
-def event_uniforms(keys, counter):
+def event_uniforms(keys, counter, work=None):
     """Two uniform(0,1) arrays for event ``counter`` of the given path keys.
 
     ``keys`` and ``counter`` broadcast, and each output element depends only
     on its own (key, counter) pair: a column of counters against a row of
     keys gives a tile (counters x paths), as both engines draw them, and one
-    key at a run of counters the per-path engine's later blocks.
+    key at a run of counters the per-path engine's later blocks.  ``work`` is
+    passed to :func:`philox2x64`.
     """
-    w0, w1 = philox2x64(np.asarray(counter, dtype=np.uint64), _EVENT_DOMAIN, keys)
+    w0, w1 = philox2x64(np.asarray(counter, dtype=np.uint64), _EVENT_DOMAIN, keys,
+                        ROUNDS, work)
     return _to_unit_interval(w0), _to_unit_interval(w1)
 

@@ -8,7 +8,7 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from levysym.errors import BudgetExceeded, UnitMismatch
@@ -340,8 +340,9 @@ def _oracle_add(x, y):
     return w
 
 
-def _oracle_symmetry(x):
-    tol = 1e-12 * sum(abs(z) for z in x.values())
+def _oracle_symmetry(x, tol=None):
+    if tol is None:
+        tol = 1e-12 * sum(abs(z) for z in x.values())
     indices = set(x) | {-j for j in x}
     if all(abs(x.get(j, 0j) - x.get(-j, 0j)) <= tol for j in indices):
         return "symmetric"
@@ -378,6 +379,19 @@ def mirrored_dicts(draw):
         if sign < 0:
             w.pop(0, None)
     return w
+
+
+@settings(max_examples=60, deadline=None)
+@given(mirrored_dicts(), st.integers(-950, 1022))
+# the two measures {1: 1e308, -1: -1e308} and {1: 1e308, 0: 1e308, -1: 1.0}
+@example({1: 1e308 * 2.0**-1000, -1: -1e308 * 2.0**-1000}, 1000)
+@example({1: 1e308 * 2.0**-1000, 0: 1e308 * 2.0**-1000, -1: 2.0**-1000}, 1000)
+def test_symmetry_class_holds_up_to_the_float_range(x, k):
+    # scaling every weight by 2**k is exact and keeps the class, also where
+    # mu - mirror(mu), mu + mirror(mu) or the total variation overflow
+    mu = meas({j: z * 2.0**k for j, z in x.items()})
+    assert mu.symmetry_class() == _oracle_symmetry(x)
+    assert mu.symmetry_class(0.0) == _oracle_symmetry(x, 0.0)
 
 
 @settings(max_examples=40, deadline=None)
