@@ -29,7 +29,8 @@ print("  fourier(u) = exp(cos u):",
 
 odd = LatticeComplexMeasure(1.0, "unit", {2: 0.3 - 1j, -2: -(0.3 - 1j)})
 tv = exp_measure(odd, 1e-12).total_variation()
-print("\n|exp(z(delta_s - delta_-s))| symmetric:", tv.symmetry_class())
+print("\n|exp(z(delta_s - delta_-s))| minus its mirror, largest atom:",
+      (tv - tv.mirror()).sup_norm())
 
 print("\nCSV form of mu:")
 print(to_csv(half))

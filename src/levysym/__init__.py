@@ -81,7 +81,6 @@ from .symbols import (
     TripletExponent,
     apply_generator,
     eval_symbol,
-    triplet_of,
 )
 
 __version__ = "0.1.0"

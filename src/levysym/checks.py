@@ -12,7 +12,7 @@ The pipeline mirrors the structure of the uniqueness argument:
     distinct u, kept in the series' own memo of coefficient rows.
 2.  ``check_dominance`` tests that -Re a_0(u) dominates the absolute sum of
     all other coefficients, and ``compute_K`` evaluates the curvature
-    constant K = k^2 sup_u sum |n|^2 (|a_n|+|b_n|) / (1+u^2).
+    constant K = k^2 sup_u sum |n|^2 (|a_n|+|b_n|) / (1+u^2) on the grid.
 3.  Each series term gets an explicit complex measure with Fourier
     transform exp(t(b cos(snx) - a)) (or sin), built from the truncated
     convolution exponential; ``verify_term_measure`` audits its four
@@ -24,7 +24,8 @@ The pipeline mirrors the structure of the uniqueness argument:
     takes the x-derivatives of a symbol entire in x from Cauchy's integral
     on a small circle around each state (``fd_derivative``: a 32-node
     trapezoid sum, one FFT for every order), and ``groenwall_verify``
-    checks the discrete Groenwall lemma on tables.
+    checks the discrete Groenwall lemma on finite tables.  Each check has
+    one fixed setting (dominance allowance, exp-series tail, state grid).
 """
 
 from __future__ import annotations
@@ -221,7 +222,6 @@ class DominanceReport:
     passed: bool
     worst_u: float
     worst_margin: float
-    tolerance_note: str = "margins compared against -tol_eq(u); equality passes"
 
 
 def default_dominance_tol(u: float) -> float:
@@ -263,20 +263,18 @@ def _k_integrand(k: float, n: np.ndarray, weight: np.ndarray, u):
     return k * k * np.sum(n * n * weight, axis=-1) / (1.0 + u * u)
 
 
-def check_dominance(fs: FourierSymbol, ugrid=None, tol_eq=None) -> DominanceReport:
+def check_dominance(fs: FourierSymbol, ugrid=None) -> DominanceReport:
     """Margins -Re a0(u) - sum(|a_n(u)| + |b_n(u)|) - residual(u) on the grid.
 
-    ``tol_eq`` (default ``default_dominance_tol``) is called once, on the
-    array of grid frequencies, and must return the allowance per u; the
-    check passes when every margin is at least -tol_eq(u), so a NaN margin
-    fails it.  Raises ValueError for a grid that is empty, not
-    one-dimensional or not finite.
+    The check passes when every margin is at least
+    -``default_dominance_tol(u)``, so equality passes and a NaN margin fails
+    it.  Raises ValueError for a grid that is empty, not one-dimensional or
+    not finite.
     """
     u = _frequency_grid(ugrid, "dominance check")
-    tol = default_dominance_tol if tol_eq is None else tol_eq
     a0, weight, residual = _coefficient_grid(fs, u)
     margins = -a0.real - np.sum(weight, axis=1) - residual
-    ok = bool(np.all(margins >= -tol(u)))
+    ok = bool(np.all(margins >= -default_dominance_tol(u)))
     j = int(np.argmin(margins))
     return DominanceReport(u, margins, ok, float(u[j]), float(margins[j]))
 
@@ -289,7 +287,6 @@ class KReport:
     u_at: float
     u: np.ndarray
     integrand: np.ndarray
-    note: str = "supremum taken over the finite grid only"
 
 
 def compute_K(fs: FourierSymbol, ugrid=None) -> KReport:
@@ -438,8 +435,7 @@ class MajorantReport:
 
 
 def assemble_majorant(fs: FourierSymbol, u: float, t: float, ncut: int, xgrid,
-                      tol: float = 1e-6, exp_tol: float = 1e-9,
-                      ) -> tuple[LatticeComplexMeasure, MajorantReport]:
+                      tol: float = 1e-6) -> tuple[LatticeComplexMeasure, MajorantReport]:
     """Convolve the per-term measures of the dominance rewrite.
 
     The series is rewritten with a0 absorbed into
@@ -469,7 +465,7 @@ def assemble_majorant(fs: FourierSymbol, u: float, t: float, ncut: int, xgrid,
         # sin is odd: fold onto |n|
         for coef, kind in ((a_n, "cos"), (b_n if n_j > 0 else -b_n, "sin")):
             if abs(coef) > 0.0:
-                P_n, rep = build_term_measure(coef, kind, fs.k * abs(n_j), t, exp_tol,
+                P_n, rep = build_term_measure(coef, kind, fs.k * abs(n_j), t, 1e-9,
                                               unit=unit, unit_tag=unit_tag,
                                               index=abs(n_j), with_report=True)
                 parts.append(P_n)
@@ -560,7 +556,7 @@ class EllipticityAudit:
 
 
 def audit_ellipticity(spec, exponent_spec, x0: float, radius: float,
-                      xgrid=None, ugrid=None, max_order: int = 3,
+                      ugrid=None, max_order: int = 3,
                       bound: float | None = None) -> EllipticityAudit:
     """Measure the sufficient-condition quotients around x0.
 
@@ -580,19 +576,16 @@ def audit_ellipticity(spec, exponent_spec, x0: float, radius: float,
         raise ValueError(f"audit orders run from 1 to 3, got {max_order}")
     if not (math.isfinite(x0) and math.isfinite(radius)):
         raise ValueError(f"x0 and radius must be finite, got {x0} and {radius}")
-    xs = (
-        np.linspace(x0 - radius, x0 + radius, 21)
-        if xgrid is None
-        else np.asarray(xgrid, dtype=float)
-    )
+    if not math.isfinite(abs(x0) + abs(radius)):  # x0 +- radius overflows
+        raise ValueError("the x grid of the ellipticity audit is not finite")
+    xs = np.linspace(x0 - radius, x0 + radius, 21)
     us = (
         np.geomspace(1.0, 1e3, 61) if ugrid is None else np.asarray(ugrid, dtype=float)
     )
-    for name, grid in (("x", xs), ("u", us)):
-        if grid.size == 0:
-            raise ValueError(f"the {name} grid of the ellipticity audit is empty")
-        if not np.all(np.isfinite(grid)):
-            raise ValueError(f"the {name} grid of the ellipticity audit is not finite")
+    if us.size == 0:
+        raise ValueError("the u grid of the ellipticity audit is empty")
+    if not np.all(np.isfinite(us)):
+        raise ValueError("the u grid of the ellipticity audit is not finite")
     if np.any(us == 0.0):
         raise ValueError("u = 0 must be excluded from quotient grids")
     psi = exponent_spec.psi(us)
@@ -656,21 +649,11 @@ class GronwallReport:
 def groenwall_verify(ts, phis, c: float, beta=None) -> GronwallReport:
     ts = [float(t) for t in ts]
     phis = [float(p) for p in phis]
-    if len(ts) != len(phis):
-        raise ValueError("time and value tables must have equal length")
+    if not ts or len(ts) != len(phis) or not all(map(math.isfinite, ts + phis)):
+        raise ValueError("time and value tables must be non-empty, finite and equally long")
     if any(b <= a for a, b in zip(ts, ts[1:])):
         raise ValueError("time grid must be strictly increasing")
-    if beta is None:
-        beta_fn = lambda dt: 0.0
-    elif callable(beta):
-        beta_fn = beta
-    else:
-        table = dict(beta)
-        def beta_fn(dt, table=table):
-            for key, val in table.items():
-                if abs(key - dt) <= 1e-12 * max(1.0, abs(key)):
-                    return val
-            raise KeyError(f"beta table has no entry for time difference {dt!r}")
+    beta_fn = beta if beta is not None else lambda dt: 0.0
     hypothesis_ok = True
     first = None
     for i in range(len(ts)):

@@ -317,6 +317,8 @@ def cmd_groenwall(args) -> int:
             for line in FsPath(args.table).read_text().strip().splitlines()
             if line and not line.startswith(("t,", "#"))
         ]
+        if any(len(r) < 2 for r in rows):
+            raise ValueError(f"{args.table}: every row needs a t and a phi column")
         ts = [float(r[0]) for r in rows]
         phis = [float(r[1]) for r in rows]
     else:

@@ -2,12 +2,13 @@
 
 Covers the closed-form moments of the two doubling families, CLT-based
 moment estimates, empirical characteristic functions, the weighted
-sup-distance sup_u |phi_A(u) - phi_B(u)| / (1 + u^2) between two ensembles,
-exact lattice-support audits, and the martingale (Dynkin) residual
-E f(X(T)) - f(x0) - int_0^T E[Af(X(s))] ds.
+sup-distance sup_u |phi_A(u) - phi_B(u)| / (1 + u^2) between two ensembles
+(on the fixed grid ``DEFAULT_UGRID``, refined about its arg max), exact
+audits of the geometric lattice supports, and the martingale (Dynkin)
+residual E f(X(T)) - f(x0) - int_0^T E[Af(X(s))] ds.
 
 A :class:`Sample` is one float array; the support audit reads the exact
-(m, s) columns of its ensemble, and every other statistic runs on its counted
+mantissa column of its ensemble, and every other statistic runs on its counted
 view (:class:`Counted`): the distinct values with their multiplicities, built
 once.  A finite-n endpoint law has few atoms (a 10 000-path sample at n = 4
 holds about 16 distinct values), so each cost scales with the number of
@@ -78,7 +79,7 @@ class Sample:
     """Endpoint sample of an ensemble at a fixed time.
 
     ``values`` is the per-path float array; ``ensemble`` is the
-    EnsembleResult the sample was taken from, whose exact ``(m, s)`` columns
+    EnsembleResult the sample was taken from, whose exact ``m`` column
     :func:`support_audit` needs, or None for a sample of plain floats.
     ``counted`` is the counted view of the values, built once here; every
     statistic of this module runs on it.
@@ -198,26 +199,23 @@ class EcfDistanceReport:
     weighted_gap: np.ndarray
 
 
-def ecf_distance(sample_a: Sample, sample_b: Sample, ugrid=None,
-                 refine: bool = True) -> EcfDistanceReport:
+def ecf_distance(sample_a: Sample, sample_b: Sample) -> EcfDistanceReport:
     """max over u of |phi_A(u) - phi_B(u)| / (1 + u^2), with SE bound.
 
     The gap of real samples is even in u (phi(-u) = conj phi(u)), so the
-    grid argmax is taken over u >= 0 and polished by a golden-section pass
-    on the bracketing interval: ``u_at`` is never negative.  The SE bound
-    stays conservative (sum of both per-u standard errors, same weighting as
-    the distance).
+    argmax on ``DEFAULT_UGRID`` is taken over u >= 0 and, inside the grid,
+    polished by a golden-section pass on the bracketing interval: ``u_at``
+    is never negative.  The SE bound stays conservative (sum of both per-u
+    standard errors, same weighting as the distance).
     """
     if sample_a.horizon != sample_b.horizon:
         raise ValueError("samples must share the same horizon")
-    u = np.asarray(DEFAULT_UGRID if ugrid is None else ugrid, dtype=float)
+    u = DEFAULT_UGRID
     gap = _weighted_gap(ecf(sample_a, u).mean, ecf(sample_b, u).mean, u)
-    if not (u >= 0.0).any():
-        raise ValueError("the frequency grid needs a point u >= 0")
     u_half, gap_half = u[u >= 0.0], gap[u >= 0.0]
     i = int(np.argmax(gap_half))
     best_u, best = u_half[i], float(gap_half[i])
-    if refine and 0 < i < u_half.size - 1:
+    if 0 < i < u_half.size - 1:
         va, vb = sample_a.counted, sample_b.counted
 
         def gap_at(v):  # the golden steps need the means only, not the SEs
@@ -264,33 +262,25 @@ class SupportAudit:
     nonzero_total: int
 
 
-def support_audit(sample: Sample, unit_tag: str, kind: str = "geometric",
-                  scale: int | None = None) -> SupportAudit:
-    """Count sample values outside the named lattice, exactly.
+def support_audit(sample: Sample, unit_tag: str) -> SupportAudit:
+    """Count sample values outside the lattice M_k = k {+-2^z} u {0} of the
+    named unit, exactly.
 
-    ``geometric`` audits against M_k = k {+-2^z} u {0} (membership: the
-    canonical mantissa is 0 or a power of two); ``dyadic`` audits against
-    {k m 2^-scale : m in N}.  Zero belongs to every lattice; any nonzero
-    state whose unit tag differs is off-lattice by incommensurability,
-    no float comparison involved.  The tests run on the ensemble's integer
-    ``(m, s)`` columns.
+    Membership: the canonical mantissa is 0 or a power of two.  Zero belongs
+    to every lattice; any nonzero state whose unit tag differs is off-lattice
+    by incommensurability, no float comparison involved.  The test runs on
+    the ensemble's integer ``m`` column.
     """
-    if kind not in ("geometric", "dyadic"):
-        raise ValueError(f"unknown lattice kind {kind!r}")
-    if kind == "dyadic" and scale is None:
-        raise ValueError("dyadic audit needs the lattice scale")
     ens = sample.ensemble
     if ens is None:
         raise RepresentationLost("support audit needs exact endpoints, not floats")
-    m, s = ens.m, ens.s
+    m = ens.m
     nonzero = m != 0
     if ens.unit_tag != unit_tag:
         off = nonzero
-    elif kind == "geometric":
+    else:
         a = np.abs(m)  # in int64 |-2**63| wraps to -2**63, which the bit test still passes
         off = (a & (a - 1)) != 0
-    else:
-        off = nonzero & ((s > scale) | (m < 0))
     return SupportAudit(int(np.count_nonzero(off)), m.size, int(np.count_nonzero(nonzero)))
 
 
@@ -330,7 +320,7 @@ def dynkin_residual(spec, tf: TestFunction, x0: ExactState, horizon: float,
     if paths < 2:
         raise DegenerateSample("need at least two paths for a standard error")
     ts = [float(t) for t in timegrid]
-    if ts[0] != 0.0 or ts[-1] != horizon or any(
+    if not ts or ts[0] != 0.0 or ts[-1] != horizon or any(
         b <= a for a, b in zip(ts, ts[1:])
     ):
         raise ValueError("time grid must increase from 0 to the horizon")

@@ -26,14 +26,18 @@ their raw arrays can overflow, cancel to zero or underflow below the
 threshold.  ``shift``, ``mirror`` and ``total_variation`` skip it: the
 moduli of a canonical array are finite, its pruned entries are exact zeros
 whose modulus is zero, and translating, reversing or taking moduli keeps
-the end atoms atoms, so those arrays are canonical by construction.
+the end atoms atoms, so those arrays are canonical by construction.  Past
+the float range a weight or modulus is the pass's ``ValueError`` and a norm
+or mass is ``inf``, never a NumPy warning (at most one ``np.errstate`` per
+result).
 
 The class closes under the convolution Banach-algebra operations: addition,
 scalar multiple, convolution (exact integer index addition, which is why
 only a single shared lattice is supported), total variation (atom-wise
 modulus, exact for atomic measures), Fourier transform, first and second
-moments, and a truncated power-series exponential with an explicit tail
-bound.  Kept free of any symbol- or simulation-level concepts on purpose.
+moments, the mirror image, and a truncated power-series exponential with an
+explicit tail bound.  Kept free of any symbol- or simulation-level concepts
+on purpose.
 """
 
 from __future__ import annotations
@@ -59,9 +63,6 @@ EXP_TERM_CAP = 512
 #: hard cap on a measure's span (last index - first index + 1); the widest
 #: measure any check builds spans a few thousand indices
 MAX_SPAN = 1 << 20
-
-#: default relative tolerance for symmetry classification
-SYMMETRY_RTOL = 1e-12
 
 
 def _modulus(a: np.ndarray) -> np.ndarray:
@@ -100,7 +101,8 @@ class LatticeComplexMeasure:
         _check_span(span)
         a = np.zeros(span, dtype=np.complex128)
         a[[j - lo for j in keys]] = [complex(z) for z in weights.values()]
-        self._store(lo, a)
+        with np.errstate(over="ignore"):  # as in _store
+            self._store(lo, a)
 
     @classmethod
     def from_array(cls, unit: float, unit_tag: str, lo: int,
@@ -117,7 +119,8 @@ class LatticeComplexMeasure:
         if a.ndim != 1:
             raise ValueError(f"weights must be one-dimensional, got shape {a.shape}")
         _check_span(a.size)
-        mu._store(lo, a)
+        with np.errstate(over="ignore"):  # as in _store
+            mu._store(lo, a)
         return mu
 
     def _set_lattice(self, unit: float, unit_tag: str) -> None:
@@ -140,7 +143,8 @@ class LatticeComplexMeasure:
         the count and the copy are skipped.  Both constructors, ``add``,
         ``-``, ``scale``, ``convolve`` and ``exp_measure`` run it; results
         canonical by construction (``shift``, ``mirror``,
-        ``total_variation``) go to ``_set`` directly.
+        ``total_variation``) go to ``_set`` directly.  Callers whose moduli can
+        pass the float range run it under ``np.errstate(over="ignore")``.
         """
         a = np.asarray(a, dtype=np.complex128)
         mod = _modulus(a)
@@ -231,7 +235,8 @@ class LatticeComplexMeasure:
     # ------------------------------------------------------------------
     def total_mass(self) -> complex:
         """Measure of the whole line, sum of all weights."""
-        return complex(self._a.sum())
+        with np.errstate(over="ignore"):
+            return complex(self._a.sum())
 
     def total_variation(self) -> "LatticeComplexMeasure":
         """Atom-wise modulus measure |mu| (exact: atoms cannot be split).
@@ -243,7 +248,8 @@ class LatticeComplexMeasure:
 
     def tv_norm(self) -> float:
         """Total variation norm, sum of atom moduli."""
-        return float(_modulus(self._a).sum())
+        with np.errstate(over="ignore"):
+            return float(_modulus(self._a).sum())
 
     def sup_norm(self) -> float:
         """Largest atom modulus, 0 for the zero measure."""
@@ -310,7 +316,8 @@ class LatticeComplexMeasure:
         if not self._a.size or not other._a.size:
             return self._of(0, ())
         _check_span(self._a.size + other._a.size - 1)
-        return self._of(self._lo + other._lo, np.convolve(self._a, other._a))
+        with np.errstate(over="ignore"):  # as in _store
+            return self._of(self._lo + other._lo, np.convolve(self._a, other._a))
 
     # ------------------------------------------------------------------
     # transforms and moments
@@ -343,31 +350,6 @@ class LatticeComplexMeasure:
             return self
         return self._of(-(self._lo + self._a.size - 1), self._a[::-1], canonical=True)
 
-    def symmetry_class(self, tol: float | None = None) -> str:
-        """Classify as 'symmetric', 'antisymmetric' or 'neither'.
-
-        Symmetric wins the tie on the zero measure.  Default tolerance is
-        SYMMETRY_RTOL relative to the total variation norm.  The span cap
-        applies to the window about index 0 that holds the support.  The
-        weights are compared after scaling by the power of two just above
-        the largest modulus, which is exact, so that neither the entry sums
-        nor the norm overflow for weights near the float range.
-        """
-        lo, n = self._lo, self._a.size
-        if not n:
-            return "symmetric"
-        start = min(lo, -(lo + n - 1))  # the window start .. -start about 0
-        _check_span(1 - 2 * start)
-        scale = math.ldexp(1.0, -math.frexp(self.sup_norm())[1])
-        a = np.zeros(1 - 2 * start, dtype=np.complex128)
-        a[lo - start:lo - start + n] = self._a * scale
-        tol = SYMMETRY_RTOL * float(_modulus(a).sum()) if tol is None else tol * scale
-        if _modulus(a - a[::-1]).max() <= tol:  # a[::-1] is the mirror image
-            return "symmetric"
-        if _modulus(a + a[::-1]).max() <= tol:
-            return "antisymmetric"
-        return "neither"
-
 
 # ----------------------------------------------------------------------
 # constructors
@@ -389,27 +371,27 @@ class ExpSeriesReport:
     tail_bound: float
 
 
-def _series_order(norm: float, tol: float, cap: int) -> tuple[int, float]:
+def _series_order(norm: float, tol: float) -> tuple[int, float]:
     """Smallest M with sum_{m>M} norm^m/m! <= tol (geometric tail majorant)."""
     term = 1.0  # norm^0 / 0!
-    for m in range(cap + 1):
+    for m in range(EXP_TERM_CAP + 1):
         term *= norm / (m + 1)  # now norm^(m+1)/(m+1)!
         if norm < m + 2:
             tail = term / (1.0 - norm / (m + 2))
             if tail <= tol:
                 return m, tail
     raise BudgetExceeded(
-        f"exp series needs more than {cap} terms for norm {norm:.3g}, tol {tol:.3g}"
+        f"exp series needs more than {EXP_TERM_CAP} terms for norm {norm:.3g}, tol {tol:.3g}"
     )
 
 
 def exp_measure(mu: LatticeComplexMeasure, tol: float = 1e-12,
-                max_terms: int = EXP_TERM_CAP, with_report: bool = False):
+                with_report: bool = False):
     """Truncated convolution exponential sum_{m<=M} mu^{*m} / m!.
 
     M is the smallest order whose crude tail bound sum_{m>M} ||mu||^m/m!
     falls below ``tol``; raises BudgetExceeded when that would take more
-    than ``max_terms`` terms (the norm is too large for the tolerance) and
+    than ``EXP_TERM_CAP`` terms (the norm is too large for the tolerance) and
     ValueError for a NaN or negative ``tol``.
     The terms and their sum stay raw arrays; term m starts at index m * lo,
     so the sum spans [min(0, M lo), max(0, M hi)] and is canonicalized once.
@@ -418,7 +400,7 @@ def exp_measure(mu: LatticeComplexMeasure, tol: float = 1e-12,
     """
     if not tol >= 0.0:
         raise ValueError(f"exp series tolerance must be >= 0, got {tol!r}")
-    order, tail = _series_order(mu.tv_norm(), tol, max_terms)
+    order, tail = _series_order(mu.tv_norm(), tol)
     a, lo = mu._a, mu._lo
     start = min(0, order * lo)
     span = max(0, order * (lo + a.size - 1)) - start + 1
@@ -433,50 +415,31 @@ def exp_measure(mu: LatticeComplexMeasure, tol: float = 1e-12,
         first += lo
         part = total[first:first + term.size]
         part += term
-    result = mu._of(start, total)
+    result = mu._of(start, total)  # |weights| <= e^norm: no modulus overflows
     return (result, ExpSeriesReport(order, tail)) if with_report else result
 
 
 # ----------------------------------------------------------------------
-# sequence convolution with truncation diagnostics
+# sequence convolution
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class ConvolveSequenceReport:
-    """Diagnostics for a finite convolution of a measure sequence.
-
-    ``second_moment_sum`` is the finiteness diagnostic sum over terms of the
-    second absolute moments; ``centered_violations`` lists positions whose
-    total variation has first moment larger than the tolerance (the
-    hypothesis under which infinite convolutions converge).
-    """
-
-    second_moment_sum: float
-    centered_violations: tuple[int, ...]
-
-
-def convolve_sequence(measures, tol: float = 1e-9, unit: float = 1.0,
-                      unit_tag: str = "unit", with_report: bool = False):
-    """Left-fold convolution of an ordered, already-truncated sequence."""
+def convolve_sequence(measures) -> LatticeComplexMeasure:
+    """Left-fold convolution of a non-empty, already-truncated sequence;
+    warns on parts whose |mu| has first moment above 1e-9 (not centered)."""
     measures = list(measures)
-    if measures:
-        unit, unit_tag = measures[0].unit, measures[0].unit_tag
-    result = dirac(0, unit, unit_tag)
-    second_sum = 0.0
+    if not measures:
+        raise ValueError("convolve_sequence needs at least one measure")
+    result = dirac(0, measures[0].unit, measures[0].unit_tag)
     violations = []
     for pos, mu in enumerate(measures):
-        tv = mu.total_variation()
-        if abs(tv.moment(1)) > tol:
+        if abs(mu.total_variation().moment(1)) > 1e-9:
             violations.append(pos)
-        second_sum += tv.moment(2).real
         result = result.convolve(mu)
     if violations:
         warnings.warn(
             f"convolve_sequence: |mu| not centered at positions {violations} "
-            f"(first absolute moment above {tol:g})",
+            f"(first absolute moment above 1e-9)",
             stacklevel=2,
         )
-    if with_report:
-        return result, ConvolveSequenceReport(second_sum, tuple(violations))
     return result
 
 

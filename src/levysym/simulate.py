@@ -83,10 +83,6 @@ class ExactState:
     def value(self) -> float:
         return self.k * math.ldexp(float(self.m), -self.s)
 
-    @property
-    def is_zero(self) -> bool:
-        return self.m == 0
-
     def shifted(self, dm: int, ds: int) -> "ExactState":
         """State displaced by k * dm * 2**-ds, exactly."""
         s = max(self.s, ds)
@@ -597,13 +593,10 @@ def _ensemble_symmetric_doubling(rule: JumpRule, x0: ExactState,
                                  cfg: SimConfig) -> EnsembleResult:
     """Lock-step run of the double-or-die family.
 
-    Every reachable nonzero state is in the outer region: x0's doubling
-    ladder, 0 and the ladders of +-k 2**-n.  The table stops where |m|
-    reaches 2**31, so it is finite.
+    The reachable states are x0, the states its steps of +-k 2**-n reach
+    while inside the inner region, their doubling ladders, 0 and the ladders
+    of +-k 2**-n.  The table stops where |m| reaches 2**31, so it is finite.
     """
-    (n,) = rule.family_params
-    if not (x0.is_zero or abs(x0.m) * (1 << n) >= (1 << x0.s)):
-        raise _LockstepUnfit("x0 is in the inner region")
     return _lockstep(_ChainTable(rule, x0, lambda state: abs(state.m) < 1 << 31), cfg)
 
 

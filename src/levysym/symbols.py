@@ -329,12 +329,6 @@ def eval_symbol(spec, x, u):
     return spec.value(x, u)
 
 
-def triplet_of(spec, x: float) -> LevyTriplet:
-    """Levy-Khintchine triplet of q(x, .); a jump simulator needs zero
-    diffusion."""
-    return spec.triplet(x)
-
-
 @dataclass(frozen=True)
 class TestFunction:
     """A test function with caller-supplied first and second derivatives."""
@@ -352,7 +346,7 @@ def apply_generator(spec, tf: TestFunction, x: float) -> float:
     grad(x) b(x) + 1/2 hess(x) c(x)
         + sum of rate * (f(x + y) - f(x) - grad(x) chi(y)).
     """
-    trip = triplet_of(spec, x)
+    trip = spec.triplet(x)
     out = tf.grad(x) * trip.drift + 0.5 * tf.hess(x) * trip.diffusion
     fx = tf.f(x)
     gx = tf.grad(x)

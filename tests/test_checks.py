@@ -243,7 +243,7 @@ def test_majorant_rejects_broken_dominance():
     (constant_fourier_symbol(), 2.0, 0.5, 1),
 ])
 def test_majorant_reports_term_series(fs, u, t, ncut):
-    _, rep = assemble_majorant(fs, u, t, ncut, XGRID, exp_tol=1e-10)
+    _, rep = assemble_majorant(fs, u, t, ncut, XGRID)
     _, a, b, _ = fs.coefficients(u)
     reports = []
     for n, a_n, b_n in zip(fs.n.tolist(), a.tolist(), b.tolist()):
@@ -254,17 +254,10 @@ def test_majorant_reports_term_series(fs, u, t, ncut):
                            (b_n if n > 0 else -b_n, {i: -0.5j, -i: 0.5j})):
             if abs(coef) > 0.0:
                 mu = LatticeComplexMeasure(fs.k, "series", base).scale(t * coef)
-                reports.append(exp_measure(mu, 1e-10, with_report=True)[1])
+                reports.append(exp_measure(mu, 1e-9, with_report=True)[1])
     assert rep.series_order == max((r.terms for r in reports), default=0)
     assert rep.series_tail == sum(r.tail_bound for r in reports)
     assert (rep.series_order > 0) == bool(fs.n.size)
-
-
-def test_majorant_transform_residual_shrinks_with_exp_tol():
-    fs = fourier_symbol_of_product_cosine(BrownianNegative())
-    _, loose = assemble_majorant(fs, 5.0, 1.0, 1, XGRID, exp_tol=1e-6)
-    _, tight = assemble_majorant(fs, 5.0, 1.0, 1, XGRID, exp_tol=1e-10)
-    assert tight.transform_error < loose.transform_error
 
 
 # ----------------------------------------------------------------------
@@ -376,11 +369,6 @@ def test_dominance_and_K_match_row_sum_oracle():
             assert abs(kr.integrand[i] - ks[-1]) <= 1e-12 * ks[-1]
         assert dom.passed == all(m >= -1e-10 * (1.0 + u * u) for m, u in zip(margins, ugrid))
         assert kr.K == pytest.approx(max(ks), rel=1e-12)
-    # the tolerance is one call on the whole u array
-    seen = []
-    loose = check_dominance(random_series, ugrid,
-                            tol_eq=lambda u: seen.append(u.shape) or np.full(u.shape, 1e9))
-    assert loose.passed and seen == [ugrid.shape]
 
 
 def test_localize_rejects_domain_exit():
@@ -600,9 +588,10 @@ def test_audit_rejects_zero_frequency():
 
 @pytest.mark.parametrize("kwargs, match", [
     ({"ugrid": np.array([])}, "u grid .* is empty"),
-    ({"xgrid": []}, "x grid .* is empty"),
+    # x0 + radius and x0 - radius overflow
+    ({"x0": 1e308, "radius": 1e308}, "x grid .* not finite"),
     ({"ugrid": np.array([1.0, np.inf])}, "u grid .* not finite"),
-    ({"xgrid": [0.0, np.nan]}, "x grid .* not finite"),
+    ({"x0": -1e308, "radius": 1e308}, "x grid .* not finite"),
     ({"x0": np.inf}, "x0 and radius must be finite"),
     ({"radius": np.nan}, "x0 and radius must be finite"),
 ])
@@ -658,6 +647,18 @@ def test_groenwall_recursion_rejects_bad_inputs(horizon, steps):
 def test_groenwall_beta_as_table():
     ts = [0.0, 0.5]
     phis = [1.0, 1.4]
-    rep = groenwall_verify(ts, phis, 0.5, beta={0.5: 0.2})
+    rep = groenwall_verify(ts, phis, 0.5, beta={0.5: 0.2}.__getitem__)
     assert rep.hypothesis_ok    # 1.4 <= 1.25 + 0.2
     assert not rep.conclusion_ok  # 1.4 > e^0.25
+
+
+@pytest.mark.parametrize("ts, phis", [
+    ([], []),
+    ([0.0, math.nan], [1.0, 1.0]),
+    ([0.0, math.inf], [1.0, 1.0]),
+    ([0.0, 1.0], [1.0, math.nan]),
+    ([0.0, 1.0], [-math.inf, 1.0]),
+])
+def test_groenwall_rejects_tables_it_cannot_check(ts, phis):
+    with pytest.raises(ValueError, match="non-empty|finite"):
+        groenwall_verify(ts, phis, 1.0)

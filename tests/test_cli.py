@@ -248,6 +248,10 @@ def test_groenwall_table_io(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("t,phi\n0,1\n0.5,5.0\n")
     assert main(["groenwall", "--table", str(bad), "--c", "1.0"]) == EXIT_CHECK_FAILED
+    # tables that cannot be checked: header only, a row without phi, a NaN phi
+    for text in ("t,phi\n", "t,phi\n0,1\n0.5\n", "t,phi\n0,1\n0.5,nan\n"):
+        table.write_text(text)
+        assert main(["groenwall", "--table", str(table), "--c", "1.0"]) == EXIT_INPUT
 
 
 def test_selftest_quick():

@@ -11,7 +11,7 @@ DEMOS = Path(__file__).resolve().parents[1] / "demos"
 @pytest.mark.parametrize(
     "name, expected",
     [
-        ("demo_measure_algebra.py", "symmetric: symmetric"),
+        ("demo_measure_algebra.py", "minus its mirror, largest atom: 0.0"),
         ("demo_fourier_conditions.py", "dominance: pass"),
         # the audit's ratio tables hold Python floats, printed as plain numbers;
         # the id names the line so that it does not change with the values

@@ -132,7 +132,7 @@ def test_ecf_symmetric_sample_imag_small():
 def test_ecf_distance_identical_is_zero():
     xs = np.random.default_rng(2).normal(size=500)
     a = _sample_of_floats(xs)
-    rep = ecf_distance(a, _sample_of_floats(xs.copy()), refine=False)
+    rep = ecf_distance(a, _sample_of_floats(xs.copy()))
     assert rep.distance == 0.0
 
 
@@ -141,12 +141,6 @@ def test_ecf_distance_requires_same_horizon():
     b = _sample_of_floats([0.0, 1.0], horizon=2.0)
     with pytest.raises(ValueError):
         ecf_distance(a, b)
-
-
-def test_ecf_distance_needs_a_nonnegative_frequency():
-    a = _sample_of_floats([0.0, 1.0], horizon=1.0)
-    with pytest.raises(ValueError, match="u >= 0"):
-        ecf_distance(a, a, ugrid=[-2.0, -1.0])
 
 
 def test_ecf_distance_null_calibration():
@@ -187,22 +181,6 @@ def test_support_audit_exactness():
     many = _exact_sample(states * 3 + (ExactState("1", 1.0, 3, 1),) * 4)
     audit3 = support_audit(many, "1")
     assert (audit3.off_lattice, audit3.nonzero_total, audit3.total) == (4, 10, 13)
-
-
-def test_support_audit_dyadic_kind():
-    states = (ExactState("1", 1.0, 5, 3), ExactState("1", 1.0, 1, 0))
-    audit = support_audit(_exact_sample(states), "1", kind="dyadic", scale=3)
-    assert audit.off_lattice == 0
-    neg = (ExactState("1", 1.0, -1, 2),)
-    assert support_audit(_exact_sample(neg), "1", kind="dyadic", scale=3).off_lattice == 1
-    mixed = _exact_sample(neg * 3 + states)
-    assert support_audit(mixed, "1", kind="dyadic", scale=3).off_lattice == 3
-    # the kind and the scale are checked before any state, even when all are zero
-    zeros = _exact_sample((ExactState("1", 1.0, 0, 0),) * 3)
-    with pytest.raises(ValueError, match="unknown lattice kind"):
-        support_audit(zeros, "1", kind="bogus")
-    with pytest.raises(ValueError, match="needs the lattice scale"):
-        support_audit(zeros, "1", kind="dyadic")
 
 
 def test_support_audit_rejects_floats():
@@ -278,23 +256,20 @@ def test_counted_ecf_matches_per_path(sample_pairs):
 def test_counted_ecf_distance_matches_per_path(sample_pairs):
     for a, b in sample_pairs:
         xa, xb = a.to_floats(), b.to_floats()
-        ma, sa = _oracle_ecf(xa, DEFAULT_UGRID)
-        mb, sb = _oracle_ecf(xb, DEFAULT_UGRID)
+        ma, _ = _oracle_ecf(xa, DEFAULT_UGRID)
+        mb, _ = _oracle_ecf(xb, DEFAULT_UGRID)
         gap = np.abs(ma - mb) / (1.0 + DEFAULT_UGRID**2)
         # the first arg max among u >= 0: the gap is even in u
         i = int(np.argmax(np.where(DEFAULT_UGRID >= 0.0, gap, -1.0)))
-        grid = ecf_distance(a, b, refine=False)
-        assert _close(grid.weighted_gap, gap)
-        assert grid.u_at == DEFAULT_UGRID[i]
-        assert _close(grid.distance, gap[i])
-        assert _close(grid.se_bound, (sa[i] + sb[i]) / (1.0 + DEFAULT_UGRID[i] ** 2))
-
         fine = ecf_distance(a, b)
-        assert fine.u_at >= 0.0
+        assert np.array_equal(fine.u, DEFAULT_UGRID)
+        assert _close(fine.weighted_gap, gap)
+        # the refinement stays in the grid arg max's bracket and never loses to it
+        assert abs(fine.u_at - DEFAULT_UGRID[i]) <= DEFAULT_UGRID[1] - DEFAULT_UGRID[0]
         (pa,), (ea,) = _oracle_ecf(xa, fine.u_at)
         (pb,), (eb,) = _oracle_ecf(xb, fine.u_at)
         weight = 1.0 / (1.0 + fine.u_at**2)
-        assert fine.distance >= grid.distance
+        assert fine.distance >= fine.weighted_gap[i]
         assert _close(fine.distance, abs(pa - pb) * weight)
         assert _close(fine.se_bound, (ea + eb) * weight)
 
@@ -357,7 +332,7 @@ def test_law_converges_as_resolution_grows():
                 rule, rule.initial_state(),
                 SimConfig(horizon=1.0, seed=3000 + seed, paths=2000),
             )
-            fracs.append(sum(s.is_zero for s in res.endpoints) / 2000.0)
+            fracs.append(sum(s.m == 0 for s in res.endpoints) / 2000.0)
         return float(np.median(fracs))
 
     coarse, fine = zero_mass_median(4), zero_mass_median(10)
@@ -451,8 +426,9 @@ def test_dynkin_grid_validation():
     spec = IncreasingDoublingApprox(K1, 0)
     tf = TestFunction(lambda x: x, lambda x: 1.0, lambda x: 0.0)
     x0 = jump_rule_of(spec).initial_state()
-    with pytest.raises(ValueError):
-        dynkin_residual(spec, tf, x0, 1.0, [0.0, 0.5, 0.9], 100, 1)
+    for grid in ([0.0, 0.5, 0.9], []):
+        with pytest.raises(ValueError, match="time grid"):
+            dynkin_residual(spec, tf, x0, 1.0, grid, 100, 1)
 
 
 def test_dynkin_needs_two_paths():

@@ -13,9 +13,9 @@ from hypothesis import strategies as st
 
 from levysym.errors import BudgetExceeded, UnitMismatch
 from levysym.measures import (
+    EXP_TERM_CAP,
     MAX_SPAN,
     PRUNE_THRESHOLD,
-    ConvolveSequenceReport,
     ExpSeriesReport,
     LatticeComplexMeasure,
     _modulus,
@@ -128,9 +128,10 @@ def test_exp_measure_atom_against_series_oracle():
 
 
 def test_exp_measure_budget():
-    big = meas({1: 400.0})
-    with pytest.raises(BudgetExceeded):
-        exp_measure(big, tol=1e-12, max_terms=64)
+    # the geometric tail majorant needs an order past the norm
+    big = meas({1: float(EXP_TERM_CAP + 1)})
+    with pytest.raises(BudgetExceeded, match=f"more than {EXP_TERM_CAP} terms"):
+        exp_measure(big, tol=1e-12)
 
 
 def test_exp_report():
@@ -166,34 +167,43 @@ def test_exp_series_matches_per_term_recurrence():
     assert exp_measure(ZERO, 1e-12) == _per_term_series(ZERO, 1e-12)
 
 
+def _symmetry(mu):
+    """'symmetric' when mu equals its mirror, 'antisymmetric' when it equals
+    minus its mirror (the zero measure is symmetric), else 'neither'."""
+    mirror = mu.mirror()
+    if mirror == mu:
+        return "symmetric"
+    return "antisymmetric" if mirror == mu.scale(-1.0) else "neither"
+
+
 def test_symmetry_class():
-    assert meas({1: 0.5, -1: 0.5}).symmetry_class() == "symmetric"
-    assert meas({2: -0.5j, -2: 0.5j}).symmetry_class() == "antisymmetric"
-    assert meas({1: 1.0, -1: 0.5}).symmetry_class() == "neither"
-    assert ZERO.symmetry_class() == "symmetric"
+    assert _symmetry(meas({1: 0.5, -1: 0.5})) == "symmetric"
+    assert _symmetry(meas({2: -0.5j, -2: 0.5j})) == "antisymmetric"
+    assert _symmetry(meas({1: 1.0, -1: 0.5})) == "neither"
+    assert _symmetry(ZERO) == "symmetric"
 
 
 def test_exp_preserves_symmetry():
     mu = meas({3: 0.2 - 0.7j, -3: 0.2 - 0.7j, 0: 1.1j})
-    assert mu.symmetry_class() == "symmetric"
-    assert exp_measure(mu, 1e-13).symmetry_class() == "symmetric"
+    assert _symmetry(mu) == "symmetric"
+    e = exp_measure(mu, 1e-13)
+    assert (e - e.mirror()).sup_norm() <= 1e-12 * e.tv_norm()
 
 
 def test_convolve_sequence():
-    assert convolve_sequence([]) == dirac(0)
+    with pytest.raises(ValueError, match="at least one measure"):
+        convolve_sequence([])
     with pytest.warns(UserWarning):  # translation Diracs are legitimately uncentered
         assert convolve_sequence([dirac(1), dirac(2), dirac(3)]) == dirac(6)
-    mus = [meas({1: 0.3, -1: 0.3}), meas({2: 0.2, -2: 0.2})]
-    fold, report = convolve_sequence(mus, with_report=True)
-    assert isinstance(report, ConvolveSequenceReport)
+    mus = [meas({1: 0.3, -1: 0.3}, unit=0.5, tag="h"), meas({2: 0.2, -2: 0.2}, unit=0.5, tag="h")]
+    fold = convolve_sequence(mus)  # centered parts: no warning
+    assert fold == mus[0].convolve(mus[1])
     assert fold.tv_norm() <= mus[0].tv_norm() * mus[1].tv_norm() + 1e-12
-    assert report.second_moment_sum == pytest.approx(0.6 * 1 + 0.4 * 4)
-    assert report.centered_violations == ()
 
 
 def test_convolve_sequence_warns_on_uncentered():
-    with pytest.warns(UserWarning):
-        convolve_sequence([meas({1: 1.0})], tol=1e-9)
+    with pytest.warns(UserWarning, match=r"positions \[1\]"):
+        convolve_sequence([meas({1: 0.5, -1: 0.5}), meas({1: 1.0})])
 
 
 def test_csv_round_trip():
@@ -340,13 +350,11 @@ def _oracle_add(x, y):
     return w
 
 
-def _oracle_symmetry(x, tol=None):
-    if tol is None:
-        tol = 1e-12 * sum(abs(z) for z in x.values())
+def _oracle_symmetry(x):
     indices = set(x) | {-j for j in x}
-    if all(abs(x.get(j, 0j) - x.get(-j, 0j)) <= tol for j in indices):
+    if all(x.get(j, 0j) == x.get(-j, 0j) for j in indices):
         return "symmetric"
-    if all(abs(x.get(j, 0j) + x.get(-j, 0j)) <= tol for j in indices):
+    if all(x.get(j, 0j) == -x.get(-j, 0j) for j in indices):
         return "antisymmetric"
     return "neither"
 
@@ -387,11 +395,11 @@ def mirrored_dicts(draw):
 @example({1: 1e308 * 2.0**-1000, -1: -1e308 * 2.0**-1000}, 1000)
 @example({1: 1e308 * 2.0**-1000, 0: 1e308 * 2.0**-1000, -1: 2.0**-1000}, 1000)
 def test_symmetry_class_holds_up_to_the_float_range(x, k):
-    # scaling every weight by 2**k is exact and keeps the class, also where
-    # mu - mirror(mu), mu + mirror(mu) or the total variation overflow
+    # scaling every weight by 2**k is exact and keeps the class: the mirror
+    # and the negation are exact, also where mu - mirror(mu), mu + mirror(mu)
+    # or the total variation overflow
     mu = meas({j: z * 2.0**k for j, z in x.items()})
-    assert mu.symmetry_class() == _oracle_symmetry(x)
-    assert mu.symmetry_class(0.0) == _oracle_symmetry(x, 0.0)
+    assert _symmetry(mu) == _oracle_symmetry(x)
 
 
 @settings(max_examples=40, deadline=None)
@@ -403,7 +411,7 @@ def test_dense_measure_matches_dict_oracle(x, y, u):
     assert len(mx) == len(_atoms(x))
     assert dict(mx.add(my).weights) == _atoms(_oracle_add(x, y))
     assert dict(mx.total_variation().weights) == {j: abs(z) for j, z in x.items()}
-    assert mx.symmetry_class() == _oracle_symmetry(x)
+    assert dict(mx.mirror().weights) == {-j: z for j, z in _atoms(x).items()}
 
     conv = mx.convolve(my)
     tv_x = sum(abs(z) for z in x.values())
@@ -447,8 +455,7 @@ edge_dicts = st.dictionaries(
 @st.composite
 def cancelling_pairs(draw):
     """Weights of two measures that share some entries exactly, with either
-    sign, so sums and differences cancel to exact zeros at the ends and inside
-    (dicts, not measures: the repr of a measure with an overflowing mass warns)."""
+    sign, so sums and differences cancel to exact zeros at the ends and inside."""
     x = draw(edge_dicts)
     y = draw(edge_dicts)
     shared = draw(st.sets(st.sampled_from(sorted(x)))) if x else set()
@@ -523,10 +530,7 @@ def test_every_result_is_in_canonical_form(pair, z, k):
     _assert_result_is_full_pass(lambda: x - y, lo, raw_diff)
     _assert_result_is_full_pass(lambda: x.scale(z), x._lo, raw_scaled)
     if raw_conv is not None:
-        # a product with finite parts can still have a modulus past the float
-        # range; the canonical pass's hypot warns about it before raising
-        with np.errstate(over="ignore"):
-            _assert_result_is_full_pass(lambda: x.convolve(y), x._lo + y._lo, raw_conv)
+        _assert_result_is_full_pass(lambda: x.convolve(y), x._lo + y._lo, raw_conv)
     _assert_result_is_full_pass(x.total_variation, x._lo, _modulus(x._a).astype(complex))
     _assert_result_is_full_pass(
         x.mirror, -(x._lo + x._a.size - 1), np.array(x._a[::-1])
@@ -537,8 +541,7 @@ def test_every_result_is_in_canonical_form(pair, z, k):
         lambda: LatticeComplexMeasure.from_array(1.0, "unit", y._lo - 2, padded),
         y._lo - 2, padded,
     )
-    if x.sup_norm() <= 4.0:  # larger weights overflow the mirror sum or the series
-        assert x.symmetry_class() == _oracle_symmetry(dict(x.weights))
+    if x.sup_norm() <= 4.0:  # larger weights overflow the series
         start, raw = _raw_exp_series(x, 1e-12)
         _assert_result_is_full_pass(lambda: exp_measure(x, 1e-12), start, raw)
 
@@ -550,7 +553,11 @@ def test_every_result_is_in_canonical_form(pair, z, k):
     lambda: meas({0: complex(1e308, 1e308), 2: 1.0}).scale(complex(1e308, 1e308)),
     lambda: meas({0: 1e308}).scale(1.5 + 1j),
     lambda: meas({0: 1e200}).convolve(meas({0: 1e200})),
-], ids=["add", "sub", "scale", "scale-inf-minus-inf", "scale-modulus", "convolve"])
+    lambda: meas({0: 1.5e308}).convolve(meas({0: 1 + 1j})),
+    lambda: meas({0: complex(1.5e308, 1.5e308)}),
+    lambda: LatticeComplexMeasure.from_array(1.0, "unit", 0, [complex(1.5e308, 1.5e308)]),
+], ids=["add", "sub", "scale", "scale-inf-minus-inf", "scale-modulus", "convolve",
+        "convolve-modulus", "mapping-modulus", "array-modulus"])
 def test_overflow_raises_value_error_not_runtime_warning(op):
     # the suite turns RuntimeWarnings into errors: NumPy's overflow warning
     # must not pre-empt the typed error
@@ -645,3 +652,12 @@ def test_shift_is_convolution_with_a_point_mass(w, k):
     assert shifted.shift(-k) == mu
     assert mu.mirror().mirror() == mu
     assert mu.mirror().shift(-k) == mu.shift(k).mirror()
+
+
+def test_norms_past_the_float_range_are_inf():
+    # the sums overflow; under the suite's error::RuntimeWarning filter a
+    # NumPy overflow warning would pre-empt the inf
+    mu = meas({0: 1e308, 1: 1e308})
+    assert mu.tv_norm() == math.inf
+    assert mu.total_mass() == complex(math.inf, 0.0)
+    assert "mass=inf" in repr(mu)

@@ -50,7 +50,7 @@ def test_exact_state_shift():
     t = s.shifted(1, 3)  # + 1/8 = 3/8
     assert (t.m, t.s) == (3, 3)
     back = t.shifted(-3, 3)
-    assert back.is_zero
+    assert back.m == 0
 
 
 def test_exact_state_compare():
@@ -331,6 +331,18 @@ def test_lockstep_runs_symmetric_starts_off_the_ladder_of_0(m, horizon):
                           paths=32, max_events=300)
     assert fast.m.dtype == np.int64
     assert max(fast.event_counts) > 1
+
+
+@pytest.mark.parametrize("k", [K1, KS2], ids=["k1", "sqrt2"])
+@pytest.mark.parametrize("n", [0, 3, 10])
+@pytest.mark.parametrize("m, ds", [(1, 1), (-1, 1), (3, 2), (-5, 3)])
+def test_lockstep_runs_symmetric_starts_in_the_inner_region(k, n, m, ds):
+    # |x0| < k 2**-n: steps of +-k 2**-n up to the outer region, then its ladders;
+    # at n = 10 nearly every path truncates, at n = 0 and 3 none does
+    rule = jump_rule_of(SymmetricDoublingApprox(k, n))
+    fast = _engines_agree(rule, rule.initial_state(m, n + ds), horizon=1.0, seed=21,
+                          paths=32, max_events=300)
+    assert fast.m.dtype == np.int64
 
 
 def _chain_table(rule, x0, monkeypatch):
@@ -667,7 +679,7 @@ def test_empty_rule_constant_path():
     rule = JumpRule(moves=lambda s: (), unit_tag="1", k=1.0)
     path = simulate_path(rule, rule.initial_state(), SimConfig(horizon=1.0, seed=1))
     assert path.times == ()
-    assert path.endpoint.is_zero
+    assert path.endpoint.m == 0
     assert not path.truncated
 
 

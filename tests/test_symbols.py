@@ -22,7 +22,6 @@ from levysym.symbols import (
     TripletExponent,
     apply_generator,
     eval_symbol,
-    triplet_of,
     truncation,
 )
 
@@ -60,7 +59,7 @@ def test_increasing_domain():
     with pytest.raises(DomainError):
         q.value(-0.1, 1.0)
     with pytest.raises(DomainError):
-        triplet_of(q, -1.0)
+        q.triplet(-1.0)
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: type(s).__name__)
@@ -166,7 +165,7 @@ def test_eval_matches_triplet_exponent(spec):
     for _ in range(60):
         x = float(rng.uniform(0.0, 4.0))
         u = float(rng.uniform(-8.0, 8.0))
-        trip = triplet_of(spec, x)
+        trip = spec.triplet(x)
         if trip.diffusion != 0.0 and not isinstance(
             spec, (SymmetricDoubling, ConstantSymbol, ProductCosine)
         ):
@@ -175,18 +174,18 @@ def test_eval_matches_triplet_exponent(spec):
 
 
 def test_symmetric_triplet_at_zero_not_simulable():
-    trip = triplet_of(SymmetricDoubling(), 0.0)
+    trip = SymmetricDoubling().triplet(0.0)
     assert trip.diffusion == 1.0
-    assert triplet_of(SymmetricDoublingApprox(K1, 2), 0.0).diffusion == 0.0
+    assert SymmetricDoublingApprox(K1, 2).triplet(0.0).diffusion == 0.0
 
 
 def test_approx_triplet_frozen_region():
     spec = SymmetricDoublingApprox(K1, 0)
-    trip = triplet_of(spec, 0.0)
+    trip = spec.triplet(0.0)
     assert trip.jumps == ((1.0, 0.5), (-1.0, 0.5))
     assert trip.drift == 0.0
     spec2 = IncreasingDoublingApprox(K1, 0)
-    trip2 = triplet_of(spec2, 5.0)  # clamped to h = 1
+    trip2 = spec2.triplet(5.0)  # clamped to h = 1
     assert trip2.jumps == ((1.0, 1.0),)
 
 
