@@ -425,7 +425,6 @@ class MajorantReport:
     weighted_mass_bound: float
     mass_ok: bool
     K_sigma: float
-    rewritten_a0: complex
     series_order: int
     series_tail: float
 
@@ -483,7 +482,7 @@ def assemble_majorant(fs: FourierSymbol, u: float, t: float, ncut: int, xgrid,
     report = MajorantReport(
         u=float(u), t=float(t), transform_error=worst, transform_ok=worst <= tol,
         weighted_mass=mass, weighted_mass_bound=bound, mass_ok=mass <= bound,
-        K_sigma=k_sigma, rewritten_a0=rewritten,
+        K_sigma=k_sigma,
         series_order=max((r.terms for r in series), default=0),
         series_tail=sum(r.tail_bound for r in series),
     )
@@ -544,8 +543,6 @@ class EllipticityAudit:
     floor_ratio: float
     slope: float
     u: np.ndarray
-    order1_ratio_per_u: np.ndarray
-    max_order: int
     bound: float | None = None
 
     @property
@@ -613,8 +610,6 @@ def audit_ellipticity(spec, exponent_spec, x0: float, radius: float,
         floor_ratio=floor,
         slope=slope,
         u=us,
-        order1_ratio_per_u=ratio1,
-        max_order=max_order,
         bound=bound,
     )
 

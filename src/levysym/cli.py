@@ -2,7 +2,8 @@
 
 Exit codes: 0 all checks passed, 2 an acceptance-style check failed,
 3 bad input, 4 a numeric budget was exhausted.  Every artifact directory
-receives a ``manifest.json`` sufficient to replay the run; failures print a
+receives one ``manifest.json`` sufficient to replay the run, which lists
+every ensemble of a run over several lattices; failures print a
 machine-readable JSON line to stdout.
 """
 
@@ -44,13 +45,16 @@ def _write(path: FsPath, text: str):
     path.write_text(text)
 
 
-def _manifest(outdir: FsPath, spec, cfg, result, extra=None):
-    _write(
-        outdir / "manifest.json",
-        simulate.manifest_json(
-            spec.to_json() if spec is not None else None, cfg, result, extra
-        ),
-    )
+def _manifest(outdir: FsPath, cfg, ensembles):
+    """Write the one manifest of a run: ``ensembles`` holds a (spec, result,
+    extra) triple per ensemble; several share one config and are listed."""
+    docs = [(spec.to_json(), result, extra) for spec, result, extra in ensembles]
+    if len(docs) == 1:
+        (spec_json, result, extra), = docs
+        text = simulate.manifest_json(spec_json, cfg, result, extra)
+    else:
+        text = simulate.ensembles_manifest_json(cfg, docs)
+    _write(outdir / "manifest.json", text)
 
 
 def _fail(reason: str, **info) -> int:
@@ -66,6 +70,7 @@ def cmd_simulate(args) -> int:
     k_tokens = args.k.split(",")
     multi_k = len(k_tokens) > 1
     svg_series = []
+    ensembles = []
     for token in k_tokens:
         spec = _approx_spec(args.spec, token, args.n)
         rule = simulate.jump_rule_of(spec)
@@ -84,7 +89,8 @@ def cmd_simulate(args) -> int:
                 svg_series.append(
                     (f"k = {token}", path.times, [s.value for s in path.states])
                 )
-        _manifest(outdir, spec, cfg, result, {"k_token": token})
+        ensembles.append((spec, result, {"k_token": token}))
+    _manifest(outdir, cfg, ensembles)
     if args.svg and svg_series:
         log_y = args.spec == "ex32approx" and args.log_y
         _write(
@@ -115,7 +121,7 @@ def cmd_moments(args) -> int:
         rows.append((order, est.mean, est.se, closed, err, ok))
     outdir = FsPath(args.out)
     _write(outdir / "moments.csv", mcstats.moment_report_csv(rows))
-    _manifest(outdir, spec, cfg, result)
+    _manifest(outdir, cfg, [(spec, result, None)])
     if not all_ok:
         return _fail("moment outside tolerance",
                      rows=[[r[0], r[1], r[3]] for r in rows if not r[5]])
@@ -125,6 +131,7 @@ def cmd_moments(args) -> int:
 def cmd_nonuniq(args) -> int:
     outdir = FsPath(args.out)
     samples = {}
+    ensembles = []
     audits_ok = True
     lines = ["lattice,audited_against,off_lattice,nonzero_total"]
     for token in ("1", "sqrt2"):
@@ -133,7 +140,8 @@ def cmd_nonuniq(args) -> int:
         cfg = simulate.SimConfig(horizon=args.t, seed=args.seed, paths=args.paths)
         result = simulate.simulate_ensemble(rule, rule.initial_state(), cfg)
         samples[token] = mcstats.Sample.from_ensemble(result, label=f"k={token}")
-        _manifest(outdir, spec, cfg, result, {"k_token": token})
+        ensembles.append((spec, result, {"k_token": token}))
+    _manifest(outdir, cfg, ensembles)
     for own, other in (("1", "sqrt2"), ("sqrt2", "1")):
         own_audit = mcstats.support_audit(samples[own], own)
         cross = mcstats.support_audit(samples[own], other)

@@ -299,7 +299,6 @@ class DynkinReport:
     quadrature_error: float
     mean_f_terminal: float
     generator_means: tuple[float, ...]
-    time_grid: tuple[float, ...]
 
 
 def dynkin_residual(spec, tf: TestFunction, x0: ExactState, horizon: float,
@@ -348,7 +347,7 @@ def dynkin_residual(spec, tf: TestFunction, x0: ExactState, horizon: float,
     slope0 = (g_arr[1] - g_arr[0]) / (ts_arr[1] - ts_arr[0])
     slope1 = (g_arr[-1] - g_arr[-2]) / (ts_arr[-1] - ts_arr[-2])
     quad = h * h / 12.0 * abs(slope1 - slope0)
-    return DynkinReport(residual, se, quad, mean_f, tuple(g_arr.tolist()), tuple(ts))
+    return DynkinReport(residual, se, quad, mean_f, tuple(g_arr.tolist()))
 
 
 def _split_seed(seed: int, index: int) -> int:

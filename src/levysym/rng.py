@@ -16,11 +16,18 @@ counter early, drawing it beside other keys' counters, or drawing one that no
 event uses changes no result.  Each ensemble owns one work buffer
 (:func:`work_buffer`) and passes it to every Philox call it makes, so its
 draws allocate no scratch memory; the words a call returns are fresh arrays
-and never alias the buffer.
+and never alias the buffer.  A call takes six blocks of the buffer, each of
+its broadcast size: four round temporaries, the one ``lo`` trades with the
+second output word, and the key schedule.  The schedule keeps the key's own
+shape (a scalar for key derivation and per-path blocks, a row of keys in a
+tile) and is broadcast into each round's xor, so advancing it costs one add
+on the key's shape per round.
 
 The 64x64 -> 128 bit multiply is emulated with 32-bit limbs, which keeps
 everything inside NumPy uint64 vector arithmetic (exactness is covered by
-a big-integer oracle in the tests).
+a big-integer oracle in the tests).  A round after the first makes 18
+ufunc calls; each gets its output positionally and its constants as 0-d
+uint64 arrays, the form NumPy dispatches fastest.
 """
 
 from __future__ import annotations
@@ -29,23 +36,28 @@ import math
 
 import numpy as np
 
-_M = np.uint64(0xD2B74407B1CE6E93)      # multiplier
-_W = np.uint64(0x9E3779B97F4A7C15)      # Weyl key increment (golden ratio)
-_MASK32 = np.uint64(0xFFFFFFFF)
-_S32 = np.uint64(32)
-_S11 = np.uint64(11)
-_M_LO = _M & _MASK32
-_M_HI = _M >> _S32
+
+def _u64(value) -> np.ndarray:
+    """A 0-d uint64 array: ufuncs dispatch faster on it than on a NumPy scalar."""
+    return np.array(value, dtype=np.uint64)
+
+
+_M = _u64(0xD2B74407B1CE6E93)      # multiplier
+_W = _u64(0x9E3779B97F4A7C15)      # Weyl key increment (golden ratio)
+_MASK32 = _u64(0xFFFFFFFF)
+_S32 = _u64(32)
+_S11 = _u64(11)
+_M_LO = _u64(int(_M) & 0xFFFFFFFF)
+_M_HI = _u64(int(_M) >> 32)
 
 #: counter-word constant marking the "path key derivation" stream
-_KEY_DOMAIN = np.uint64(0x5CA1AB1E)
+_KEY_DOMAIN = _u64(0x5CA1AB1E)
 #: counter-word constant marking the "event uniforms" stream
-_EVENT_DOMAIN = np.uint64(0x0DDC0FFE)
+_EVENT_DOMAIN = _u64(0x0DDC0FFE)
 
 ROUNDS = 10
-#: full-shape words a philox2x64 call keeps in ``work``: the key schedule and
-#: six round temporaries
-_WORK_SLOTS = 7
+#: blocks of ``work`` a philox2x64 call uses, each of the broadcast size
+_WORK_SLOTS = 6
 
 
 def work_buffer(size: int) -> np.ndarray:
@@ -54,17 +66,41 @@ def work_buffer(size: int) -> np.ndarray:
     return np.empty(_WORK_SLOTS * size, dtype=np.uint64)
 
 
+def _mulhilo(x, bl, bh, t, t2, lo):
+    """The 128-bit product M * x via 32-bit limbs: its high word is returned
+    in ``bl`` and its low word written to ``lo``; ``bl``, ``bh``, ``t`` and
+    ``t2`` are scratch of x's shape."""
+    np.bitwise_and(x, _MASK32, bl)
+    np.right_shift(x, _S32, bh)
+    np.multiply(_M_LO, bl, t)
+    np.right_shift(t, _S32, t)
+    np.multiply(_M_LO, bh, t2)
+    np.add(t2, t, t)
+    np.multiply(_M_HI, bl, t2)
+    hi = bl  # bl is read for the last time above
+    np.bitwise_and(t, _MASK32, hi)
+    np.add(t2, hi, t2)
+    np.multiply(_M_HI, bh, hi)
+    np.right_shift(t, _S32, t)
+    np.add(hi, t, hi)
+    np.right_shift(t2, _S32, t2)
+    np.add(hi, t2, hi)
+    np.multiply(_M, x, lo)
+    return hi
+
+
 def philox2x64(c0, c1, key, rounds: int = ROUNDS, work=None):
     """Return the two uint64 output words for counters (c0, c1) under key.
 
     All three arguments broadcast against each other; inputs are consumed
     as uint64.  The first round's multiply depends on c0 alone and runs on
     its shape; the other rounds work in place on full-shape buffers.  Those
-    buffers and the key schedule are carved from ``work``, a 1-D writable
-    uint64 array of at least ``_WORK_SLOTS`` x (broadcast size) entries (from
-    :func:`work_buffer`; one is allocated when it is None), so a caller that
-    passes the same buffer to every call allocates no scratch per call.  The
-    two output words are fresh arrays and never alias ``work``.
+    buffers and the key schedule, on the key's shape, are carved from
+    ``work``, a 1-D writable uint64 array of at least ``_WORK_SLOTS`` x
+    (broadcast size) entries (from :func:`work_buffer`; one is allocated when
+    it is None), so a caller that passes the same buffer to every call
+    allocates no scratch per call.  The two output words are fresh arrays and
+    never alias ``work``.
     """
     x0 = np.asarray(c0, dtype=np.uint64)
     x1 = np.asarray(c1, dtype=np.uint64)
@@ -86,45 +122,27 @@ def philox2x64(c0, c1, key, rounds: int = ROUNDS, work=None):
     def slot(i, shp):  # slot i of work, a block of ``size`` words, as an array
         return work[i * size:i * size + math.prod(shp)].reshape(shp)
 
-    k = slot(0, shape)
+    k = slot(5, key.shape)
     np.copyto(k, key)
-    # round 0 runs on x0's shape; its bl sits in slot 6 and its lo in slot 1,
-    # so that slot 6 is free for the full-shape x1 it copies lo into
-    bl, bh, t, t2, hi, lo = (slot(i, x0.shape) for i in (6, 2, 3, 4, 5, 1))
-    # x1 and lo trade buffers every later round: start x1 in the one of out1
-    # and slot 6 from which the trades bring it to out1
-    x1_full, lo_full = (slot(6, shape), out1) if rounds % 2 == 0 else (out1, slot(6, shape))
-    with np.errstate(over="ignore"):
-        for r in range(rounds):
-            # hi,lo = (M * x0) as 128-bit product, via 32-bit limbs
-            np.bitwise_and(x0, _MASK32, out=bl)
-            np.right_shift(x0, _S32, out=bh)
-            np.multiply(_M_LO, bl, out=t)
-            np.right_shift(t, _S32, out=t)
-            np.multiply(_M_LO, bh, out=t2)
-            np.add(t2, t, out=t)
-            np.multiply(_M_HI, bl, out=t2)
-            np.bitwise_and(t, _MASK32, out=hi)
-            np.add(t2, hi, out=t2)
-            np.multiply(_M_HI, bh, out=hi)
-            np.right_shift(t, _S32, out=t)
-            np.add(hi, t, out=hi)
-            np.right_shift(t2, _S32, out=t2)
-            np.add(hi, t2, out=hi)
-            np.multiply(_M, x0, out=lo)
-            # feistel swap: x0' = hi ^ key ^ x1, x1' = lo
-            if r == 0:  # from here on every word has the full shape
-                np.bitwise_xor(hi, k, out=out0)
-                np.bitwise_xor(out0, x1, out=out0)
-                np.copyto(x1_full, lo)
-                x0, x1 = out0, x1_full
-                bl, bh, t, t2, hi = (slot(i, shape) for i in range(1, 6))
-                lo = lo_full
-            else:
-                np.bitwise_xor(hi, k, out=t)
-                np.bitwise_xor(t, x1, out=x0)
-                x1, lo = lo, x1
-            np.add(k, _W, out=k)
+    # lo of round r >= 1 goes to los[r % 2], so that the last round's lands in
+    # out1: x1 and lo trade buffers every round
+    los = (out1, slot(4, shape)) if rounds % 2 else (slot(4, shape), out1)
+    # round 0 runs on x0's shape and puts its lo, the next x1, at the front
+    # of los[0]; feistel swap: x0' = hi ^ key ^ x1, x1' = lo
+    lo = los[0].reshape(-1)[:x0.size].reshape(x0.shape)
+    hi = _mulhilo(x0, *(slot(i, x0.shape) for i in range(4)), lo)
+    np.bitwise_xor(hi, k, out0)
+    np.bitwise_xor(out0, x1, out0)
+    x0, x1 = out0, lo
+    temps = [slot(i, shape) for i in range(4)]
+    for r in range(1, rounds):  # every word has the full shape
+        np.add(k, _W, k)
+        hi = _mulhilo(x0, *temps, los[r % 2])
+        np.bitwise_xor(hi, k, hi)
+        np.bitwise_xor(hi, x1, x0)
+        x1 = los[r % 2]
+    if x1.shape != shape:  # one round: x1 is round 0's lo, on x0's shape
+        x1 = np.broadcast_to(x1, shape).copy()
     return x0, x1
 
 

@@ -25,15 +25,21 @@ ensembles of the two doubling families run instead in one vectorized
 lock-step loop, ``_lockstep``, which steps int64 levels through a chain
 table: the states the chain reaches from x0, each with its total rate and
 successors as the per-path engine's own rule computes them.  An event index
-costs it seven array operations and no live mask: the next level is one
-gather from the table's successor array, and a path that has ended is frozen
-by setting its time to NaN.  Both engines give identical endpoints, event
-counts and truncations; an ensemble holds its endpoints as two columns,
-mantissas and scales, and builds ``ExactState`` endpoints on request, one
-per distinct state, shared by the paths that end there.  ``SimConfig.observe``
-adds the state at each of a sorted list of times before the horizon,
-recorded in the same pass as two more columns per time: column q of a run
-is the endpoint of the run with the same seed and horizon ``observe[q]``.
+costs it seven NumPy calls over the active paths and reads no live mask: a
+gather of the rates, a division and an in-place subtraction step the times,
+a comparison and a reduction look for paths that end, and an in-place add
+and a gather move the positions through the table's successor array.  Paths
+that end at an event index cost four more calls there: masked copies record
+their positions and event index in per-tile arrays, a third freezes them by
+setting their times to NaN, and a count tells when the whole tile has ended;
+the tile scatters them to the per-path outputs once, when it ends.  Both
+engines give identical endpoints, event counts and truncations; an ensemble
+holds its endpoints as two columns, mantissas and scales, and builds
+``ExactState`` endpoints on request, one per distinct state, shared by the
+paths that end there.  ``SimConfig.observe`` adds the state at each of a
+sorted list of times before the horizon, recorded in the same pass as two
+more columns per time: column q of a run is the endpoint of the run with the
+same seed and horizon ``observe[q]``.
 """
 
 from __future__ import annotations
@@ -506,12 +512,17 @@ def _lockstep(table: _ChainTable, cfg: SimConfig) -> EnsembleResult:
     that time records the path's level in the time's column instead, and
     again for every later time it also passes; a path ends when it passes
     the horizon, or at ``max_events``, where its state fills the columns not
-    yet recorded.  A path that ends inside a tile is frozen: its time
-    becomes NaN, which passes no time again (its position may still move,
-    unread), and it is dropped when the tile ends.  No step reads a live
-    mask.  A path at level -1 never passes a time either (rate NaN): the
-    live paths are checked for it at each tile's end, before they truncate,
-    and one there raises ``_LockstepUnfit``.
+    yet recorded.  A path that ends inside a tile is recorded by masked
+    copies into the tile's ``end_at`` and ``end_events`` arrays (the latter
+    -1 while the path lives) and frozen: its time becomes NaN, which passes
+    no time again (its position may still move, unread).  A running count of
+    ended paths stops the tile once all have ended, and at the tile's end the
+    ended paths are scattered to the per-path outputs and dropped.  No step
+    reads a live mask.  A step takes the log of u1 in place and subtracts
+    log(u1) / rate from t, which equals adding (-log u1) / rate bit for bit.
+    A path at level -1 never passes a time either (rate NaN): the live paths
+    are checked for it at each tile's end, before they truncate, and one
+    there raises ``_LockstepUnfit``.
     """
     N = cfg.paths
     # one Philox work buffer for the run: a tile has B * N_active <= max(_TILE, N)
@@ -529,10 +540,6 @@ def _lockstep(table: _ChainTable, cfg: SimConfig) -> EnsembleResult:
     truncated = np.zeros(N, dtype=bool)
     j = 0
 
-    def finish(rows):  # rows (a mask or slice of the active paths) end at event j
-        out_at[idx[rows]] = at[rows]
-        out_events[idx[rows]] = j
-
     def observe(passed):  # rows of mask ``passed`` are past their next time
         rows = np.flatnonzero(passed)
         while (rows := rows[nxt[idx[rows]] < Q]).size:
@@ -542,41 +549,54 @@ def _lockstep(table: _ChainTable, cfg: SimConfig) -> EnsembleResult:
             rows = rows[t[rows] > times[nxt[paths]]]
 
     while idx.size:
-        B = max(1, min(_TILE // idx.size, cfg.max_events + 1 - j))
+        n = idx.size
+        B = max(1, min(_TILE // n, cfg.max_events + 1 - j))
         last = j + B > cfg.max_events  # the tile's last row is event max_events
         counters = np.arange(j, j + B, dtype=np.uint64)
         u1, u2 = rng.event_uniforms(keys[idx][None, :], counters[:, None], work)
-        e1 = -np.log(u1)
+        log_u1 = np.log(u1, u1)
         col = (u2 >= 0.5).view(np.int8)
         tnext = times[nxt[idx]] if Q else cfg.horizon
-        ended = np.zeros(idx.size, dtype=bool)
+        done = np.empty(n, dtype=bool)
+        # the paths that end in this tile: position and event index, -1 while live
+        end_at = np.empty(n, dtype=np.int64)
+        end_events = np.full(n, -1, dtype=np.int64)
+        ended = 0
         for r in range(B):
             if j >= table.depth:
                 rate, succ = table.extend(2 * j + 1)
                 rate, succ = rate.repeat(2), 2 * succ.ravel()  # indexed by position
-            t += e1[r] / rate[at]
-            done = t > tnext
+            step = rate[at]
+            np.divide(log_u1[r], step, step)
+            np.subtract(t, step, t)  # t += -log(u1) / rate, to the bit
+            np.greater(t, tnext, done)
             if done.any():
                 if Q:
                     observe(done)
                     tnext = times[nxt[idx]]
                     done &= t > tnext
-                finish(done)
-                t[done] = math.nan  # frozen
-                ended |= done
-                if ended.all():
+                np.copyto(end_at, at, where=done)
+                np.copyto(end_events, j, where=done)
+                np.copyto(t, math.nan, where=done)  # frozen
+                ended += np.count_nonzero(done)
+                if ended == n:
                     break
             if j == cfg.max_events:
                 break
-            at = succ[at + col[r]]
+            np.add(at, col[r], at)
+            at = succ[at]
             j += 1
-        if ended.any():
-            live = ~ended
+        if ended:
+            stop = end_events >= 0
+            out_at[idx[stop]] = end_at[stop]
+            out_events[idx[stop]] = end_events[stop]
+            live = ~stop
             idx, at, t = idx[live], at[live], t[live]
         if (at < 0).any():
             raise _LockstepUnfit("a path reached a state the table does not carry")
         if last:  # the live paths truncate at event max_events
-            finish(slice(None))
+            out_at[idx] = at
+            out_events[idx] = j
             truncated[idx] = True
             late = np.arange(Q)[:, None] >= nxt[idx]  # columns not yet recorded
             obs_at[:, idx] = np.where(late, at, obs_at[:, idx])
@@ -635,19 +655,30 @@ def path_csv(paths) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _config_doc(cfg: SimConfig) -> dict:
+    return {"horizon": cfg.horizon, "seed": cfg.seed, "paths": cfg.paths,
+            "max_events": cfg.max_events}
+
+
+def _ensemble_doc(spec_json: dict | None, result: EnsembleResult,
+                  extra: dict | None) -> dict:
+    return {"spec": spec_json, "truncated_paths": result.truncated_count,
+            "total_events": int(sum(result.event_counts)), **(extra or {})}
+
+
 def manifest_json(spec_json: dict | None, cfg: SimConfig, result: EnsembleResult,
                   extra: dict | None = None) -> str:
-    doc = {
-        "spec": spec_json,
-        "config": {
-            "horizon": cfg.horizon,
-            "seed": cfg.seed,
-            "paths": cfg.paths,
-            "max_events": cfg.max_events,
-        },
-        "truncated_paths": result.truncated_count,
-        "total_events": int(sum(result.event_counts)),
-    }
-    if extra:
-        doc.update(extra)
+    """Manifest of one ensemble: its spec, config, truncated paths and total
+    events, and the keys of ``extra``."""
+    doc = {"config": _config_doc(cfg), **_ensemble_doc(spec_json, result, extra)}
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def ensembles_manifest_json(cfg: SimConfig, ensembles) -> str:
+    """Manifest of several ensembles run under one config, one per lattice
+    say: ``ensembles`` holds a (spec_json, result, extra) triple per ensemble,
+    and the manifest lists each as :func:`manifest_json` describes it, in
+    that order, under ``"ensembles"``."""
+    doc = {"config": _config_doc(cfg),
+           "ensembles": [_ensemble_doc(*ensemble) for ensemble in ensembles]}
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"

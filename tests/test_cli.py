@@ -105,6 +105,57 @@ def test_nonuniq_small(tmp_path):
     assert dist["passed"]
 
 
+#: SHA-256 of the evidence ``test_nonuniq_small``'s run writes, recorded before
+#: the Philox key schedule moved onto the key's shape and the lock-step engine
+#: recorded ended paths once per tile
+NONUNIQ_SHA256 = {
+    "ecf_distance.json": "d4aa5f32eafe6113a98978e92e0bc6044f52e4099919a58d40fd81d171ea372a",
+    "ecf_report.csv": "5d5ae15579f36b3e717e3c911f1155ef446e95b1ee6458e149579a1f8c193980",
+    "moment_comparison.csv": "76529d89104c03fc68507812f6503bd56e2d827d7fd538f4b45c6e9c6368405b",
+    "support_audit.csv": "f2e1beb8aa1f4b64bcbecd958761a035208339a8e4fc0b0fa204dd573a807a45",
+}
+
+
+def test_nonuniq_artifacts_are_pinned(tmp_path):
+    out = tmp_path / "nu"
+    assert main([
+        "nonuniq", "--n", "6", "--t", "1", "--paths", "1500", "--seed", "5",
+        "--distance-ratio", "5", "--out", str(out),
+    ]) == 0
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+               for name in NONUNIQ_SHA256}
+    assert digests == NONUNIQ_SHA256
+
+
+@pytest.mark.parametrize("argv, tokens", [
+    (["simulate", "--spec", "ex31approx", "--k", "1,sqrt2", "--n", "4", "--paths", "40",
+      "--max-events", "30"], ["1", "sqrt2"]),
+    (["simulate", "--spec", "ex32approx", "--k", "1,sqrt2,cbrt2", "--n", "3",
+      "--paths", "40", "--t", "3", "--max-events", "3"], ["1", "sqrt2", "cbrt2"]),
+    (["nonuniq", "--n", "4", "--paths", "300", "--distance-ratio", "0"], ["1", "sqrt2"]),
+], ids=["simulate-sym", "simulate-inc", "nonuniq"])
+def test_multi_lattice_run_writes_one_manifest_of_every_ensemble(tmp_path, monkeypatch,
+                                                                 argv, tokens):
+    # the event budgets of the simulate runs truncate paths on every lattice
+    from levysym import simulate
+
+    results = []
+    run = simulate.simulate_ensemble
+    monkeypatch.setattr(simulate, "simulate_ensemble",
+                        lambda *a: results.append(run(*a)) or results[-1])
+    out = tmp_path / "o"
+    assert main(argv + ["--seed", "9", "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"]["seed"] == 9
+    assert [doc["k_token"] for doc in manifest["ensembles"]] == tokens
+    assert len(results) == len(tokens)
+    for doc, result in zip(manifest["ensembles"], results):
+        assert doc["spec"]["k"]["tag"] == doc["k_token"]
+        assert doc["total_events"] == sum(result.event_counts) > 0
+        assert doc["truncated_paths"] == result.truncated_count
+        assert (result.truncated_count > 0) == (argv[0] == "simulate")
+
+
 def test_fourier_check_and_csv(tmp_path):
     out = tmp_path / "fc"
     code = main([

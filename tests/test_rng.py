@@ -1,6 +1,8 @@
 """Counter-based stream: exactness of the limb arithmetic, determinism,
 stream independence."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,53 @@ def test_mulhilo_matches_bigint_oracle():
         hi, lo = prod >> 64, prod & mask
         assert int(x1[i]) == lo
         assert int(x0[i]) == (hi ^ 7 ^ 0)
+
+
+def _philox_oracle(c0: int, c1: int, key: int, rounds: int) -> tuple[int, int]:
+    """Philox2x64 on Python ints: the 128-bit product is exact."""
+    mask = (1 << 64) - 1
+    for _ in range(rounds):
+        prod = int(rng._M) * c0
+        c0, c1 = (prod >> 64) ^ key ^ c1, prod & mask
+        key = (key + int(rng._W)) & mask
+    return c0, c1
+
+
+_GEN = np.random.default_rng(3)
+
+
+def _words(*shape):
+    return _GEN.integers(0, 2**64, shape, dtype=np.uint64, endpoint=False)
+
+
+@pytest.mark.parametrize("rounds", [1, 2, 10])
+@pytest.mark.parametrize(
+    "c0, c1, key",
+    [
+        # path keys and per-path blocks: a scalar key at a run of counters
+        (_words(37), rng._KEY_DOMAIN, np.uint64(2**64 - 1)),
+        # lock-step tiles and first draws: a row of keys at a column of
+        # counters; then a row of counters against a row of keys
+        (np.arange(7, dtype=np.uint64)[:, None], rng._EVENT_DOMAIN, _words(1, 40)),
+        (_words(3, 1), rng._EVENT_DOMAIN, _words(1, 5)),
+        (_words(1, 33), rng._EVENT_DOMAIN, _words(1, 33)),
+        # a key of the full shape, and every word 0-d
+        (_words(4, 6), _words(4, 6), _words(4, 6)),
+        (np.uint64(3), np.uint64(4), np.uint64(5)),
+    ],
+    ids=["scalar-key", "key-row", "short-key-row", "row", "full-key", "0-d"],
+)
+def test_philox_matches_bigint_oracle(c0, c1, key, rounds):
+    shape = np.broadcast_shapes(np.shape(c0), np.shape(c1), np.shape(key))
+    work = rng.work_buffer(math.prod(shape))
+    work.fill(0xDEADBEEF)  # stale words from an earlier call
+    for words in (rng.philox2x64(c0, c1, key, rounds),
+                  rng.philox2x64(c0, c1, key, rounds, work)):
+        assert all(w.shape == shape and w.dtype == np.uint64 for w in words)
+        flat = [np.broadcast_to(np.asarray(a, dtype=np.uint64), shape).ravel().tolist()
+                for a in (c0, c1, key)]
+        expected = [_philox_oracle(*ints, rounds) for ints in zip(*flat)]
+        assert list(zip(words[0].ravel().tolist(), words[1].ravel().tolist())) == expected
 
 
 def test_deterministic_and_key_sensitive():

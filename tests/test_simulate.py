@@ -280,6 +280,39 @@ def test_lockstep_freezes_paths_at_every_exit_of_a_tile(spec, horizon, seed, mon
     assert 0 in fast.event_counts and any(last_row) and fast.truncated_count > 0
 
 
+@pytest.mark.parametrize(
+    "spec, horizon, seed",
+    [(IncreasingDoublingApprox(K1, 0), 4.0, 0), (SymmetricDoublingApprox(K1, 1), 1.0, 1)],
+    ids=["inc", "sym"],
+)
+def test_lockstep_records_paths_that_end_together_in_one_row(spec, horizon, seed,
+                                                            monkeypatch):
+    # one tile holds events 0 .. 6 of all 24 paths: in one of its rows several
+    # paths end while others pass the observation time, and the paths still
+    # running at event 6 truncate there
+    calls = []
+    draw = rng.event_uniforms
+    monkeypatch.setattr(rng, "event_uniforms", lambda *a: calls.append(a) or draw(*a))
+    monkeypatch.setattr(simulate, "_TILE", 7 * 24)
+    rule = jump_rule_of(spec)
+    x0 = rule.initial_state()
+    cfg = dict(horizon=horizon, seed=seed, paths=24, max_events=6, observe=(horizon / 2,))
+    fast = simulate_ensemble(rule, x0, SimConfig(**cfg))
+    assert fast.m.dtype == np.int64 and len(calls) == 1
+    slow = simulate_ensemble(rule, x0, SimConfig(**cfg, store_paths=True))
+    assert fast.m.tolist() == slow.m.tolist() and fast.s.tolist() == slow.s.tolist()
+    assert fast.m_at.tolist() == slow.m_at.tolist()
+    assert fast.s_at.tolist() == slow.s_at.tolist()
+    assert fast.event_counts == slow.event_counts
+    assert fast.truncated_count == slow.truncated_count > 0
+    # row j of a path: the index of the event it ends at, and of the first
+    # event after the observation time
+    end_row = [None if p.truncated else len(p.times) for p in slow.paths]
+    obs_row = [sum(t <= horizon / 2 for t in p.times) for p in slow.paths]
+    assert any(end_row.count(j) >= 2 and any(o == j != e for o, e in zip(obs_row, end_row))
+               for j in range(7))
+
+
 @pytest.mark.parametrize("family", [SymmetricDoublingApprox, IncreasingDoublingApprox])
 @pytest.mark.parametrize("n", [4, 8])
 @pytest.mark.parametrize("store_paths", [False, True], ids=["lockstep", "perpath"])
