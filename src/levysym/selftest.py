@@ -147,8 +147,7 @@ def measure_algebra_sweep(trials: int = 500, seed: int = 2024) -> SweepResult:
     return SweepResult(passed, tuple(lines), worst)
 
 
-def term_measure_sweep(trials: int = 200, seed: int = 2025,
-                       fourier_tol: float = 1e-8) -> SweepResult:
+def term_measure_sweep(trials: int = 200, seed: int = 2025) -> SweepResult:
     """Random (a, b, spacing, t) with Re(a) >= |b|: the four term-measure
     properties on a 101-point x grid."""
     _check_trials(trials)
@@ -166,8 +165,7 @@ def term_measure_sweep(trials: int = 200, seed: int = 2025,
         kind = "cos" if rng.uniform() < 0.5 else "sin"
         P = checks.term_measure(a, b, kind, spacing, t, tol=1e-12)
         xgrid = np.linspace(-3.0 / spacing, 3.0 / spacing, 101)
-        rep = checks.verify_term_measure(P, a, b, kind, spacing, t, xgrid,
-                                         tol=fourier_tol)
+        rep = checks.verify_term_measure(P, a, b, kind, spacing, t, xgrid)
         worst["fourier"] = max(worst["fourier"], rep.fourier_error)
         worst["tv_excess"] = max(worst["tv_excess"], rep.tv_norm - 1.0)
         worst["first_moment"] = max(worst["first_moment"], rep.first_abs_moment)

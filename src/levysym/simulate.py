@@ -25,14 +25,14 @@ ensembles of the two doubling families run instead in one vectorized
 lock-step loop, ``_lockstep``, which steps int64 levels through a chain
 table: the states the chain reaches from x0, each with its total rate and
 successors as the per-path engine's own rule computes them.  An event index
-costs it seven NumPy calls over the active paths and reads no live mask: a
+costs it six NumPy calls over the active paths and reads no live mask: a
 gather of the rates, a division and an in-place subtraction step the times,
-a comparison and a reduction look for paths that end, and an in-place add
-and a gather move the positions through the table's successor array.  Paths
-that end at an event index cost four more calls there: masked copies record
-their positions and event index in per-tile arrays, a third freezes them by
-setting their times to NaN, and a count tells when the whole tile has ended;
-the tile scatters them to the per-path outputs once, when it ends.  Both
+a reduction tells when every path has passed the horizon, and an add and a
+gather move the positions through the table's successor array.  The times
+and positions go into rows of the tile's draws that the steps have used up,
+and one first-passage pass over them at the tile's end finds where each
+path passes each observation time and the horizon, and scatters the
+observed states, endpoints and event counts once per tile.  Both
 engines give identical endpoints, event counts and truncations; an ensemble
 holds its endpoints as two columns, mantissas and scales, and builds
 ``ExactState`` endpoints on request, one per distinct state, shared by the
@@ -507,22 +507,23 @@ def _lockstep(table: _ChainTable, cfg: SimConfig) -> EnsembleResult:
     time: counters j .. j + B - 1 for every active path in one call, B about
     ``_TILE`` / active (never past ``max_events``).
 
-    The horizon is the last of the observation times ``cfg.observe``; each
-    path holds the index of its next one.  An event that would happen after
-    that time records the path's level in the time's column instead, and
-    again for every later time it also passes; a path ends when it passes
-    the horizon, or at ``max_events``, where its state fills the columns not
-    yet recorded.  A path that ends inside a tile is recorded by masked
-    copies into the tile's ``end_at`` and ``end_events`` arrays (the latter
-    -1 while the path lives) and frozen: its time becomes NaN, which passes
-    no time again (its position may still move, unread).  A running count of
-    ended paths stops the tile once all have ended, and at the tile's end the
-    ended paths are scattered to the per-path outputs and dropped.  No step
-    reads a live mask.  A step takes the log of u1 in place and subtracts
+    A row of the loop only steps.  Row r of the tile's log(u1) becomes the
+    time of event j0 + r (the tile starts at event j0): the step subtracts
     log(u1) / rate from t, which equals adding (-log u1) / rate bit for bit.
-    A path at level -1 never passes a time either (rate NaN): the live paths
-    are checked for it at each tile's end, before they truncate, and one
-    there raises ``_LockstepUnfit``.
+    The tile's u2, viewed as int64 once the choices c are taken from it,
+    holds in row r the position before that event.  The loop stops early
+    when every path is past the horizon, and at ``max_events``; paths that
+    have ended step on, unread.  At the tile's end one first-passage pass
+    reads these rows.  A path's times never decrease, so its count of rows
+    with time <= ``cfg.observe[q]`` is its first row past that time, and the
+    position there fills column q for the paths that had not passed it when
+    the tile began.  The first row past the horizon (an ``argmax``) is where
+    a path ends: its position and event index go to the outputs and the
+    path is dropped.  A path at level -1 has rate NaN, so its times are NaN
+    from there on and it never ends: the live paths are checked for it at
+    each tile's end, before they truncate, and one there raises
+    ``_LockstepUnfit``.  At ``max_events`` the live paths truncate, and
+    their last position fills the columns they have not passed.
     """
     N = cfg.paths
     # one Philox work buffer for the run: a tile has B * N_active <= max(_TILE, N)
@@ -532,64 +533,63 @@ def _lockstep(table: _ChainTable, cfg: SimConfig) -> EnsembleResult:
     t = np.zeros(N)
     idx = np.arange(N)
     Q = len(cfg.observe)
-    times = np.array(cfg.observe + (cfg.horizon,))
+    taus = np.array(cfg.observe + (math.inf,))
     nxt = np.zeros(N, dtype=np.int64)  # per path: the next column to record, or Q
     obs_at = np.zeros((Q, N), dtype=np.int64)  # column q: positions at observe[q]
     out_at = np.zeros(N, dtype=np.int64)
     out_events = np.zeros(N, dtype=np.int64)
     truncated = np.zeros(N, dtype=bool)
+    moved = np.empty(N, dtype=np.int64)  # at + c, before the successor gather
     j = 0
-
-    def observe(passed):  # rows of mask ``passed`` are past their next time
-        rows = np.flatnonzero(passed)
-        while (rows := rows[nxt[idx[rows]] < Q]).size:
-            paths = idx[rows]
-            obs_at[nxt[paths], paths] = at[rows]
-            nxt[paths] += 1
-            rows = rows[t[rows] > times[nxt[paths]]]
-
     while idx.size:
         n = idx.size
         B = max(1, min(_TILE // n, cfg.max_events + 1 - j))
         last = j + B > cfg.max_events  # the tile's last row is event max_events
         counters = np.arange(j, j + B, dtype=np.uint64)
         u1, u2 = rng.event_uniforms(keys[idx][None, :], counters[:, None], work)
-        log_u1 = np.log(u1, u1)
+        T = np.log(u1, u1)  # row r: log(u1), then the time of event j0 + r
         col = (u2 >= 0.5).view(np.int8)
-        tnext = times[nxt[idx]] if Q else cfg.horizon
-        done = np.empty(n, dtype=bool)
-        # the paths that end in this tile: position and event index, -1 while live
-        end_at = np.empty(n, dtype=np.int64)
-        end_events = np.full(n, -1, dtype=np.int64)
-        ended = 0
+        P = u2.view(np.int64)  # row r: the position before event j0 + r
+        j0, moved_n = j, moved[:n]
+        P[0] = at
         for r in range(B):
             if j >= table.depth:
                 rate, succ = table.extend(2 * j + 1)
                 rate, succ = rate.repeat(2), 2 * succ.ravel()  # indexed by position
             step = rate[at]
-            np.divide(log_u1[r], step, step)
-            np.subtract(t, step, t)  # t += -log(u1) / rate, to the bit
-            np.greater(t, tnext, done)
-            if done.any():
-                if Q:
-                    observe(done)
-                    tnext = times[nxt[idx]]
-                    done &= t > tnext
-                np.copyto(end_at, at, where=done)
-                np.copyto(end_events, j, where=done)
-                np.copyto(t, math.nan, where=done)  # frozen
-                ended += np.count_nonzero(done)
-                if ended == n:
-                    break
-            if j == cfg.max_events:
+            np.divide(T[r], step, step)
+            np.subtract(t, step, T[r])  # t += -log(u1) / rate, to the bit
+            t = T[r]
+            if j == cfg.max_events or t.min() > cfg.horizon:
                 break
-            np.add(at, col[r], at)
-            at = succ[at]
+            np.add(at, col[r], moved_n)
+            # "wrap" reads -2 and -1, the positions of level -1, as indexing does
+            at = succ.take(moved_n, None, P[r + 1] if r + 1 < B else None, "wrap")
             j += 1
-        if ended:
-            stop = end_events >= 0
-            out_at[idx[stop]] = end_at[stop]
-            out_events[idx[stop]] = end_events[stop]
+        # col is used up: its bytes hold the tile's comparisons from here on
+        T, P, flags = T[:r + 1], P[:r + 1], col[:r + 1].view(bool)
+        stop = np.greater(T, cfg.horizon, flags).any(0)  # a NaN time never ends a path
+        ended = np.flatnonzero(stop)
+        end_row = flags[:, ended].argmax(0)
+        if Q:
+            # the paths that end or truncate in this tile pass every time left
+            reach = np.full(n, math.inf) if last else np.where(stop, math.inf, t)
+            tnext = taus[nxt[idx]]
+            rows = np.flatnonzero(reach > tnext)
+            while rows.size:  # the paths that pass their next time in this tile
+                q = nxt[idx[rows]]
+                # a path's first row past a time: the count of its rows not past it
+                row = 0  # a tile of one row needs no count
+                if r:
+                    np.less_equal(T, tnext, flags)
+                    row = np.minimum(np.count_nonzero(flags, axis=0)[rows], r)
+                obs_at[q, idx[rows]] = P[row, rows]  # row r: truncated before it
+                nxt[idx[rows]] = q + 1
+                tnext[rows] = taus[q + 1]
+                rows = rows[reach[rows] > tnext[rows]]
+        if ended.size:
+            out_at[idx[ended]] = P[end_row, ended]
+            out_events[idx[ended]] = j0 + end_row
             live = ~stop
             idx, at, t = idx[live], at[live], t[live]
         if (at < 0).any():
@@ -598,8 +598,6 @@ def _lockstep(table: _ChainTable, cfg: SimConfig) -> EnsembleResult:
             out_at[idx] = at
             out_events[idx] = j
             truncated[idx] = True
-            late = np.arange(Q)[:, None] >= nxt[idx]  # columns not yet recorded
-            obs_at[:, idx] = np.where(late, at, obs_at[:, idx])
             break
     x0 = table.states[0]
     table_m, table_s = np.array([(x.m, x.s) for x in table.states], dtype=np.int64).T

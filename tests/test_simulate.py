@@ -1,6 +1,7 @@
 """Simulator: exact lattice closure, engine equivalence, determinism,
 Poisson oracle, event budget, artifact formats."""
 
+import hashlib
 import json
 import math
 
@@ -167,6 +168,8 @@ def _engines_agree(rule, x0, **cfg):
     slow = simulate_ensemble(rule, x0, SimConfig(**cfg, store_paths=True))
     assert fast.m.tolist() == slow.m.tolist()
     assert fast.s.tolist() == slow.s.tolist()
+    assert fast.m_at.tolist() == slow.m_at.tolist()
+    assert fast.s_at.tolist() == slow.s_at.tolist()
     assert fast.event_counts == slow.event_counts
     assert fast.truncated_count == slow.truncated_count
     return fast
@@ -234,20 +237,24 @@ def test_lockstep_freezes_paths_that_end_inside_a_tile(seed):
     assert 1 in fast.event_counts and max(fast.event_counts) > 1
 
 
+FALLBACK_STARTS = [
+    # |m| doubles from 2**30 past 2**31 at the second event
+    (SymmetricDoublingApprox(K1, 4), ExactState("1", 1.0, 1 << 30, 0), 1e20),
+    # m reaches 2**62 and the next jump of 4**31 would pass 2**63
+    (IncreasingDoublingApprox(K1, 31), ExactState("1", 1.0, 0, 0), 1e10),
+]
+
+
 @pytest.mark.parametrize(
-    "spec, x0, horizon",
-    [
-        # |m| doubles from 2**30 past 2**31 at the second event
-        (SymmetricDoublingApprox(K1, 4), ExactState("1", 1.0, 1 << 30, 0), 1e20),
-        # m reaches 2**62 and the next jump of 4**31 would pass 2**63
-        (IncreasingDoublingApprox(K1, 31), ExactState("1", 1.0, 0, 0), 1e10),
-    ],
-    ids=["sym-2^30", "inc-n31"],
+    "spec, x0, horizon, fractions",  # fractions: observation times / horizon
+    [start + ((),) for start in FALLBACK_STARTS]
+    + [start + ((1e-3, 0.5),) for start in FALLBACK_STARTS],
+    ids=["sym-2^30", "inc-n31", "sym-2^30-observed", "inc-n31-observed"],
 )
-def test_lockstep_int64_fallback_inside_a_tile(spec, x0, horizon):
+def test_lockstep_int64_fallback_inside_a_tile(spec, x0, horizon, fractions):
     rule = jump_rule_of(spec)
     fast = _engines_agree(rule, x0, horizon=horizon, seed=8, paths=3,
-                          max_events=2000)
+                          max_events=2000, observe=tuple(f * horizon for f in fractions))
     assert fast.m.dtype == object  # the per-path engine finished the run
     assert max(fast.event_counts) > 1
 
@@ -311,6 +318,52 @@ def test_lockstep_records_paths_that_end_together_in_one_row(spec, horizon, seed
     obs_row = [sum(t <= horizon / 2 for t in p.times) for p in slow.paths]
     assert any(end_row.count(j) >= 2 and any(o == j != e for o, e in zip(obs_row, end_row))
                for j in range(7))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    family=st.sampled_from([SymmetricDoublingApprox, IncreasingDoublingApprox]),
+    k=st.sampled_from([K1, KS2]),
+    n=st.integers(0, 6),
+    paths=st.integers(2, 24),
+    rows=st.sampled_from([1, 5, 7]),
+    max_events=st.integers(0, 40) | st.just(10_000_000),
+    seed=st.integers(0, 2**64 - 1),
+    data=st.data(),
+)
+def test_observed_lockstep_runs_agree_with_per_path_at_tile_edges(
+    family, k, n, paths, rows, max_events, seed, data
+):
+    # tiles of 1, 5 or 7 rows, so one row can hold several observation times,
+    # an observation time and the horizon, or one and event max_events; as in
+    # test_observed_columns_are_endpoints_of_shorter_runs, the observation
+    # times and the horizon may be jump times of paths 0 and 1
+    rule = jump_rule_of(family(k, n))
+    x0 = rule.initial_state()
+    scale = 4.0**-n  # about the mean holding time near 0
+    jumps = sorted({t for i in (0, 1) for t in simulate_path(
+        rule, x0, SimConfig(horizon=64 * scale, seed=seed, max_events=40), i).times})
+    if jumps and data.draw(st.booleans()):
+        horizon = data.draw(st.sampled_from(jumps))
+    else:
+        horizon = scale * data.draw(st.floats(0.05, 16.0))
+    fractions = data.draw(st.lists(st.floats(0.001, 0.999), max_size=8))
+    candidates = sorted({t for t in jumps + [(a + b) / 2.0 for a, b in zip(jumps, jumps[1:])]
+                         + [f * horizon for f in fractions] if 0.0 < t < horizon})
+    observe = sorted(data.draw(st.lists(st.sampled_from(candidates), min_size=1, max_size=20,
+                                        unique=True))) if candidates else [horizon / 2.0]
+    cfg = dict(horizon=horizon, seed=seed, paths=paths, max_events=max_events,
+               observe=observe)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulate, "_TILE", rows * paths)
+        fast = simulate_ensemble(rule, x0, SimConfig(**cfg))
+    assert fast.m.dtype == np.int64  # the lock-step engine ran
+    slow = simulate_ensemble(rule, x0, SimConfig(**cfg, store_paths=True))
+    assert fast.m.tolist() == slow.m.tolist() and fast.s.tolist() == slow.s.tolist()
+    assert fast.m_at.tolist() == slow.m_at.tolist()
+    assert fast.s_at.tolist() == slow.s_at.tolist()
+    assert fast.event_counts == slow.event_counts
+    assert fast.truncated_count == slow.truncated_count
 
 
 @pytest.mark.parametrize("family", [SymmetricDoublingApprox, IncreasingDoublingApprox])
@@ -763,6 +816,47 @@ def test_in_range_seeds_keep_their_streams():
         res = simulate_ensemble(rule, rule.initial_state(),
                                 SimConfig(horizon=1.0, seed=seed, paths=20))
         assert res.event_counts[:8] == head and sum(res.event_counts) == total
+
+
+#: SHA-256 of the int64 bytes of each column of one observed lock-step run
+OBSERVED_RUN_SHA256 = {
+    "sym": {
+        "m": "0cc469af190e542a06d0ab652b3ac0b31c2a40ac2d2dc0d06e506e61d050fdf9",
+        "s": "a2d58afc160b62dd7784b65e358fc8ff314a0e475b9e74a55a8d39e225c439e3",
+        "m_at": "d746a36142fffd4fbb160c4ac24fa59bf631fd50b02909ed42c55915cf8fd948",
+        "s_at": "cbe7e34ba459254a2e831fae87a7696fc5d4ecf0c440069bf984edd0b4a8013c",
+        "event_counts": "94b1845cb5c889451445b1b6efc7c6552465ba6ba938272c4443550496a9058c",
+    },
+    "inc": {
+        "m": "61ade59ba23796e256e27b6f189c7bfe6b26acce011f6160e35c4b408bb03c63",
+        "s": "bcbd15325f43b8d12bb66fe51e7b1ee07efebcda39ca824ec9c663143fb00ee9",
+        "m_at": "04dadd365a2c72d111f9a51c400b403b3279a372fcbefe1d6c050569d5772355",
+        "s_at": "abd22ea25a225dbb9d6267c1e9274f7be13b40732969d04c3f8365a4d360646c",
+        "event_counts": "b28903337902cd4f3950ffba880723e14b97ce45df486bfeeda141757b60acff",
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "label, spec, seed, max_events, truncated",
+    [("sym", SymmetricDoublingApprox(K1, 6), 531, 10_000_000, 0),
+     ("inc", IncreasingDoublingApprox(KS2, 5), 532, 6, 191)],
+    ids=["sym", "inc"],
+)
+def test_observed_lockstep_runs_keep_their_bits(label, spec, seed, max_events, truncated):
+    # 3 000 paths observed at the interior points of an 11-point grid; the
+    # increasing run truncates some paths
+    rule = jump_rule_of(spec)
+    observe = tuple(np.linspace(0.0, 1.0, 11)[1:-1].tolist())
+    res = simulate_ensemble(rule, rule.initial_state(),
+                            SimConfig(horizon=1.0, seed=seed, paths=3000,
+                                      max_events=max_events, observe=observe))
+    assert res.m.dtype == np.int64 and res.truncated_count == truncated
+    columns = {"m": res.m, "s": res.s, "m_at": res.m_at, "s_at": res.s_at,
+               "event_counts": res.event_counts}
+    digests = {name: hashlib.sha256(np.asarray(col, dtype=np.int64).tobytes()).hexdigest()
+               for name, col in columns.items()}
+    assert digests == OBSERVED_RUN_SHA256[label]
 
 
 def test_artifact_formats():
