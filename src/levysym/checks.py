@@ -157,6 +157,9 @@ def localize_fourierize(spec, x0: float, ell: int, nmax: int = 64) -> FourierSym
     """
     if ell < 1:
         raise ValueError("window parameter ell must be a positive integer")
+    # x0 reaches NumPy only with finite phases 2 pi n (1/2 - ell x0), |n| <= nmax
+    if not math.isfinite(2 * math.pi * nmax * (0.5 - ell * x0)):
+        raise ValueError(f"x0 must be finite and keep the phases finite, got {x0!r}")
     # state-space precondition: the window must evaluate cleanly
     for x in (x0 - 0.5 / ell, x0 + 0.5 / ell):
         try:

@@ -129,6 +129,9 @@ def cmd_moments(args) -> int:
 
 
 def cmd_nonuniq(args) -> int:
+    if not 0.0 < args.distance_ratio < math.inf:
+        raise ValueError(
+            f"--distance-ratio must be finite and positive, got {args.distance_ratio}")
     outdir = FsPath(args.out)
     samples = {}
     ensembles = []

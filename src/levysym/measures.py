@@ -184,11 +184,8 @@ class LatticeComplexMeasure:
         raise AttributeError("LatticeComplexMeasure is immutable")
 
     def __reduce__(self):
-        # pickle and copy rebuild through _store, not the blocked __setattr__
-        return LatticeComplexMeasure, (self.unit, self.unit_tag, {}), (self._lo, self._a)
-
-    def __setstate__(self, state) -> None:
-        self._store(*state)
+        # pickle and copy rebuild through from_array, not the blocked __setattr__
+        return LatticeComplexMeasure.from_array, (self.unit, self.unit_tag, self._lo, self._a)
 
     def atoms(self) -> tuple[np.ndarray, np.ndarray]:
         """Lattice indices and weights of the atoms, by ascending index."""

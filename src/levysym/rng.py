@@ -89,8 +89,9 @@ def _mulhilo(x, bl, bh, t, t2, lo):
     return hi
 
 
-def philox2x64(c0, c1, key, rounds: int = ROUNDS, work=None):
-    """Return the two uint64 output words for counters (c0, c1) under key.
+def philox2x64(c0, c1, key, work=None):
+    """Return the two uint64 output words of ``ROUNDS`` rounds for counters
+    (c0, c1) under key.
 
     All three arguments broadcast against each other; inputs are consumed
     as uint64.  The first round's multiply depends on c0 alone and runs on
@@ -124,9 +125,9 @@ def philox2x64(c0, c1, key, rounds: int = ROUNDS, work=None):
 
     k = slot(5, key.shape)
     np.copyto(k, key)
-    # lo of round r >= 1 goes to los[r % 2], so that the last round's lands in
-    # out1: x1 and lo trade buffers every round
-    los = (out1, slot(4, shape)) if rounds % 2 else (slot(4, shape), out1)
+    # lo of round r >= 1 goes to los[r % 2]: x1 and lo trade buffers every
+    # round, and ROUNDS is even, so the last round's lands in out1
+    los = (slot(4, shape), out1)
     # round 0 runs on x0's shape and puts its lo, the next x1, at the front
     # of los[0]; feistel swap: x0' = hi ^ key ^ x1, x1' = lo
     lo = los[0].reshape(-1)[:x0.size].reshape(x0.shape)
@@ -135,14 +136,12 @@ def philox2x64(c0, c1, key, rounds: int = ROUNDS, work=None):
     np.bitwise_xor(out0, x1, out0)
     x0, x1 = out0, lo
     temps = [slot(i, shape) for i in range(4)]
-    for r in range(1, rounds):  # every word has the full shape
+    for r in range(1, ROUNDS):  # every word has the full shape
         np.add(k, _W, k)
         hi = _mulhilo(x0, *temps, los[r % 2])
         np.bitwise_xor(hi, k, hi)
         np.bitwise_xor(hi, x1, x0)
         x1 = los[r % 2]
-    if x1.shape != shape:  # one round: x1 is round 0's lo, on x0's shape
-        x1 = np.broadcast_to(x1, shape).copy()
     return x0, x1
 
 
@@ -155,8 +154,7 @@ def path_keys(master_seed: int, indices, work=None) -> np.ndarray:
     """Derive one independent stream key per path index from the master seed;
     ``work`` is passed to :func:`philox2x64`."""
     idx = np.asarray(indices, dtype=np.uint64)
-    k0, _ = philox2x64(idx, _KEY_DOMAIN, np.uint64(master_seed & 0xFFFFFFFFFFFFFFFF),
-                       ROUNDS, work)
+    k0, _ = philox2x64(idx, _KEY_DOMAIN, np.uint64(master_seed & 0xFFFFFFFFFFFFFFFF), work)
     return k0
 
 
@@ -169,7 +167,6 @@ def event_uniforms(keys, counter, work=None):
     key at a run of counters the per-path engine's later blocks.  ``work`` is
     passed to :func:`philox2x64`.
     """
-    w0, w1 = philox2x64(np.asarray(counter, dtype=np.uint64), _EVENT_DOMAIN, keys,
-                        ROUNDS, work)
+    w0, w1 = philox2x64(np.asarray(counter, dtype=np.uint64), _EVENT_DOMAIN, keys, work)
     return _to_unit_interval(w0), _to_unit_interval(w1)
 

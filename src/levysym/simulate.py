@@ -23,8 +23,9 @@ within one ensemble it computes each state's rates and successors once: a
 memo keeps them for every state a path has been to.  Endpoint-only
 ensembles of the two doubling families run instead in one vectorized
 lock-step loop, ``_lockstep``, which steps int64 levels through a chain
-table: the states the chain reaches from x0, each with its total rate and
-successors as the per-path engine's own rule computes them.  An event index
+table: the states the chain reaches from x0 whose m and s fit int64, each
+with its total rate and successors as the per-path engine's own rule
+computes them; an ensemble that leaves them runs per path.  An event index
 costs it six NumPy calls over the active paths and reads no live mask: a
 gather of the rates, a division and an in-place subtraction step the times,
 a reduction tells when every path has passed the horizon, and an add and a
@@ -107,8 +108,8 @@ class JumpRule:
     """Finite-activity jump dynamics: state -> ((rate, (dm, ds)), ...).
 
     Displacements are exact dyadic shifts in units of k.  ``family`` names a
-    built-in rule so ensembles can route to the vectorized engine; generic
-    user rules leave it None.
+    built-in rule and picks one of the vectorized engine's two entry points,
+    kept apart for the benchmark's tracer; generic user rules leave it None.
 
     ``moves`` must be a pure function of the state: the same moves, in the
     same order, every time it is called with equal states.  Both engines
@@ -120,7 +121,6 @@ class JumpRule:
     unit_tag: str
     k: float
     family: str | None = None
-    family_params: tuple = ()
 
     def initial_state(self, m: int = 0, s: int = 0) -> ExactState:
         return ExactState(self.unit_tag, self.k, m, s)
@@ -235,7 +235,7 @@ def jump_rule_of(spec) -> JumpRule:
             )
             return ((rate, (state.m, state.s)), (rate, (-state.m, state.s)))
 
-        return JumpRule(moves, k.tag, k.value, "symmetric_doubling", (n,))
+        return JumpRule(moves, k.tag, k.value, "symmetric_doubling")
 
     if isinstance(spec, IncreasingDoublingApprox):
         k, n = spec.k, spec.n
@@ -251,7 +251,7 @@ def jump_rule_of(spec) -> JumpRule:
             rate = 1.0 / (kval * math.ldexp(float(hm), -hs))
             return ((rate, (hm, hs)),)
 
-        return JumpRule(moves, k.tag, k.value, "increasing_doubling", (n,))
+        return JumpRule(moves, k.tag, k.value, "increasing_doubling")
 
     raise UnsupportedSpec(
         f"only the finite-activity approximation variants have jump rules, got {spec!r}"
@@ -439,9 +439,13 @@ _TILE = 16_384
 class _LockstepUnfit(Exception):
     """The input leaves what the lock-step engine carries exactly.
 
-    Its chain table holds states whose mantissas stay well inside int64; the
-    per-path engine, whose Python ints never wrap, runs such inputs instead.
+    Its chain table holds only states whose m and s fit int64; the per-path
+    engine, whose Python ints never wrap, runs such inputs instead.
     """
+
+
+#: the values of the int64 columns m and s that ``_lockstep`` returns
+_INT64 = range(-(1 << 63), 1 << 63)
 
 
 class _ChainTable:
@@ -450,21 +454,21 @@ class _ChainTable:
     Level 0 is x0.  A level's total rate is the per-path engine's in-order
     sum of ``rule.moves`` rates; its successors, after the first move and
     after the last, are the levels of ``ExactState.shifted`` states, or -1
-    (rate NaN, successors -1) where ``fits`` rejects the state.  Every level
-    reached in fewer than ``depth`` events is expanded.
+    (rate NaN, successors -1) where the state's m or s does not fit int64.
+    Every level reached in fewer than ``depth`` events is expanded.
     """
 
-    def __init__(self, rule: JumpRule, x0: ExactState, fits):
-        if not fits(x0):
+    def __init__(self, rule: JumpRule, x0: ExactState):
+        self.rule = rule
+        self.states, self.level = [], {}
+        if self._level_of(x0) < 0:
             raise _LockstepUnfit("x0 is outside what int64 carries")
-        self.rule, self.fits = rule, fits
-        self.states, self.level = [x0], {x0: 0}
         self.rate, self.succ = [], []  # per expanded level
         self.depth = 0
 
     def _level_of(self, state: ExactState) -> int:
         if state not in self.level:
-            if not self.fits(state):
+            if state.m not in _INT64 or state.s not in _INT64:
                 return -1
             self.level[state] = len(self.states)
             self.states.append(state)
@@ -613,25 +617,16 @@ def _ensemble_symmetric_doubling(rule: JumpRule, x0: ExactState,
 
     The reachable states are x0, the states its steps of +-k 2**-n reach
     while inside the inner region, their doubling ladders, 0 and the ladders
-    of +-k 2**-n.  The table stops where |m| reaches 2**31, so it is finite.
+    of +-k 2**-n.  A ladder stops where m leaves int64, so the table is finite.
     """
-    return _lockstep(_ChainTable(rule, x0, lambda state: abs(state.m) < 1 << 31), cfg)
+    return _lockstep(_ChainTable(rule, x0), cfg)
 
 
 def _ensemble_increasing_doubling(rule: JumpRule, x0: ExactState,
                                   cfg: SimConfig) -> EnsembleResult:
     """Lock-step run of the clamped pure-birth family: level j is the state
-    after j events.  The table carries the states of the int64 lattice of
-    scale n (x = k * m * 2**-n) that one more jump, at most 4**n, keeps on it.
-    """
-    (n,) = rule.family_params
-    if 2 * n > 62:
-        raise _LockstepUnfit("4**n is off the int64 scale-n lattice")
-
-    def fits(state):
-        return state.s <= n and -(1 << 63) <= state.m << (n - state.s) < (1 << 63) - 4**n
-
-    return _lockstep(_ChainTable(rule, x0, fits), cfg)
+    after j events."""
+    return _lockstep(_ChainTable(rule, x0), cfg)
 
 
 # ----------------------------------------------------------------------

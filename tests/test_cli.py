@@ -132,7 +132,7 @@ def test_nonuniq_artifacts_are_pinned(tmp_path):
       "--max-events", "30"], ["1", "sqrt2"]),
     (["simulate", "--spec", "ex32approx", "--k", "1,sqrt2,cbrt2", "--n", "3",
       "--paths", "40", "--t", "3", "--max-events", "3"], ["1", "sqrt2", "cbrt2"]),
-    (["nonuniq", "--n", "4", "--paths", "300", "--distance-ratio", "0"], ["1", "sqrt2"]),
+    (["nonuniq", "--n", "4", "--paths", "300", "--distance-ratio", "1e-6"], ["1", "sqrt2"]),
 ], ids=["simulate-sym", "simulate-inc", "nonuniq"])
 def test_multi_lattice_run_writes_one_manifest_of_every_ensemble(tmp_path, monkeypatch,
                                                                  argv, tokens):
@@ -290,6 +290,37 @@ def test_bad_numeric_inputs_exit_with_json_line(argv, tmp_path, capsys):
     assert code == EXIT_INPUT
     assert doc["failed"] and doc["reason"] == "input error"
     assert not (tmp_path / "a").exists()
+
+
+@pytest.mark.parametrize("x0", ["inf", "-inf", "nan", "1e308"])
+def test_localized_fourier_check_rejects_an_x0_without_finite_phases(x0, tmp_path, capsys):
+    # 1e308 is finite, but 2 pi nmax (1/2 - ell x0) is not
+    out = tmp_path / "a"
+    code = main(["fourier-check", "--symbol", "localized-prodcos", f"--x0={x0}",
+                 "--out", str(out)])
+    doc = json.loads(capsys.readouterr().out.splitlines()[-1])
+    assert code == EXIT_INPUT and doc["reason"] == "input error"
+    assert doc["detail"].startswith("x0 must be finite")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("ratio", ["nan", "inf", "-1", "0"])
+def test_nonuniq_rejects_a_distance_ratio_that_is_not_finite_and_positive(
+        ratio, tmp_path, capsys, monkeypatch):
+    # the gate d > ratio * SE bound reads false at nan and holds vacuously at -1
+    from levysym import simulate
+
+    def unreachable(*args):
+        raise AssertionError("nonuniq simulated before checking its inputs")
+
+    monkeypatch.setattr(simulate, "simulate_ensemble", unreachable)
+    out = tmp_path / "a"
+    code = main(["nonuniq", "--n", "4", "--paths", "300", f"--distance-ratio={ratio}",
+                 "--out", str(out)])
+    doc = json.loads(capsys.readouterr().out.splitlines()[-1])
+    assert code == EXIT_INPUT and doc["reason"] == "input error"
+    assert "--distance-ratio" in doc["detail"]
+    assert not out.exists()
 
 
 def test_groenwall_table_io(tmp_path):

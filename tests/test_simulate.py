@@ -113,13 +113,13 @@ def test_lockstep_engine_matches_generic(spec):
 @pytest.mark.parametrize(
     "spec, x0, horizon",
     [
-        # 4**n does not fit int64
+        # the clamped jump, 4**n in units of 2**-n, does not fit int64
         (IncreasingDoublingApprox(K1, 32), ExactState("1", 1.0, 0, 0), 1.0),
-        # mm passes 2**63 during the run
+        # m passes 2**63 during the run
         (IncreasingDoublingApprox(K1, 31), ExactState("1", 1.0, 0, 0), 1e10),
-        # m * m of x0 does not fit int64
+        # m * m of x0, in the rate, does not fit int64
         (SymmetricDoublingApprox(K1, 4), ExactState("1", 1.0, 1 << 32, 0), 1.0),
-        # |m| doubles past 2**31 during the run
+        # |m| doubles from 2**30 over many events
         (SymmetricDoublingApprox(K1, 4), ExactState("1", 1.0, 1 << 30, 0), 1e20),
     ],
     ids=["inc-n32", "inc-n31-long", "sym-x0-2^32", "sym-long"],
@@ -229,7 +229,7 @@ def test_lockstep_paths_ending_at_tile_edges(spec, horizon, monkeypatch):
 @pytest.mark.parametrize("seed", [4, 8, 9, 10])
 def test_lockstep_freezes_paths_that_end_inside_a_tile(seed):
     # from 2**29 some paths double to 2**30 and hold past the horizon while
-    # another runs on near 0; stepped on, they would wrap m * m in int64
+    # another runs on near 0, so most rows of a tile read ended paths
     rule = jump_rule_of(SymmetricDoublingApprox(K1, 4))
     x0 = ExactState("1", 1.0, 1 << 29, 0)
     fast = _engines_agree(rule, x0, horizon=6e17, seed=seed, paths=3, max_events=300)
@@ -238,10 +238,10 @@ def test_lockstep_freezes_paths_that_end_inside_a_tile(seed):
 
 
 FALLBACK_STARTS = [
-    # |m| doubles from 2**30 past 2**31 at the second event
-    (SymmetricDoublingApprox(K1, 4), ExactState("1", 1.0, 1 << 30, 0), 1e20),
-    # m reaches 2**62 and the next jump of 4**31 would pass 2**63
-    (IncreasingDoublingApprox(K1, 31), ExactState("1", 1.0, 0, 0), 1e10),
+    # a doubling from 2**62 would reach 2**63, past int64
+    (SymmetricDoublingApprox(K1, 4), ExactState("1", 1.0, 1 << 62, 0), 1e40),
+    # the next jump, of 4**31 in units of 2**-31, would reach 2**63
+    (IncreasingDoublingApprox(K1, 31), ExactState("1", 1.0, (1 << 63) - (1 << 31), 0), 1e10),
 ]
 
 
@@ -249,7 +249,7 @@ FALLBACK_STARTS = [
     "spec, x0, horizon, fractions",  # fractions: observation times / horizon
     [start + ((),) for start in FALLBACK_STARTS]
     + [start + ((1e-3, 0.5),) for start in FALLBACK_STARTS],
-    ids=["sym-2^30", "inc-n31", "sym-2^30-observed", "inc-n31-observed"],
+    ids=["sym-2^62", "inc-n31", "sym-2^62-observed", "inc-n31-observed"],
 )
 def test_lockstep_int64_fallback_inside_a_tile(spec, x0, horizon, fractions):
     rule = jump_rule_of(spec)
@@ -257,6 +257,30 @@ def test_lockstep_int64_fallback_inside_a_tile(spec, x0, horizon, fractions):
                           max_events=2000, observe=tuple(f * horizon for f in fractions))
     assert fast.m.dtype == object  # the per-path engine finished the run
     assert max(fast.event_counts) > 1
+
+
+@pytest.mark.parametrize(
+    "spec, x0, horizon",
+    [
+        # the clamped jump, 4**n in units of 2**-n, is 2**64 or 2**80; from
+        # about 2**n the paths take it at every event
+        (IncreasingDoublingApprox(K1, 32), ExactState("1", 1.0, 0, 0), 1e11),
+        (IncreasingDoublingApprox(K1, 40), ExactState("1", 1.0, 0, 0), 1e14),
+        # x0 = 3 * 2**-9 < 2**-4: steps of 2**-4 keep s = 9 > n = 4 a while
+        (IncreasingDoublingApprox(K1, 4), ExactState("1", 1.0, 3, 9), 10.0),
+    ],
+    ids=["inc-n32", "inc-n40", "inc-s-past-n"],
+)
+def test_lockstep_runs_every_state_int64_carries(spec, x0, horizon, monkeypatch):
+    calls = []
+    run = simulate._run_path
+    monkeypatch.setattr(simulate, "_run_path", lambda *a: calls.append(a) or run(*a))
+    paths = 64
+    fast = _engines_agree(jump_rule_of(spec), x0, horizon=horizon, seed=17, paths=paths,
+                          max_events=2000, observe=(horizon / 3, horizon / 2))
+    # the per-path run calls _run_path once a path, the lock-step run never
+    assert fast.m.dtype == np.int64 and len(calls) == paths
+    assert fast.truncated_count == 0 and min(fast.event_counts) > 1
 
 
 @pytest.mark.parametrize(
@@ -441,19 +465,14 @@ def _chain_table(rule, x0, monkeypatch):
     return tables[0]
 
 
-def _carried(rule, state):
-    """Whether the lock-step engine carries the state: |m| < 2**31 for the
-    symmetric family; for the increasing family, a point of the int64 lattice
-    of scale n that one more jump, at most 4**n, keeps on it."""
-    (n,) = rule.family_params
-    if rule.family == "symmetric_doubling":
-        return abs(state.m) < 1 << 31
-    return state.s <= n and -(1 << 63) <= state.m << (n - state.s) <= (1 << 63) - 1 - 4**n
+def _carried(state):
+    """Whether the lock-step engine carries the state: its m and s fit int64."""
+    return -(1 << 63) <= state.m <= (1 << 63) - 1 and state.s <= (1 << 63) - 1
 
 
 @pytest.mark.parametrize("family", [SymmetricDoublingApprox, IncreasingDoublingApprox])
 @pytest.mark.parametrize("k", ["1", "sqrt2", "cbrt2"])
-@pytest.mark.parametrize("n", [0, 1, 8, 16, 31])
+@pytest.mark.parametrize("n", [0, 1, 8, 16, 31, 40])
 def test_chain_table_matches_the_rule(family, k, n, monkeypatch):
     rule = jump_rule_of(family(LatticeUnit.parse(k), n))
     for x0 in (rule.initial_state(), rule.initial_state(3)):
@@ -471,7 +490,7 @@ def test_chain_table_matches_the_rule(family, k, n, monkeypatch):
             assert rate[lev] == total
             for succ, (_, (dm, ds)) in ((up[lev], moves[0]), (down[lev], moves[-1])):
                 after = state.shifted(dm, ds)
-                if _carried(rule, after):
+                if _carried(after):
                     assert 0 <= succ and table.states[succ] == after
                 else:
                     assert succ == -1
@@ -644,9 +663,9 @@ def _record_work(monkeypatch) -> list:
     works = []
     philox = rng.philox2x64
 
-    def wrapper(c0, c1, key, rounds=rng.ROUNDS, work=None):
+    def wrapper(c0, c1, key, work=None):
         works.append(work)
-        return philox(c0, c1, key, rounds, work)
+        return philox(c0, c1, key, work)
 
     monkeypatch.setattr(rng, "philox2x64", wrapper)
     return works
