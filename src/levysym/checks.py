@@ -248,7 +248,7 @@ def _coefficient_grid(fs: FourierSymbol, u: np.ndarray):
 
 
 def _frequency_grid(ugrid, scan: str) -> np.ndarray:
-    """The u grid of a dominance or K scan (default ``DEFAULT_UGRID``):
+    """The u grid of a dominance, K or ellipticity scan (default ``DEFAULT_UGRID``):
     ValueError unless it is a non-empty, one-dimensional, finite array."""
     u = np.asarray(DEFAULT_UGRID if ugrid is None else ugrid, dtype=float)
     if u.ndim != 1:
@@ -579,13 +579,8 @@ def audit_ellipticity(spec, exponent_spec, x0: float, radius: float,
     if not math.isfinite(abs(x0) + abs(radius)):  # x0 +- radius overflows
         raise ValueError("the x grid of the ellipticity audit is not finite")
     xs = np.linspace(x0 - radius, x0 + radius, 21)
-    us = (
-        np.geomspace(1.0, 1e3, 61) if ugrid is None else np.asarray(ugrid, dtype=float)
-    )
-    if us.size == 0:
-        raise ValueError("the u grid of the ellipticity audit is empty")
-    if not np.all(np.isfinite(us)):
-        raise ValueError("the u grid of the ellipticity audit is not finite")
+    us = _frequency_grid(np.geomspace(1.0, 1e3, 61) if ugrid is None else ugrid,
+                         "ellipticity audit")
     if np.any(us == 0.0):
         raise ValueError("u = 0 must be excluded from quotient grids")
     psi = exponent_spec.psi(us)

@@ -1,10 +1,12 @@
 """Batch front-end: runs experiments from flags, writes CSV/JSON/SVG artifacts.
 
 Exit codes: 0 all checks passed, 2 an acceptance-style check failed,
-3 bad input, 4 a numeric budget was exhausted.  Every artifact directory
-receives one ``manifest.json`` sufficient to replay the run, which lists
-every ensemble of a run over several lattices; failures print a
-machine-readable JSON line to stdout.
+3 bad input, 4 a numeric budget was exhausted; failures print a
+machine-readable JSON line to stdout.  The subcommands that simulate
+(``simulate``, ``moments`` and ``nonuniq``) write a ``manifest.json`` of
+one schema, ``{"config": {horizon, seed, paths, max_events}, "ensembles":
+[{k_token, spec, total_events, truncated_paths}, ...]}``, one entry per
+lattice.  ``run-config`` replays a ``{"command", "args"}`` document.
 """
 
 from __future__ import annotations
@@ -31,13 +33,14 @@ EXIT_BUDGET = 4
 MOMENT_BIAS_ALLOWANCE = {2: 0.05, 4: 0.1}
 
 
+#: the specs ``simulate`` and ``moments`` run, and those ``audit`` audits, by name
+SIMULABLE = {c.wire_name: c for c in (symbols.SymmetricDoublingApprox,
+                                      symbols.IncreasingDoublingApprox)}
+AUDITABLE = {c.wire_name: c for c in (symbols.SymmetricDoubling, symbols.ProductCosine)}
+
+
 def _approx_spec(name: str, k_token: str, n: int):
-    k = symbols.LatticeUnit.parse(k_token)
-    if name == "ex31approx":
-        return symbols.SymmetricDoublingApprox(k, n)
-    if name == "ex32approx":
-        return symbols.IncreasingDoublingApprox(k, n)
-    raise ValueError(f"unknown simulable spec {name!r} (ex31approx | ex32approx)")
+    return SIMULABLE[name](symbols.LatticeUnit.parse(k_token), n)
 
 
 def _write(path: FsPath, text: str):
@@ -46,15 +49,10 @@ def _write(path: FsPath, text: str):
 
 
 def _manifest(outdir: FsPath, cfg, ensembles):
-    """Write the one manifest of a run: ``ensembles`` holds a (spec, result,
-    extra) triple per ensemble; several share one config and are listed."""
-    docs = [(spec.to_json(), result, extra) for spec, result, extra in ensembles]
-    if len(docs) == 1:
-        (spec_json, result, extra), = docs
-        text = simulate.manifest_json(spec_json, cfg, result, extra)
-    else:
-        text = simulate.ensembles_manifest_json(cfg, docs)
-    _write(outdir / "manifest.json", text)
+    """Write the manifest of a run: ``ensembles`` holds a (k_token, spec,
+    result) triple per ensemble, all run under ``cfg``."""
+    _write(outdir / "manifest.json", simulate.manifest_json(
+        cfg, [(token, spec.to_json(), result) for token, spec, result in ensembles]))
 
 
 def _fail(reason: str, **info) -> int:
@@ -89,10 +87,10 @@ def cmd_simulate(args) -> int:
                 svg_series.append(
                     (f"k = {token}", path.times, [s.value for s in path.states])
                 )
-        ensembles.append((spec, result, {"k_token": token}))
+        ensembles.append((token, spec, result))
     _manifest(outdir, cfg, ensembles)
     if args.svg and svg_series:
-        log_y = args.spec == "ex32approx" and args.log_y
+        log_y = args.spec == symbols.IncreasingDoublingApprox.wire_name and args.log_y
         _write(
             FsPath(args.svg),
             svgplot.paths_svg(svg_series, args.t, title=args.spec, log_y=log_y),
@@ -121,7 +119,7 @@ def cmd_moments(args) -> int:
         rows.append((order, est.mean, est.se, closed, err, ok))
     outdir = FsPath(args.out)
     _write(outdir / "moments.csv", mcstats.moment_report_csv(rows))
-    _manifest(outdir, cfg, [(spec, result, None)])
+    _manifest(outdir, cfg, [(args.k, spec, result)])
     if not all_ok:
         return _fail("moment outside tolerance",
                      rows=[[r[0], r[1], r[3]] for r in rows if not r[5]])
@@ -132,18 +130,21 @@ def cmd_nonuniq(args) -> int:
     if not 0.0 < args.distance_ratio < math.inf:
         raise ValueError(
             f"--distance-ratio must be finite and positive, got {args.distance_ratio}")
+    if args.paths < 2:
+        raise ValueError(f"--paths must be at least 2 for a standard error, "
+                         f"got {args.paths}")
     outdir = FsPath(args.out)
     samples = {}
     ensembles = []
     audits_ok = True
     lines = ["lattice,audited_against,off_lattice,nonzero_total"]
     for token in ("1", "sqrt2"):
-        spec = _approx_spec("ex31approx", token, args.n)
+        spec = symbols.SymmetricDoublingApprox(symbols.LatticeUnit.parse(token), args.n)
         rule = simulate.jump_rule_of(spec)
         cfg = simulate.SimConfig(horizon=args.t, seed=args.seed, paths=args.paths)
         result = simulate.simulate_ensemble(rule, rule.initial_state(), cfg)
         samples[token] = mcstats.Sample.from_ensemble(result, label=f"k={token}")
-        ensembles.append((spec, result, {"k_token": token}))
+        ensembles.append((token, spec, result))
     _manifest(outdir, cfg, ensembles)
     for own, other in (("1", "sqrt2"), ("sqrt2", "1")):
         own_audit = mcstats.support_audit(samples[own], own)
@@ -270,12 +271,7 @@ def cmd_fourier_check(args) -> int:
 
 def cmd_audit(args) -> int:
     outdir = FsPath(args.out)
-    if args.spec == "ex31":
-        spec = symbols.SymmetricDoubling()
-    elif args.spec == "prodcos":
-        spec = symbols.ProductCosine(symbols.BrownianNegative())
-    else:
-        raise ValueError(f"unknown audit spec {args.spec!r} (ex31 | prodcos)")
+    spec = AUDITABLE[args.spec]()
     psi = symbols.BrownianNegative()
     if not (math.isfinite(args.umin) and math.isfinite(args.umax)):
         raise ValueError(f"--umin and --umax must be finite, got {args.umin} and {args.umax}")
@@ -359,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="ensemble/path simulation with CSV + SVG output")
-    p.add_argument("--spec", required=True, choices=["ex31approx", "ex32approx"])
+    p.add_argument("--spec", required=True, choices=SIMULABLE)
     p.add_argument("--k", default="1", help="lattice token(s), comma-separated (1, sqrt2, cbrt2, cbrt4, or a number)")
     p.add_argument("--n", type=int, default=10)
     p.add_argument("--t", type=float, default=1.0)
@@ -373,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_simulate)
 
     p = sub.add_parser("moments", help="Monte Carlo moments against the closed forms")
-    p.add_argument("--spec", required=True, choices=["ex31approx", "ex32approx"])
+    p.add_argument("--spec", required=True, choices=SIMULABLE)
     p.add_argument("--k", default="1")
     p.add_argument("--n", type=int, default=10)
     p.add_argument("--t", type=float, default=1.0)
@@ -414,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_fourier_check)
 
     p = sub.add_parser("audit", help="ellipticity/smoothness ratio tables")
-    p.add_argument("--spec", required=True, choices=["ex31", "prodcos"])
+    p.add_argument("--spec", required=True, choices=AUDITABLE)
     p.add_argument("--x0", type=float, default=0.0)
     p.add_argument("--radius", type=float, default=1e-3)
     p.add_argument("--umin", type=float, default=1.0)

@@ -648,30 +648,14 @@ def path_csv(paths) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _config_doc(cfg: SimConfig) -> dict:
-    return {"horizon": cfg.horizon, "seed": cfg.seed, "paths": cfg.paths,
-            "max_events": cfg.max_events}
-
-
-def _ensemble_doc(spec_json: dict | None, result: EnsembleResult,
-                  extra: dict | None) -> dict:
-    return {"spec": spec_json, "truncated_paths": result.truncated_count,
-            "total_events": int(sum(result.event_counts)), **(extra or {})}
-
-
-def manifest_json(spec_json: dict | None, cfg: SimConfig, result: EnsembleResult,
-                  extra: dict | None = None) -> str:
-    """Manifest of one ensemble: its spec, config, truncated paths and total
-    events, and the keys of ``extra``."""
-    doc = {"config": _config_doc(cfg), **_ensemble_doc(spec_json, result, extra)}
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-
-
-def ensembles_manifest_json(cfg: SimConfig, ensembles) -> str:
-    """Manifest of several ensembles run under one config, one per lattice
-    say: ``ensembles`` holds a (spec_json, result, extra) triple per ensemble,
-    and the manifest lists each as :func:`manifest_json` describes it, in
-    that order, under ``"ensembles"``."""
-    doc = {"config": _config_doc(cfg),
-           "ensembles": [_ensemble_doc(*ensemble) for ensemble in ensembles]}
+def manifest_json(cfg: SimConfig, ensembles) -> str:
+    """Manifest of a run: its config, and under ``"ensembles"`` one entry per
+    ``(k_token, spec_json, result)`` triple, in order, with the lattice
+    token, the spec, the total events and the truncated paths."""
+    doc = {"config": {"horizon": cfg.horizon, "seed": cfg.seed, "paths": cfg.paths,
+                      "max_events": cfg.max_events},
+           "ensembles": [{"k_token": k_token, "spec": spec_json,
+                          "total_events": int(sum(result.event_counts)),
+                          "truncated_paths": result.truncated_count}
+                         for k_token, spec_json, result in ensembles]}
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"

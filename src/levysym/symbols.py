@@ -131,9 +131,6 @@ class BrownianNegative:
         u = np.asarray(u, dtype=float)
         return (-0.5 * u * u).astype(complex)
 
-    def to_json(self) -> dict:
-        return {"variant": "brownian"}
-
 
 @dataclass(frozen=True)
 class TripletExponent:
@@ -143,14 +140,6 @@ class TripletExponent:
 
     def psi(self, u):
         return self.triplet.exponent(u)
-
-    def to_json(self) -> dict:
-        return {
-            "variant": "triplet",
-            "b": self.triplet.drift,
-            "c": self.triplet.diffusion,
-            "jumps": [[y, r] for y, r in self.triplet.jumps],
-        }
 
 
 # ----------------------------------------------------------------------
@@ -171,9 +160,6 @@ class SymmetricDoubling:
             return LevyTriplet(diffusion=1.0)
         rate = 1.0 / (2.0 * x * x)
         return LevyTriplet(jumps=((x, rate), (-x, rate)))
-
-    def to_json(self) -> dict:
-        return {"variant": self.wire_name}
 
 
 @dataclass(frozen=True)
@@ -214,8 +200,6 @@ class SymmetricDoublingApprox:
 class IncreasingDoubling:
     """q(x,u) = (e^{iux}-1)/x for x > 0, iu at x = 0; state space [0, inf)."""
 
-    wire_name = "ex32"
-
     def value(self, x, u):
         x = np.asarray(x, dtype=float)
         if np.any(x < 0.0):
@@ -231,9 +215,6 @@ class IncreasingDoubling:
         if x == 0.0:
             return LevyTriplet(drift=1.0)
         return LevyTriplet(drift=truncation(x) / x, jumps=((x, 1.0 / x),))
-
-    def to_json(self) -> dict:
-        return {"variant": self.wire_name}
 
 
 @dataclass(frozen=True)
@@ -286,9 +267,6 @@ class ProductCosine:
             jumps=tuple((y, lam * r) for y, r in base.jumps) if lam > 0.0 else (),
         )
 
-    def to_json(self) -> dict:
-        return {"variant": self.wire_name, "psi": self.exponent_spec.to_json()}
-
 
 @dataclass(frozen=True)
 class ConstantSymbol:
@@ -298,16 +276,11 @@ class ConstantSymbol:
         default_factory=BrownianNegative
     )
 
-    wire_name = "constant"
-
     def value(self, x, u):
         return self.exponent_spec.psi(u) * np.ones_like(x, dtype=float)
 
     def triplet(self, x: float) -> LevyTriplet:
         return _base_triplet(self.exponent_spec)
-
-    def to_json(self) -> dict:
-        return {"variant": self.wire_name, "psi": self.exponent_spec.to_json()}
 
 
 def _base_triplet(exponent_spec) -> LevyTriplet:

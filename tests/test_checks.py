@@ -594,6 +594,7 @@ def test_audit_rejects_zero_frequency():
     ({"x0": -1e308, "radius": 1e308}, "x grid .* not finite"),
     ({"x0": np.inf}, "x0 and radius must be finite"),
     ({"radius": np.nan}, "x0 and radius must be finite"),
+    ({"ugrid": np.ones((3, 4))}, "u grid .* not one-dimensional"),
 ])
 def test_audit_rejects_empty_and_non_finite_grids(kwargs, match):
     args = {"x0": 0.5, "radius": 0.1} | kwargs

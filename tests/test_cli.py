@@ -28,8 +28,8 @@ def test_simulate_writes_artifacts_and_svg(tmp_path):
     assert '"variant": "ex31approx"' in text and '"tag": "sqrt2"' in text
     manifest = json.loads(text)
     assert manifest["config"]["seed"] == 7
-    assert manifest["spec"] == {"variant": "ex31approx", "n": 6,
-                                "k": {"value": 2.0**0.5, "tag": "sqrt2"}}
+    assert manifest["ensembles"][0]["spec"] == {"variant": "ex31approx", "n": 6,
+                                                "k": {"value": 2.0**0.5, "tag": "sqrt2"}}
     text = svg.read_text()
     assert text.startswith("<svg") and "polyline" in text
 
@@ -107,8 +107,10 @@ def test_nonuniq_small(tmp_path):
 
 #: SHA-256 of the evidence ``test_nonuniq_small``'s run writes, recorded before
 #: the Philox key schedule moved onto the key's shape and the lock-step engine
-#: recorded ended paths once per tile
+#: recorded ended paths once per tile; manifest.json's was recorded before the
+#: single- and multi-lattice manifests shared one writer
 NONUNIQ_SHA256 = {
+    "manifest.json": "34a13dfeff80c2ce7e76bda3961e2d997356b55104394d8b880d441094205e56",
     "ecf_distance.json": "d4aa5f32eafe6113a98978e92e0bc6044f52e4099919a58d40fd81d171ea372a",
     "ecf_report.csv": "5d5ae15579f36b3e717e3c911f1155ef446e95b1ee6458e149579a1f8c193980",
     "moment_comparison.csv": "76529d89104c03fc68507812f6503bd56e2d827d7fd538f4b45c6e9c6368405b",
@@ -125,6 +127,46 @@ def test_nonuniq_artifacts_are_pinned(tmp_path):
     digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
                for name in NONUNIQ_SHA256}
     assert digests == NONUNIQ_SHA256
+
+
+#: SHA-256 of the evidence of two single-lattice runs, recorded before their
+#: manifests moved to the list form that multi-lattice runs write
+SINGLE_LATTICE_SHA256 = {
+    "simulate": {
+        "endpoints.csv": "769f086cb9973cabe5d0f50edd5adfb6b335c631f0591bc9a182c2a1494e8504",
+        "paths.csv": "206407d1cdd92a5c470f59392d4d3f050dce8da15094575c5979bb7979dba09a",
+    },
+    "moments": {
+        "moments.csv": "ae50f517aca1e29ed6261c41038b668e2ba03258735e2d60a834416a40b11bdf",
+    },
+}
+
+
+@pytest.mark.parametrize("argv, token", [
+    (["simulate", "--spec", "ex31approx", "--k", "sqrt2", "--n", "6", "--paths", "3",
+      "--seed", "7", "--store-paths"], "sqrt2"),
+    (["moments", "--spec", "ex32approx", "--k", "1", "--n", "4", "--orders", "1,2",
+      "--paths", "2000", "--seed", "11"], "1"),
+], ids=["simulate", "moments"])
+def test_single_lattice_run_is_pinned_and_lists_its_ensemble(tmp_path, monkeypatch,
+                                                              argv, token):
+    from levysym import simulate
+
+    results = []
+    run = simulate.simulate_ensemble
+    monkeypatch.setattr(simulate, "simulate_ensemble",
+                        lambda *a: results.append(run(*a)) or results[-1])
+    out = tmp_path / "o"
+    assert main(argv + ["--out", str(out)]) == 0
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+               for name in SINGLE_LATTICE_SHA256[argv[0]]}
+    assert digests == SINGLE_LATTICE_SHA256[argv[0]]
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert sorted(manifest) == ["config", "ensembles"]
+    (doc,), (result,) = manifest["ensembles"], results
+    assert doc["k_token"] == doc["spec"]["k"]["tag"] == token
+    assert doc["total_events"] == sum(result.event_counts) > 0
+    assert doc["truncated_paths"] == result.truncated_count == 0
 
 
 @pytest.mark.parametrize("argv, tokens", [
@@ -320,6 +362,23 @@ def test_nonuniq_rejects_a_distance_ratio_that_is_not_finite_and_positive(
     doc = json.loads(capsys.readouterr().out.splitlines()[-1])
     assert code == EXIT_INPUT and doc["reason"] == "input error"
     assert "--distance-ratio" in doc["detail"]
+    assert not out.exists()
+
+
+def test_nonuniq_rejects_fewer_than_two_paths_before_simulating(tmp_path, capsys,
+                                                                monkeypatch):
+    # one path per lattice leaves no standard error for the moment comparison
+    from levysym import simulate
+
+    def unreachable(*args):
+        raise AssertionError("nonuniq simulated before checking its inputs")
+
+    monkeypatch.setattr(simulate, "simulate_ensemble", unreachable)
+    out = tmp_path / "a"
+    code = main(["nonuniq", "--n", "4", "--paths", "1", "--out", str(out)])
+    doc = json.loads(capsys.readouterr().out.splitlines()[-1])
+    assert code == EXIT_INPUT and doc["reason"] == "input error"
+    assert "--paths" in doc["detail"]
     assert not out.exists()
 
 

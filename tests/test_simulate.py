@@ -887,6 +887,6 @@ def test_artifact_formats():
     assert len(csv.splitlines()) == 4
     pcsv = path_csv(res.paths)
     assert pcsv.splitlines()[0] == "path_index,jump_time,value_after"
-    doc = json.loads(manifest_json({"variant": "ex31approx"}, cfg, res))
+    doc = json.loads(manifest_json(cfg, [("1", {"variant": "ex31approx"}, res)]))
     assert doc["config"]["seed"] == 8
-    assert doc["truncated_paths"] == 0
+    assert doc["ensembles"][0]["truncated_paths"] == 0
