@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -138,7 +139,8 @@ def localize_fourierize(spec, x0: float, ell: int, nmax: int = 64) -> FourierSym
 
     Builds q_l(y,u) = bump(y) (q(gamma(y),u) - psi(u)) + psi(u) on the unit
     interval, gamma(y) = (y - 1/2)/ell + x0 and psi = q(x0, .), computes
-    c_n(u) by 4096-point periodic trapezoid for |n| <= nmax, and
+    c_n(u) by 4096-point periodic trapezoid for |n| <= nmax, an integer in
+    1..2047 (the wavenumbers the quadrature resolves without aliasing), and
     phases them into cosine/sine coefficients at wavenumber k = 2 pi ell:
     a_n = e^{2 pi i n (1/2 - ell x0)} c_n, b_n = i a_n.
 
@@ -157,6 +159,10 @@ def localize_fourierize(spec, x0: float, ell: int, nmax: int = 64) -> FourierSym
     """
     if ell < 1:
         raise ValueError("window parameter ell must be a positive integer")
+    nodes = 4096
+    if (isinstance(nmax, bool) or not isinstance(nmax, numbers.Integral)
+            or not 1 <= nmax < nodes // 2):
+        raise ValueError(f"nmax must be an integer in 1..{nodes // 2 - 1}, got {nmax!r}")
     # x0 reaches NumPy only with finite phases 2 pi n (1/2 - ell x0), |n| <= nmax
     if not math.isfinite(2 * math.pi * nmax * (0.5 - ell * x0)):
         raise ValueError(f"x0 must be finite and keep the phases finite, got {x0!r}")
@@ -169,7 +175,6 @@ def localize_fourierize(spec, x0: float, ell: int, nmax: int = 64) -> FourierSym
                 f"localization window [{x0 - 0.5 / ell}, {x0 + 0.5 / ell}] leaves "
                 f"the symbol's state space: {err}"
             ) from err
-    nodes = 4096
     ys = np.arange(nodes) / nodes
     bump = plateau_bump(ys)
     states = (ys - 0.5) / ell + x0  # gamma_ell(y)

@@ -306,8 +306,13 @@ def cmd_run_config(args) -> int:
     switch is present.
     """
     doc = json.loads(FsPath(args.config).read_text())
+    if not isinstance(doc, dict) or "command" not in doc:
+        raise ValueError(f"{args.config}: need an object with a \"command\" key")
+    flags = doc.get("args", {})
+    if not isinstance(flags, dict):
+        raise ValueError(f"{args.config}: \"args\" must be an object")
     argv = [str(doc["command"])]
-    for key, value in doc.get("args", {}).items():
+    for key, value in flags.items():
         flag = "--" + str(key).replace("_", "-")
         if isinstance(value, bool):
             if value:

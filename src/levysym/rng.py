@@ -13,15 +13,13 @@ engine calls it on counters 0 .. 255 for a group of path keys at once, and
 for a path that runs past them on further blocks of 1 024 counters of its own
 key.  Either way event j of path i is counter j of stream i, so drawing a
 counter early, drawing it beside other keys' counters, or drawing one that no
-event uses changes no result.  Each ensemble owns one work buffer
-(:func:`work_buffer`) and passes it to every Philox call it makes, so its
-draws allocate no scratch memory; the words a call returns are fresh arrays
-and never alias the buffer.  A call takes six blocks of the buffer, each of
-its broadcast size: four round temporaries, the one ``lo`` trades with the
-second output word, and the key schedule.  The schedule keeps the key's own
-shape (a scalar for key derivation and per-path blocks, a row of keys in a
-tile) and is broadcast into each round's xor, so advancing it costs one add
-on the key's shape per round.
+event uses changes no result.  A :func:`philox2x64` call allocates its
+scratch in one block of six slots, each of its broadcast size: four round
+temporaries, the one ``lo`` trades with the second output word, and the key
+schedule; the two words it returns are fresh arrays.  The schedule keeps the
+key's own shape (a scalar for key derivation and per-path blocks, a row of
+keys in a tile) and is broadcast into each round's xor, so advancing it
+costs one add on the key's shape per round.
 
 The 64x64 -> 128 bit multiply is emulated with 32-bit limbs, which keeps
 everything inside NumPy uint64 vector arithmetic (exactness is covered by
@@ -56,14 +54,8 @@ _KEY_DOMAIN = _u64(0x5CA1AB1E)
 _EVENT_DOMAIN = _u64(0x0DDC0FFE)
 
 ROUNDS = 10
-#: blocks of ``work`` a philox2x64 call uses, each of the broadcast size
+#: scratch slots of a philox2x64 call, each of the broadcast size
 _WORK_SLOTS = 6
-
-
-def work_buffer(size: int) -> np.ndarray:
-    """A ``work`` buffer for :func:`philox2x64` calls whose arguments
-    broadcast to at most ``size`` elements."""
-    return np.empty(_WORK_SLOTS * size, dtype=np.uint64)
 
 
 def _mulhilo(x, bl, bh, t, t2, lo):
@@ -89,36 +81,25 @@ def _mulhilo(x, bl, bh, t, t2, lo):
     return hi
 
 
-def philox2x64(c0, c1, key, work=None):
+def philox2x64(c0, c1, key):
     """Return the two uint64 output words of ``ROUNDS`` rounds for counters
     (c0, c1) under key.
 
     All three arguments broadcast against each other; inputs are consumed
     as uint64.  The first round's multiply depends on c0 alone and runs on
     its shape; the other rounds work in place on full-shape buffers.  Those
-    buffers and the key schedule, on the key's shape, are carved from
-    ``work``, a 1-D writable uint64 array of at least ``_WORK_SLOTS`` x
-    (broadcast size) entries (from :func:`work_buffer`; one is allocated when
-    it is None), so a caller that passes the same buffer to every call
-    allocates no scratch per call.  The two output words are fresh arrays and
-    never alias ``work``.
+    buffers and the key schedule, on the key's shape, are carved from one
+    scratch allocation of ``_WORK_SLOTS`` x (broadcast size) words.
     """
     x0 = np.asarray(c0, dtype=np.uint64)
     x1 = np.asarray(c1, dtype=np.uint64)
     key = np.asarray(key, dtype=np.uint64)
     shape = np.broadcast_shapes(x0.shape, x1.shape, key.shape)
     size = math.prod(shape)
-    if work is None:
-        work = work_buffer(size)
-    elif not (isinstance(work, np.ndarray) and work.dtype == np.uint64 and work.ndim == 1
-              and work.flags.c_contiguous and work.flags.writeable):
-        raise ValueError("work must be a 1-D, C-contiguous, writable uint64 array")
-    elif work.size < _WORK_SLOTS * size:
-        raise ValueError(f"work holds {work.size} words, a call of size {size} needs "
-                         f"{_WORK_SLOTS * size}")
     out0, out1 = np.empty(shape, np.uint64), np.empty(shape, np.uint64)
     if not size:
         return out0, out1
+    work = np.empty(_WORK_SLOTS * size, dtype=np.uint64)
 
     def slot(i, shp):  # slot i of work, a block of ``size`` words, as an array
         return work[i * size:i * size + math.prod(shp)].reshape(shp)
@@ -150,23 +131,21 @@ def _to_unit_interval(words):
     return ((words >> _S11).astype(np.float64) + 0.5) * 2.0**-53
 
 
-def path_keys(master_seed: int, indices, work=None) -> np.ndarray:
-    """Derive one independent stream key per path index from the master seed;
-    ``work`` is passed to :func:`philox2x64`."""
+def path_keys(master_seed: int, indices) -> np.ndarray:
+    """Derive one independent stream key per path index from the master seed."""
     idx = np.asarray(indices, dtype=np.uint64)
-    k0, _ = philox2x64(idx, _KEY_DOMAIN, np.uint64(master_seed & 0xFFFFFFFFFFFFFFFF), work)
+    k0, _ = philox2x64(idx, _KEY_DOMAIN, np.uint64(master_seed & 0xFFFFFFFFFFFFFFFF))
     return k0
 
 
-def event_uniforms(keys, counter, work=None):
+def event_uniforms(keys, counter):
     """Two uniform(0,1) arrays for event ``counter`` of the given path keys.
 
     ``keys`` and ``counter`` broadcast, and each output element depends only
     on its own (key, counter) pair: a column of counters against a row of
     keys gives a tile (counters x paths), as both engines draw them, and one
-    key at a run of counters the per-path engine's later blocks.  ``work`` is
-    passed to :func:`philox2x64`.
+    key at a run of counters the per-path engine's later blocks.
     """
-    w0, w1 = philox2x64(np.asarray(counter, dtype=np.uint64), _EVENT_DOMAIN, keys, work)
+    w0, w1 = philox2x64(np.asarray(counter, dtype=np.uint64), _EVENT_DOMAIN, keys)
     return _to_unit_interval(w0), _to_unit_interval(w1)
 

@@ -13,9 +13,8 @@ only on (key, counter).  The lock-step engine draws tiles of consecutive
 counters for all active paths, about 16 384 uniforms per call.  The per-path
 engine draws counters 0 .. 255 for 64 paths in one call (the same tile
 size), and a path that runs past them reads its own stream in further blocks
-of 1 024 counters.  Each ensemble, and each ``simulate_path`` call, allocates
-one Philox work buffer and passes it to every draw it makes, its key
-derivation included; the uniforms it gets back never alias that buffer.
+of 1 024 counters.  Each Philox call allocates its own scratch, so the
+engines hand ``rng`` only keys and counters.
 
 The generic per-path engine works for any ``JumpRule``, retains
 trajectories on request and is the oracle.  It runs on Python floats, and
@@ -268,24 +267,17 @@ _FIRST = 256
 _BLOCK = 1024
 
 
-def _draws(keys, counters, work) -> tuple[list, list]:
-    """(-log u1, u2) of ``rng.event_uniforms(keys, counters, work)`` as Python
+def _draws(keys, counters) -> tuple[list, list]:
+    """(-log u1, u2) of ``rng.event_uniforms(keys, counters)`` as Python
     floats, transposed: a tile (counters x keys) gives one list per key."""
-    u1, u2 = rng.event_uniforms(keys, counters, work)
+    u1, u2 = rng.event_uniforms(keys, counters)
     return (-np.log(u1)).T.tolist(), u2.T.tolist()
 
 
-def _first_draws(keys, work) -> list[tuple[list, list]]:
+def _first_draws(keys) -> list[tuple[list, list]]:
     """(-log u1, u2) of counters 0 .. ``_FIRST`` - 1 for each key, in one call."""
-    e1, u2 = _draws(keys[None, :], np.arange(_FIRST, dtype=np.uint64)[:, None], work)
+    e1, u2 = _draws(keys[None, :], np.arange(_FIRST, dtype=np.uint64)[:, None])
     return list(zip(e1, u2))
-
-
-def _perpath_work(paths: int) -> np.ndarray:
-    """The Philox work buffer of a per-path run of ``paths`` paths: it holds
-    their key derivation, a first draw (``_FIRST`` counters x up to
-    ``_TILE // _FIRST`` paths) and a ``_BLOCK`` of one path's counters."""
-    return rng.work_buffer(max(paths, _TILE, _BLOCK))
 
 
 def _entry(memo: dict, rule: JumpRule, state: ExactState) -> tuple:
@@ -302,15 +294,15 @@ def _entry(memo: dict, rule: JumpRule, state: ExactState) -> tuple:
 
 
 def _run_path(rule: JumpRule, x0: ExactState, cfg: SimConfig, key, record: bool,
-              first: tuple[list, list], memo: dict, work: np.ndarray) -> tuple:
+              first: tuple[list, list], memo: dict) -> tuple:
     """(endpoint, events, truncated, jump times, states, observed) of one path;
     ``observed[q]`` is its state at ``cfg.observe[q]``, jump times and states
     are kept only with ``record``.
 
     Event j reads counter j of the stream ``key``: ``first`` holds the
     (-log u1, u2) draws of counters 0 .. ``_FIRST`` - 1 as Python floats, and
-    past them the path draws ``_BLOCK`` counters at a time into the Philox
-    work buffer ``work``.  ``memo`` holds the ``_entry`` of every state the
+    past them the path draws ``_BLOCK`` counters at a time of its own key,
+    in one Philox call each.  ``memo`` holds the ``_entry`` of every state the
     rule's paths have been to; it may come from earlier paths of the same
     rule, since ``rule.moves`` is a pure function of the state.
     """
@@ -332,7 +324,7 @@ def _run_path(rule: JumpRule, x0: ExactState, cfg: SimConfig, key, record: bool,
             break  # absorbing state
         if events == limit:
             base, limit = events, events + _BLOCK
-            e1, u2 = _draws(key, np.arange(base, limit, dtype=np.uint64), work)
+            e1, u2 = _draws(key, np.arange(base, limit, dtype=np.uint64))
         i = events - base
         t += e1[i] / total
         while pending and t > pending[-1]:
@@ -372,10 +364,9 @@ def simulate_path(rule: JumpRule, x0: ExactState, cfg: SimConfig,
         raise ValueError(f"path_index must be an integer, got {path_index!r}")
     if not 0 <= path_index < 1 << 64:
         raise ValueError(f"path_index must be in [0, 2**64), got {path_index}")
-    work = _perpath_work(1)
-    keys = rng.path_keys(cfg.seed, [path_index], work)
+    keys = rng.path_keys(cfg.seed, [path_index])
     state, events, truncated, times, states, _ = _run_path(
-        rule, x0, cfg, keys[0], True, _first_draws(keys, work)[0], {}, work)
+        rule, x0, cfg, keys[0], True, _first_draws(keys)[0], {})
     return Path(tuple(times), tuple(states), truncated)
 
 
@@ -399,8 +390,7 @@ def simulate_ensemble(rule: JumpRule, x0: ExactState, cfg: SimConfig) -> Ensembl
         except _LockstepUnfit:
             pass
 
-    work = _perpath_work(cfg.paths)
-    keys = rng.path_keys(cfg.seed, np.arange(cfg.paths), work)
+    keys = rng.path_keys(cfg.seed, np.arange(cfg.paths))
     # row q: the state at cfg.observe[q], the last row the endpoint
     shape = (len(cfg.observe) + 1, cfg.paths)
     m = np.empty(shape, dtype=object)  # Python ints: 2**63 must not become a float
@@ -412,9 +402,9 @@ def simulate_ensemble(rule: JumpRule, x0: ExactState, cfg: SimConfig) -> Ensembl
     group = max(1, _TILE // _FIRST)  # paths per first draw
     for i in range(cfg.paths):
         if i % group == 0:
-            first = _first_draws(keys[i:i + group], work)
+            first = _first_draws(keys[i:i + group])
         state, events, truncated, times, states, observed = _run_path(
-            rule, x0, cfg, keys[i], cfg.store_paths, first[i % group], memo, work
+            rule, x0, cfg, keys[i], cfg.store_paths, first[i % group], memo
         )
         for q, x in enumerate(observed + [state]):
             m[q, i], s[q, i] = x.m, x.s
@@ -530,9 +520,7 @@ def _lockstep(table: _ChainTable, cfg: SimConfig) -> EnsembleResult:
     their last position fills the columns they have not passed.
     """
     N = cfg.paths
-    # one Philox work buffer for the run: a tile has B * N_active <= max(_TILE, N)
-    work = rng.work_buffer(max(_TILE, N))
-    keys = rng.path_keys(cfg.seed, np.arange(N), work)
+    keys = rng.path_keys(cfg.seed, np.arange(N))
     at = np.zeros(N, dtype=np.int64)
     t = np.zeros(N)
     idx = np.arange(N)
@@ -550,7 +538,7 @@ def _lockstep(table: _ChainTable, cfg: SimConfig) -> EnsembleResult:
         B = max(1, min(_TILE // n, cfg.max_events + 1 - j))
         last = j + B > cfg.max_events  # the tile's last row is event max_events
         counters = np.arange(j, j + B, dtype=np.uint64)
-        u1, u2 = rng.event_uniforms(keys[idx][None, :], counters[:, None], work)
+        u1, u2 = rng.event_uniforms(keys[idx][None, :], counters[:, None])
         T = np.log(u1, u1)  # row r: log(u1), then the time of event j0 + r
         col = (u2 >= 0.5).view(np.int8)
         P = u2.view(np.int64)  # row r: the position before event j0 + r

@@ -379,6 +379,19 @@ def test_localize_rejects_domain_exit():
         localize_fourierize(IncreasingDoubling(), 0.0, 1, nmax=8)
 
 
+@pytest.mark.parametrize("nmax", [-1, 0, 2048, 3000, 2.0, True])
+def test_localize_rejects_nmax_outside_what_the_quadrature_resolves(nmax):
+    # 4 096 nodes resolve |n| <= 2047; past that c_n repeats lower wavenumbers
+    with pytest.raises(ValueError, match="nmax must be an integer in 1..2047"):
+        localize_fourierize(PRODCOS, 3.14159, 1, nmax=nmax)
+
+
+def test_localize_takes_the_largest_resolved_nmax():
+    fs = localize_fourierize(PRODCOS, math.pi, 1, nmax=2047)
+    assert fs.n.tolist() == [n for n in range(-2047, 2048) if n]
+    assert len(fs.coefficients(1.0)[1]) == 4094
+
+
 class CountingSpec:
     """Symbol wrapper that counts the evaluations on the quadrature states
     (array x) apart from the scalar ones at x0."""

@@ -346,6 +346,17 @@ def test_localized_fourier_check_rejects_an_x0_without_finite_phases(x0, tmp_pat
     assert not out.exists()
 
 
+@pytest.mark.parametrize("nmax", ["-1", "0", "2048", "3000"])
+def test_fourier_check_rejects_nmax_outside_the_resolved_wavenumbers(nmax, tmp_path, capsys):
+    out = tmp_path / "a"
+    code = main(["fourier-check", "--symbol", "localized-prodcos", "--x0", "3.14159",
+                 "--nmax", nmax, "--out", str(out)])
+    doc = json.loads(capsys.readouterr().out.splitlines()[-1])
+    assert code == EXIT_INPUT and doc["reason"] == "input error"
+    assert doc["detail"].startswith("nmax must be an integer in 1..2047")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("ratio", ["nan", "inf", "-1", "0"])
 def test_nonuniq_rejects_a_distance_ratio_that_is_not_finite_and_positive(
         ratio, tmp_path, capsys, monkeypatch):
@@ -454,3 +465,20 @@ def test_run_config_replays(tmp_path):
     assert (tmp_path / "cfg_out" / "moments.csv").read_bytes() == (
         direct / "moments.csv"
     ).read_bytes()
+
+
+@pytest.mark.parametrize("doc, detail", [
+    ({"args": {"seed": 1}}, '"command"'),
+    ([["moments"]], '"command"'),
+    ("moments", '"command"'),
+    ({"command": "moments", "args": ["--seed", "1"]}, '"args" must be an object'),
+    ({"command": "moments", "args": "seed"}, '"args" must be an object'),
+], ids=["no-command", "list", "string", "args-list", "args-string"])
+def test_run_config_rejects_malformed_documents(doc, detail, tmp_path, capsys):
+    cfg = tmp_path / "exp.json"
+    cfg.write_text(json.dumps(doc))
+    code = main(["run-config", str(cfg)])
+    line = json.loads(capsys.readouterr().out.splitlines()[-1])
+    assert code == EXIT_INPUT
+    assert line["failed"] and line["reason"] == "input error"
+    assert detail in line["detail"]

@@ -1,8 +1,6 @@
 """Counter-based stream: exactness of the limb arithmetic, determinism,
 stream independence."""
 
-import math
-
 import numpy as np
 import pytest
 
@@ -56,14 +54,12 @@ def _words(*shape):
 )
 def test_philox_matches_bigint_oracle(c0, c1, key, rounds):
     shape = np.broadcast_shapes(np.shape(c0), np.shape(c1), np.shape(key))
-    work = rng.work_buffer(math.prod(shape))
-    work.fill(0xDEADBEEF)  # stale words from an earlier call
-    for words in (rng.philox2x64(c0, c1, key), rng.philox2x64(c0, c1, key, work)):
-        assert all(w.shape == shape and w.dtype == np.uint64 for w in words)
-        flat = [np.broadcast_to(np.asarray(a, dtype=np.uint64), shape).ravel().tolist()
-                for a in (c0, c1, key)]
-        expected = [_philox_oracle(*ints, rounds) for ints in zip(*flat)]
-        assert list(zip(words[0].ravel().tolist(), words[1].ravel().tolist())) == expected
+    words = rng.philox2x64(c0, c1, key)
+    assert all(w.shape == shape and w.dtype == np.uint64 for w in words)
+    flat = [np.broadcast_to(np.asarray(a, dtype=np.uint64), shape).ravel().tolist()
+            for a in (c0, c1, key)]
+    expected = [_philox_oracle(*ints, rounds) for ints in zip(*flat)]
+    assert list(zip(words[0].ravel().tolist(), words[1].ravel().tolist())) == expected
 
 
 def test_deterministic_and_key_sensitive():
@@ -122,58 +118,3 @@ def test_order_independence_of_event_uniforms():
     direct = [rng.event_uniforms(keys[i : i + 1], 9)[0][0] for i in range(64)]
     batched = rng.event_uniforms(keys, 9)[0]
     assert np.array_equal(np.array(direct), batched)
-
-
-@pytest.mark.parametrize(
-    "c0, c1, key",
-    [
-        (np.arange(40, dtype=np.uint64)[:, None], rng._EVENT_DOMAIN,
-         np.arange(1, 31, dtype=np.uint64)[None, :] * 0x9E37),
-        (np.arange(50, dtype=np.uint64), np.arange(50, 100, dtype=np.uint64), 123),
-        (np.arange(64, dtype=np.uint64), 0, np.uint64(2**64 - 1)),
-        (3, 4, 5),
-    ],
-    ids=["tile", "pair", "scalar-key", "scalars"],
-)
-def test_work_buffer_gives_the_same_words(c0, c1, key):
-    plain = rng.philox2x64(c0, c1, key)
-    size = np.broadcast(np.asarray(c0), np.asarray(c1), np.asarray(key)).size
-    work = rng.work_buffer(size + 5)  # larger than needed
-    work.fill(0xDEADBEEF)  # stale words from an earlier call
-    words = rng.philox2x64(c0, c1, key, work)
-    again = rng.philox2x64(c0, c1, key, work)  # the buffer reused
-    for w, a, p in zip(words, again, plain):
-        assert w.shape == p.shape and np.array_equal(w, p) and np.array_equal(a, p)
-        assert not np.shares_memory(w, work)
-    kept = [w.copy() for w in words]
-    work.fill(0)  # overwriting the buffer leaves the returned words alone
-    assert all(np.array_equal(w, k) for w, k in zip(words, kept))
-
-
-def test_event_uniforms_and_path_keys_pass_the_work_buffer_through():
-    work = rng.work_buffer(16 * 8)
-    keys = rng.path_keys(3, np.arange(8), work)
-    assert np.array_equal(keys, rng.path_keys(3, np.arange(8)))
-    counters = np.arange(16, dtype=np.uint64)[:, None]
-    for a, b in zip(rng.event_uniforms(keys, counters, work), rng.event_uniforms(keys, counters)):
-        assert np.array_equal(a, b)
-
-
-WORDS_64 = rng._WORK_SLOTS * 64  # the work a call of 64 counters needs
-
-
-@pytest.mark.parametrize(
-    "work",
-    [
-        rng.work_buffer(63),
-        np.zeros(WORDS_64, dtype=np.int64),
-        np.zeros((rng._WORK_SLOTS, 64), dtype=np.uint64),
-        np.zeros(2 * WORDS_64, dtype=np.uint64)[::2],
-        np.zeros(WORDS_64, dtype=np.uint64).tolist(),
-        np.frombuffer(bytes(8 * WORDS_64), dtype=np.uint64),
-    ],
-    ids=["too-small", "int64", "2-D", "strided", "list", "read-only"],
-)
-def test_unfit_work_buffer_is_rejected(work):
-    with pytest.raises(ValueError, match="work"):
-        rng.philox2x64(np.arange(64, dtype=np.uint64), 0, 5, work)
