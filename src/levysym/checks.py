@@ -551,18 +551,10 @@ class EllipticityAudit:
     floor_ratio: float
     slope: float
     u: np.ndarray
-    bound: float | None = None
-
-    @property
-    def elliptic_ok(self) -> bool | None:
-        if self.bound is None:
-            return None
-        return all(v <= self.bound for v in self.elliptic_ratio.values())
 
 
 def audit_ellipticity(spec, exponent_spec, x0: float, radius: float,
-                      ugrid=None, max_order: int = 3,
-                      bound: float | None = None) -> EllipticityAudit:
+                      ugrid=None, max_order: int = 3) -> EllipticityAudit:
     """Measure the sufficient-condition quotients around x0.
 
     ``exponent_spec`` supplies the comparison exponent psi (typically
@@ -613,7 +605,6 @@ def audit_ellipticity(spec, exponent_spec, x0: float, radius: float,
         floor_ratio=floor,
         slope=slope,
         u=us,
-        bound=bound,
     )
 
 

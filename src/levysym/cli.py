@@ -1,8 +1,11 @@
 """Batch front-end: runs experiments from flags, writes CSV/JSON/SVG artifacts.
 
 Exit codes: 0 all checks passed, 2 an acceptance-style check failed,
-3 bad input, 4 a numeric budget was exhausted; failures print a
-machine-readable JSON line to stdout.  The subcommands that simulate
+3 bad input (flags argparse rejects included), 4 a numeric budget was
+exhausted; failures print a machine-readable JSON line to stdout.  This
+module is the one writer of artifacts.  A CSV cell is ``true`` or ``false``
+for a bool, 17 significant digits (``.17g``, round-trip exact) for a float
+and ``str`` of anything else.  The subcommands that simulate
 (``simulate``, ``moments`` and ``nonuniq``) write a ``manifest.json`` of
 one schema, ``{"config": {horizon, seed, paths, max_events}, "ensembles":
 [{k_token, spec, total_events, truncated_paths}, ...]}``, one entry per
@@ -48,11 +51,30 @@ def _write(path: FsPath, text: str):
     path.write_text(text)
 
 
+def _cell(value) -> str:
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    if isinstance(value, float):  # np.float64 included
+        return f"{value:.17g}"
+    return str(value)
+
+
+def _table(path: FsPath, header: str, rows):
+    """Write a CSV artifact: the header line, then one line per row of cells."""
+    _write(path, header + "\n" + "".join(",".join(map(_cell, row)) + "\n" for row in rows))
+
+
 def _manifest(outdir: FsPath, cfg, ensembles):
-    """Write the manifest of a run: ``ensembles`` holds a (k_token, spec,
-    result) triple per ensemble, all run under ``cfg``."""
-    _write(outdir / "manifest.json", simulate.manifest_json(
-        cfg, [(token, spec.to_json(), result) for token, spec, result in ensembles]))
+    """Write the manifest of a run: its config, and under ``"ensembles"`` one
+    entry per (k_token, spec, result) triple run under ``cfg``, in order, with
+    the lattice token, the spec, the total events and the truncated paths."""
+    doc = {"config": {"horizon": cfg.horizon, "seed": cfg.seed, "paths": cfg.paths,
+                      "max_events": cfg.max_events},
+           "ensembles": [{"k_token": token, "spec": spec.to_json(),
+                          "total_events": int(sum(result.event_counts)),
+                          "truncated_paths": result.truncated_count}
+                         for token, spec, result in ensembles]}
+    _write(outdir / "manifest.json", json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def _fail(reason: str, **info) -> int:
@@ -80,9 +102,12 @@ def cmd_simulate(args) -> int:
         )
         result = simulate.simulate_ensemble(rule, x0, cfg)
         suffix = f"_k_{token.replace('.', 'p')}" if multi_k else ""
-        _write(outdir / f"endpoints{suffix}.csv", simulate.endpoint_csv(result))
+        _table(outdir / f"endpoints{suffix}.csv", "path_index,t,value",
+               ((i, result.horizon, v) for i, v in enumerate(result.values.tolist())))
         if store and result.paths:
-            _write(outdir / f"paths{suffix}.csv", simulate.path_csv(result.paths))
+            _table(outdir / f"paths{suffix}.csv", "path_index,jump_time,value_after",
+                   ((i, t, state.value) for i, path in enumerate(result.paths)
+                    for t, state in zip((0,) + path.times, path.states)))
             for path in result.paths[:3 if not multi_k else 1]:
                 svg_series.append(
                     (f"k = {token}", path.times, [s.value for s in path.states])
@@ -118,7 +143,7 @@ def cmd_moments(args) -> int:
         all_ok &= ok
         rows.append((order, est.mean, est.se, closed, err, ok))
     outdir = FsPath(args.out)
-    _write(outdir / "moments.csv", mcstats.moment_report_csv(rows))
+    _table(outdir / "moments.csv", "order,mc_mean,mc_se,closed_form,abs_error,pass", rows)
     _manifest(outdir, cfg, [(args.k, spec, result)])
     if not all_ok:
         return _fail("moment outside tolerance",
@@ -137,7 +162,7 @@ def cmd_nonuniq(args) -> int:
     samples = {}
     ensembles = []
     audits_ok = True
-    lines = ["lattice,audited_against,off_lattice,nonzero_total"]
+    audit_rows = []
     for token in ("1", "sqrt2"):
         spec = symbols.SymmetricDoublingApprox(symbols.LatticeUnit.parse(token), args.n)
         rule = simulate.jump_rule_of(spec)
@@ -149,26 +174,23 @@ def cmd_nonuniq(args) -> int:
     for own, other in (("1", "sqrt2"), ("sqrt2", "1")):
         own_audit = mcstats.support_audit(samples[own], own)
         cross = mcstats.support_audit(samples[own], other)
-        lines.append(f"{own},{own},{own_audit.off_lattice},{own_audit.nonzero_total}")
-        lines.append(f"{own},{other},{cross.off_lattice},{cross.nonzero_total}")
+        audit_rows += [(own, own, own_audit.off_lattice, own_audit.nonzero_total),
+                       (own, other, cross.off_lattice, cross.nonzero_total)]
         audits_ok &= own_audit.off_lattice == 0
         audits_ok &= cross.off_lattice == cross.nonzero_total
-    _write(outdir / "support_audit.csv", "\n".join(lines) + "\n")
+    _table(outdir / "support_audit.csv", "lattice,audited_against,off_lattice,nonzero_total",
+           audit_rows)
 
     m1 = mcstats.moment_ci(samples["1"], 2)
     m2 = mcstats.moment_ci(samples["sqrt2"], 2)
     moments_ok = abs(m1.mean - m2.mean) <= 3.0 * (m1.se + m2.se)
-    _write(
-        outdir / "moment_comparison.csv",
-        "lattice,order,mc_mean,mc_se\n"
-        f"1,2,{m1.mean:.17g},{m1.se:.17g}\n"
-        f"sqrt2,2,{m2.mean:.17g},{m2.se:.17g}\n",
-    )
+    _table(outdir / "moment_comparison.csv", "lattice,order,mc_mean,mc_se",
+           [("1", 2, m1.mean, m1.se), ("sqrt2", 2, m2.mean, m2.se)])
 
     dist = mcstats.ecf_distance(samples["1"], samples["sqrt2"])
-    ea = mcstats.ecf(samples["1"], dist.u)
-    eb = mcstats.ecf(samples["sqrt2"], dist.u)
-    _write(outdir / "ecf_report.csv", mcstats.ecf_report_csv(ea, eb))
+    a, b = dist.ecf_a.mean, dist.ecf_b.mean
+    _table(outdir / "ecf_report.csv", "u,re_a,im_a,re_b,im_b,weighted_abs_diff",
+           zip(dist.u, a.real, a.imag, b.real, b.imag, dist.weighted_gap))
     dist_ok = dist.distance > args.distance_ratio * dist.se_bound
     _write(
         outdir / "ecf_distance.json",
@@ -237,16 +259,8 @@ def cmd_fourier_check(args) -> int:
         "majorant": [],
     }
     if args.csv:
-        _write(
-            outdir / "dominance.csv",
-            "u,margin\n"
-            + "".join(f"{u:.17g},{m:.17g}\n" for u, m in zip(dom.u, dom.margin)),
-        )
-        _write(
-            outdir / "k_integrand.csv",
-            "u,K_integrand\n"
-            + "".join(f"{u:.17g},{v:.17g}\n" for u, v in zip(kr.u, kr.integrand)),
-        )
+        _table(outdir / "dominance.csv", "u,margin", zip(dom.u, dom.margin))
+        _table(outdir / "k_integrand.csv", "u,K_integrand", zip(kr.u, kr.integrand))
     ok = dom.passed
     xgrid = np.linspace(-math.pi, math.pi, 101)
     for u in (float(v) for v in args.majorant_u.split(",") if v):
@@ -276,23 +290,18 @@ def cmd_audit(args) -> int:
     if not (math.isfinite(args.umin) and math.isfinite(args.umax)):
         raise ValueError(f"--umin and --umax must be finite, got {args.umin} and {args.umax}")
     ugrid = np.geomspace(max(args.umin, 1e-6), args.umax, args.upoints)
-    audit = checks.audit_ellipticity(
-        spec, psi, args.x0, args.radius, ugrid=ugrid, max_order=args.orders,
-        bound=args.bound,
-    )
-    lines = ["order,elliptic_ratio,growth_ratio"]
-    for order in range(1, args.orders + 1):
-        e = audit.elliptic_ratio.get(order, float("nan"))
-        g = audit.growth_ratio.get(order, float("nan"))
-        lines.append(f"{order},{e:.17g},{g:.17g}")
-    lines.append(f"floor,{audit.floor_ratio:.17g},")
-    lines.append(f"slope,{audit.slope:.17g},")
-    _write(outdir / "ellipticity.csv", "\n".join(lines) + "\n")
+    audit = checks.audit_ellipticity(spec, psi, args.x0, args.radius, ugrid=ugrid,
+                                     max_order=args.orders)
+    _table(outdir / "ellipticity.csv", "order,elliptic_ratio,growth_ratio",
+           [(order, audit.elliptic_ratio.get(order, math.nan),
+             audit.growth_ratio.get(order, math.nan)) for order in range(1, args.orders + 1)]
+           + [("floor", audit.floor_ratio, ""), ("slope", audit.slope, "")])
     print(
-        f"{args.spec}: order-1 ratio {audit.elliptic_ratio.get(1, float('nan')):.4g}, "
+        f"{args.spec}: order-1 ratio {audit.elliptic_ratio.get(1, math.nan):.4g}, "
         f"slope {audit.slope:.3f}, floor {audit.floor_ratio:.4g}"
     )
-    if args.bound is not None and audit.elliptic_ok is False:
+    if args.bound is not None and any(not v <= args.bound  # a nan ratio fails too
+                                      for v in audit.elliptic_ratio.values()):
         return _fail("smoothness ratio exceeds bound", bound=args.bound,
                      ratios={str(k): v for k, v in audit.elliptic_ratio.items()})
     return EXIT_OK
@@ -352,8 +361,16 @@ def cmd_groenwall(args) -> int:
 # ----------------------------------------------------------------------
 # parser
 # ----------------------------------------------------------------------
+class _Parser(argparse.ArgumentParser):
+    """Raises a flag argparse rejects as bad input, for ``main``'s JSON line."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="levysym",
         description="simulate doubling-family jump processes and audit uniqueness conditions",
     )
@@ -442,13 +459,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_INPUT if exc.code not in (0, None) else 0
-    try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
+    except SystemExit:  # only --help exits: a rejected flag raises ValueError
+        return EXIT_OK
     except BudgetExceeded as err:
         print(json.dumps({"failed": True, "reason": "numeric budget", "detail": str(err)}))
         return EXIT_BUDGET

@@ -197,6 +197,8 @@ class EcfDistanceReport:
     se_bound: float  # sum of the two per-u standard errors at the arg max
     u: np.ndarray
     weighted_gap: np.ndarray
+    ecf_a: EcfEstimate  # both samples' ECFs on u
+    ecf_b: EcfEstimate
 
 
 def ecf_distance(sample_a: Sample, sample_b: Sample) -> EcfDistanceReport:
@@ -211,7 +213,8 @@ def ecf_distance(sample_a: Sample, sample_b: Sample) -> EcfDistanceReport:
     if sample_a.horizon != sample_b.horizon:
         raise ValueError("samples must share the same horizon")
     u = DEFAULT_UGRID
-    gap = _weighted_gap(ecf(sample_a, u).mean, ecf(sample_b, u).mean, u)
+    ecf_a, ecf_b = ecf(sample_a, u), ecf(sample_b, u)
+    gap = _weighted_gap(ecf_a.mean, ecf_b.mean, u)
     u_half, gap_half = u[u >= 0.0], gap[u >= 0.0]
     i = int(np.argmax(gap_half))
     best_u, best = u_half[i], float(gap_half[i])
@@ -230,7 +233,7 @@ def ecf_distance(sample_a: Sample, sample_b: Sample) -> EcfDistanceReport:
     ga = ecf(sample_a, [best_u])
     gb = ecf(sample_b, [best_u])
     se_bound = float((ga.se[0] + gb.se[0]) / (1.0 + best_u * best_u))
-    return EcfDistanceReport(best, float(best_u), se_bound, u, gap)
+    return EcfDistanceReport(best, float(best_u), se_bound, u, gap, ecf_a, ecf_b)
 
 
 def _golden_max(f, lo: float, hi: float, iters: int = 40) -> tuple[float, float]:
@@ -354,27 +357,3 @@ def _split_seed(seed: int, index: int) -> int:
     from . import rng
 
     return int(rng.path_keys(seed ^ 0xD1B54A32D192ED03, [index])[0])
-
-
-# ----------------------------------------------------------------------
-# report CSVs
-# ----------------------------------------------------------------------
-def moment_report_csv(rows) -> str:
-    """rows: iterables of (order, mc_mean, mc_se, closed_form, abs_error, passed)."""
-    lines = ["order,mc_mean,mc_se,closed_form,abs_error,pass"]
-    for order, mean, se, closed, err, passed in rows:
-        lines.append(
-            f"{order},{mean:.17g},{se:.17g},{closed:.17g},{err:.17g},{str(bool(passed)).lower()}"
-        )
-    return "\n".join(lines) + "\n"
-
-
-def ecf_report_csv(ea: EcfEstimate, eb: EcfEstimate) -> str:
-    lines = ["u,re_a,im_a,re_b,im_b,weighted_abs_diff"]
-    gap = _weighted_gap(ea.mean, eb.mean, ea.u)
-    for u, a, b, diff in zip(ea.u, ea.mean, eb.mean, gap):
-        lines.append(
-            f"{u:.17g},{a.real:.17g},{a.imag:.17g},"
-            f"{b.real:.17g},{b.imag:.17g},{diff:.17g}"
-        )
-    return "\n".join(lines) + "\n"

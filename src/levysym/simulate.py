@@ -45,7 +45,6 @@ same seed and horizon ``observe[q]``.
 from __future__ import annotations
 
 import functools
-import json
 import math
 import numbers
 from dataclasses import dataclass
@@ -615,35 +614,3 @@ def _ensemble_increasing_doubling(rule: JumpRule, x0: ExactState,
     """Lock-step run of the clamped pure-birth family: level j is the state
     after j events."""
     return _lockstep(_ChainTable(rule, x0), cfg)
-
-
-# ----------------------------------------------------------------------
-# artifact output
-# ----------------------------------------------------------------------
-def endpoint_csv(result: EnsembleResult) -> str:
-    lines = ["path_index,t,value"]
-    for i, value in enumerate(result.values.tolist()):
-        lines.append(f"{i},{result.horizon:.17g},{value:.17g}")
-    return "\n".join(lines) + "\n"
-
-
-def path_csv(paths) -> str:
-    lines = ["path_index,jump_time,value_after"]
-    for i, path in enumerate(paths):
-        lines.append(f"{i},0,{path.states[0].value:.17g}")
-        for t, state in zip(path.times, path.states[1:]):
-            lines.append(f"{i},{t:.17g},{state.value:.17g}")
-    return "\n".join(lines) + "\n"
-
-
-def manifest_json(cfg: SimConfig, ensembles) -> str:
-    """Manifest of a run: its config, and under ``"ensembles"`` one entry per
-    ``(k_token, spec_json, result)`` triple, in order, with the lattice
-    token, the spec, the total events and the truncated paths."""
-    doc = {"config": {"horizon": cfg.horizon, "seed": cfg.seed, "paths": cfg.paths,
-                      "max_events": cfg.max_events},
-           "ensembles": [{"k_token": k_token, "spec": spec_json,
-                          "total_events": int(sum(result.event_counts)),
-                          "truncated_paths": result.truncated_count}
-                         for k_token, spec_json, result in ensembles]}
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"

@@ -558,9 +558,8 @@ def test_audit_counterexample_fails_smoothness():
 
 
 def test_audit_product_cosine_passes():
-    audit = audit_ellipticity(PRODCOS, BrownianNegative(), 0.0, 1e-3, max_order=1,
-                              bound=1.1)
-    assert audit.elliptic_ok
+    audit = audit_ellipticity(PRODCOS, BrownianNegative(), 0.0, 1e-3, max_order=1)
+    assert audit.elliptic_ratio[1] <= 1.1
     assert all(v <= 1.1 for v in audit.growth_ratio.values())
     assert -0.2 <= audit.slope <= 0.2
 

@@ -1,17 +1,28 @@
-"""CLI: exit codes, artifact layout, byte-identical reruns."""
+"""CLI: exit codes, artifact layout and cells, byte-identical reruns."""
 
+import dataclasses
 import hashlib
 import json
 import math
 
+import numpy as np
 import pytest
 
-from levysym.cli import EXIT_BUDGET, EXIT_CHECK_FAILED, EXIT_INPUT, main
+from levysym.cli import EXIT_BUDGET, EXIT_CHECK_FAILED, EXIT_INPUT, _table, main
 from levysym.selftest import measure_algebra_sweep, term_measure_sweep
 
 
 def run(tmp_path, *argv):
     return main([str(a) for a in argv])
+
+
+def test_table_cells(tmp_path):
+    # bools lower-case, floats (NumPy's too) to 17 significant digits, the rest by str
+    out = tmp_path / "t" / "table.csv"
+    _table(out, "a,b", [(True, np.False_), (0.1, np.float64(1 / 3)), (7, np.int64(-3)),
+                        ("x", ""), (math.nan, 1e300)])
+    assert out.read_text() == ("a,b\ntrue,false\n0.10000000000000001,0.33333333333333331\n"
+                               "7,-3\nx,\nnan,1.0000000000000001e+300\n")
 
 
 def test_simulate_writes_artifacts_and_svg(tmp_path):
@@ -57,6 +68,28 @@ def test_simulate_multi_k_honours_paths(tmp_path):
         assert [r.split(",")[0] for r in rows[1:]] == ["0", "1", "2", "3", "4"]
 
 
+def test_simulate_tables_hold_a_row_per_path_and_per_state(tmp_path):
+    # endpoints.csv: one row per path at the horizon; paths.csv: one row per
+    # state, each path's first at the literal time 0 and its last at its endpoint
+    out = tmp_path / "o"
+    assert main(["simulate", "--spec", "ex31approx", "--k", "1", "--n", "3", "--t", "1.5",
+                 "--paths", "3", "--seed", "8", "--store-paths", "--out", str(out)]) == 0
+    ends = [r.split(",") for r in (out / "endpoints.csv").read_text().splitlines()]
+    assert ends[0] == ["path_index", "t", "value"]
+    assert [r[:2] for r in ends[1:]] == [["0", "1.5"], ["1", "1.5"], ["2", "1.5"]]
+    rows = [r.split(",") for r in (out / "paths.csv").read_text().splitlines()]
+    assert rows[0] == ["path_index", "jump_time", "value_after"]
+    events = json.loads((out / "manifest.json").read_text())["ensembles"][0]["total_events"]
+    assert len(rows) == 1 + 3 + events
+    by_path = {}
+    for i, t, value in rows[1:]:
+        by_path.setdefault(i, []).append((t, value))
+    assert list(by_path) == ["0", "1", "2"]
+    for i, states in by_path.items():
+        assert states[0][0] == "0"
+        assert states[-1][1] == ends[1 + int(i)][2]
+
+
 def test_reruns_byte_identical(tmp_path):
     args = [
         "moments", "--spec", "ex32approx", "--k", "1", "--n", "4", "--t", "1",
@@ -75,6 +108,18 @@ def test_moments_failure_exit_code(tmp_path):
     # instead check the input-error code paths
     code = main(["moments", "--spec", "nope"])
     assert code == EXIT_INPUT
+
+
+def test_moments_table_marks_each_order_true_or_false(tmp_path, capsys):
+    # 20 paths at seed 3 miss the third moment's tolerance, not the first two
+    out = tmp_path / "m"
+    code = main(["moments", "--spec", "ex32approx", "--k", "1", "--n", "4",
+                 "--orders", "1,2,3", "--paths", "20", "--seed", "3", "--out", str(out)])
+    doc = json.loads(capsys.readouterr().out.splitlines()[-1])
+    assert code == EXIT_CHECK_FAILED and doc["reason"] == "moment outside tolerance"
+    rows = [r.split(",") for r in (out / "moments.csv").read_text().splitlines()]
+    assert rows[0] == ["order", "mc_mean", "mc_se", "closed_form", "abs_error", "pass"]
+    assert [(r[0], r[-1]) for r in rows[1:]] == [("1", "true"), ("2", "true"), ("3", "false")]
 
 
 def test_simulate_rejects_bad_config(tmp_path):
@@ -103,6 +148,26 @@ def test_nonuniq_small(tmp_path):
     assert own[2] == "0"
     dist = json.loads((out / "ecf_distance.json").read_text())
     assert dist["passed"]
+
+
+def test_nonuniq_reports_the_ecfs_its_distance_computed(tmp_path, monkeypatch):
+    # ecf_report.csv has a row per frequency of DEFAULT_UGRID, where each
+    # lattice's ECF is computed once, by ecf_distance
+    from levysym import mcstats
+
+    grids = []
+    ecf = mcstats.ecf
+    monkeypatch.setattr(mcstats, "ecf",
+                        lambda sample, u: grids.append(len(u)) or ecf(sample, u))
+    out = tmp_path / "nu"
+    assert main(["nonuniq", "--n", "4", "--paths", "300", "--distance-ratio", "1e-6",
+                 "--out", str(out)]) == 0
+    assert grids.count(mcstats.DEFAULT_UGRID.size) == 2
+    rows = (out / "ecf_report.csv").read_text().splitlines()
+    assert rows[0] == "u,re_a,im_a,re_b,im_b,weighted_abs_diff"
+    assert len(rows) == 1 + mcstats.DEFAULT_UGRID.size
+    assert rows[1].startswith("-20,") and rows[-1].startswith("20,")
+    assert rows[101] == "0,1,0,1,0,0"  # both ECFs are exactly 1 at u = 0
 
 
 #: SHA-256 of the evidence ``test_nonuniq_small``'s run writes, recorded before
@@ -167,6 +232,34 @@ def test_single_lattice_run_is_pinned_and_lists_its_ensemble(tmp_path, monkeypat
     assert doc["k_token"] == doc["spec"]["k"]["tag"] == token
     assert doc["total_events"] == sum(result.event_counts) > 0
     assert doc["truncated_paths"] == result.truncated_count == 0
+
+
+#: SHA-256 of tables with cells the pins above do not reach, recorded before
+#: every CSV artifact went through one writer: ``nan`` cells and the empty
+#: last cell of the floor and slope rows in ellipticity.csv, and one endpoint
+#: table per lattice of a two-lattice run
+TABLE_SHA256 = {
+    "audit": {
+        "ellipticity.csv": "8921e459feabd154e8d8a12a9938f4a31110e73a49116a5ec15d3f2997eb67f2",
+    },
+    "simulate": {
+        "endpoints_k_1.csv": "787254804461042a5c0d5c21d6041436ddf7a550b5918d638ceee329ec456b71",
+        "endpoints_k_sqrt2.csv":
+            "3e84733e30a2a9a5ed4fbe38a715d62d3171c6eac690f669e7e9b4e5c05efccc",
+    },
+}
+
+
+@pytest.mark.parametrize("argv", [
+    ["audit", "--spec", "ex31", "--x0", "0.5", "--radius", "0.1", "--orders", "3"],
+    ["simulate", "--spec", "ex31approx", "--k", "1,sqrt2", "--paths", "3", "--seed", "7"],
+], ids=["audit", "simulate"])
+def test_tables_are_pinned(tmp_path, argv):
+    out = tmp_path / "o"
+    assert main(argv + ["--out", str(out)]) == 0
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in sorted(out.iterdir()) if p.suffix == ".csv"}
+    assert digests == TABLE_SHA256[argv[0]]
 
 
 @pytest.mark.parametrize("argv, tokens", [
@@ -274,6 +367,17 @@ def test_audit_bound_failure_exit(tmp_path):
         "--bound", "1.1", "--out", str(tmp_path / "apc"),
     ])
     assert code == 0
+
+
+def test_audit_bound_fails_a_nan_ratio(tmp_path, monkeypatch, capsys):
+    from levysym import checks
+
+    audit = checks.audit_ellipticity
+    monkeypatch.setattr(checks, "audit_ellipticity", lambda *a, **kw: dataclasses.replace(
+        audit(*a, **kw), elliptic_ratio={1: math.nan}))
+    code = main(["audit", "--spec", "prodcos", "--bound", "1.1", "--out", str(tmp_path / "a")])
+    doc = json.loads(capsys.readouterr().out.splitlines()[-1])
+    assert code == EXIT_CHECK_FAILED and doc["reason"] == "smoothness ratio exceeds bound"
 
 
 def test_numeric_failures_exit_with_json_line(tmp_path, capsys):
@@ -482,3 +586,32 @@ def test_run_config_rejects_malformed_documents(doc, detail, tmp_path, capsys):
     assert code == EXIT_INPUT
     assert line["failed"] and line["reason"] == "input error"
     assert detail in line["detail"]
+
+
+@pytest.mark.parametrize("argv, detail", [
+    (["fourier-check", "--nmax", "abc"], "argument --nmax: invalid int value: 'abc'"),
+    (["audit", "--spec", "nope"], "argument --spec: invalid choice: 'nope'"),
+    (["simulate"], "the following arguments are required: --spec"),
+    (["nonuniq", "--no-such-flag"], "unrecognized arguments: --no-such-flag"),
+    (["no-such-command"], "invalid choice: 'no-such-command'"),
+    ([], "the following arguments are required: command"),
+], ids=["type", "choice", "required", "unknown-flag", "unknown-command", "empty"])
+def test_flags_argparse_rejects_exit_with_json_line(argv, detail, tmp_path, capsys):
+    # given directly, and replayed from a run-config document where one can be
+    cfg = tmp_path / "exp.json"
+    runs = [argv]
+    if argv[:1] == ["fourier-check"]:
+        cfg.write_text(json.dumps({"command": argv[0], "args": {"nmax": "abc"}}))
+        runs.append(["run-config", str(cfg)])
+    for run_argv in runs:
+        code = main(run_argv)
+        line = json.loads(capsys.readouterr().out.splitlines()[-1])
+        assert code == EXIT_INPUT
+        assert line["failed"] and line["reason"] == "input error"
+        assert detail in line["detail"]
+
+
+def test_help_exits_zero(capsys):
+    assert main(["--help"]) == 0
+    assert main(["audit", "--help"]) == 0
+    assert "usage: levysym audit" in capsys.readouterr().out

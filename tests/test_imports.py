@@ -1,5 +1,6 @@
 """The package imports only itself, NumPy's public namespace and the
-standard library."""
+standard library, and only the CLI, the one writer of artifacts, imports
+``json``."""
 
 import ast
 import sys
@@ -32,6 +33,12 @@ def test_package_imports_only_numpy_and_the_standard_library():
     bad = [f"{path.name}:{line} imports {module}"
            for path in files for line, module in _imports(path) if not _allowed(module)]
     assert not bad, bad
+
+
+def test_only_the_cli_imports_json():
+    importers = sorted(path.name for path in SRC.rglob("*.py")
+                       if any(module.split(".")[0] == "json" for _, module in _imports(path)))
+    assert importers == ["cli.py"]
 
 
 def test_the_import_rule_tells_the_allowed_names_apart():

@@ -16,9 +16,7 @@ from levysym.mcstats import (
     dynkin_residual,
     ecf,
     ecf_distance,
-    ecf_report_csv,
     moment_ci,
-    moment_report_csv,
     support_audit,
 )
 from levysym.simulate import ExactState, SimConfig, jump_rule_of, simulate_ensemble
@@ -453,17 +451,3 @@ def test_dynkin_seed_is_checked_where_it_enters():
                                (2**64 - 1, -0.0344921875, 0.13047326383104954)):
         rep = dynkin_residual(spec, tf, x0, 1.0, ts, 200, seed)
         assert (rep.residual, rep.se) == (residual, se)
-
-
-# ----------------------------------------------------------------------
-# report formats
-# ----------------------------------------------------------------------
-def test_report_csvs():
-    text = moment_report_csv([(2, 1.001, 0.01, 1.0, 0.001, True)])
-    assert text.splitlines()[0] == "order,mc_mean,mc_se,closed_form,abs_error,pass"
-    assert text.splitlines()[1].endswith(",true")
-    a = ecf(_sample_of_floats([0.0, 1.0]), [0.0, 2.0])
-    b = ecf(_sample_of_floats([0.5, 1.5]), [0.0, 2.0])
-    csv = ecf_report_csv(a, b)
-    assert csv.splitlines()[0] == "u,re_a,im_a,re_b,im_b,weighted_abs_diff"
-    assert len(csv.splitlines()) == 3
