@@ -28,10 +28,11 @@ print(f"dominance: {'pass' if dom.passed else 'fail'} "
 k_rep = compute_K(fs)
 print(f"curvature constant K = {k_rep.K:.6f} (grid sup, attained at u = {k_rep.u_at})")
 
-P = build_term_measure(1.0, "cos", 1.0, 1.0, tol=1e-13)
+P, series = build_term_measure(1.0, "cos", 1.0, 1, 1.0, tol=1e-13)
 rep = verify_term_measure(P, 1.0, 1.0, "cos", 1.0, 1.0, np.linspace(-3, 3, 101))
 print(
-    f"\nterm measure (cos, spacing 1, t=1): transform error {rep.fourier_error:.1e}, "
+    f"\nterm measure (cos, unit 1, index 1, t=1, {series.terms} series terms): "
+    f"transform error {rep.fourier_error:.1e}, "
     f"tv {rep.tv_norm:.12f} <= 1, centered to {rep.first_abs_moment:.1e}, "
     f"second moment {rep.second_abs_moment:.6f} <= {rep.second_moment_bound}"
 )

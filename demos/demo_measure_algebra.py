@@ -19,7 +19,7 @@ print("  fourier(2.0) :", half.fourier(2.0), " (= cos 2)")
 conv = half.convolve(half)
 print("mu * mu weights:", dict(conv.weights))
 
-e, report = exp_measure(half, tol=1e-12, with_report=True)
+e, report = exp_measure(half, tol=1e-12)
 print(f"\nexp(mu): {len(e)} atoms from {report.terms} series terms "
       f"(tail bound {report.tail_bound:.1e})")
 print("  mass          :", e.total_mass(), " (= e)")
@@ -28,7 +28,7 @@ print("  fourier(u) = exp(cos u):",
       abs(e.fourier(0.7) - cmath.exp(cmath.cos(0.7))) < 1e-12)
 
 odd = LatticeComplexMeasure(1.0, "unit", {2: 0.3 - 1j, -2: -(0.3 - 1j)})
-tv = exp_measure(odd, 1e-12).total_variation()
+tv = exp_measure(odd, 1e-12)[0].total_variation()
 print("\n|exp(z(delta_s - delta_-s))| minus its mirror, largest atom:",
       (tv - tv.mirror()).sup_norm())
 

@@ -13,12 +13,12 @@ The pipeline mirrors the structure of the uniqueness argument:
 2.  ``check_dominance`` tests that -Re a_0(u) dominates the absolute sum of
     all other coefficients, and ``compute_K`` evaluates the curvature
     constant K = k^2 sup_u sum |n|^2 (|a_n|+|b_n|) / (1+u^2) on the grid.
-3.  Each series term gets an explicit complex measure with Fourier
-    transform exp(t(b cos(snx) - a)) (or sin), built from the truncated
-    convolution exponential; ``verify_term_measure`` audits its four
-    defining properties and ``assemble_majorant`` convolves the terms into
-    a measure whose transform is exp(t q(x,u)), checking the weighted-mass
-    bound that drives the marginal-stability Groenwall argument.
+3.  Each series term gets an explicit complex measure on the lattice (k, n)
+    alone, with Fourier transform exp(t(b cos(k n x) - a)) (or sin), built from
+    the truncated convolution exponential; ``verify_term_measure`` audits its
+    four defining properties and ``assemble_majorant`` convolves the terms into
+    a measure of transform exp(t q(x,u)), checking the weighted-mass bound that
+    drives the marginal-stability Groenwall argument.
 4.  ``audit_ellipticity`` measures the smoothness/ellipticity ratios that
     decide whether the localized construction is applicable at all.  It
     takes the x-derivatives of a symbol entire in x from Cauchy's integral
@@ -55,6 +55,9 @@ from .symbols import ConstantSymbol, ProductCosine, SymmetricDoubling, eval_symb
 
 #: default frequency grid for the dominance, K and ECF-distance scans
 DEFAULT_UGRID = np.linspace(-20.0, 20.0, 201)
+
+#: the one tag of the lattice unit * Z, shared by term measures and majorants
+_LATTICE_TAG = "u{:.17g}"
 
 #: rows a localized series keeps (about 2.2 KiB each at nmax = 64); its
 #: memo is cleared when full
@@ -310,28 +313,19 @@ def compute_K(fs: FourierSymbol, ugrid=None) -> KReport:
 # ----------------------------------------------------------------------
 # term measures (one series term -> one complex measure)
 # ----------------------------------------------------------------------
-def term_measure(a: complex, b: complex, kind: str, spacing: float, t: float,
-                 tol: float = 1e-12, unit: float | None = None,
-                 unit_tag: str | None = None, index: int = 1,
-                 with_report: bool = False):
-    """Measure with Fourier transform exp(t (b trig(spacing x) - a)).
+def term_measure(a: complex, b: complex, kind: str, unit: float, index: int,
+                 t: float, tol: float = 1e-12):
+    """Measure with Fourier transform exp(t (b trig(index unit x) - a)) and
+    the ``ExpSeriesReport`` of its exp series.
 
-    ``trig`` is cos or sin according to ``kind``.  The base measure is
-    mu = (delta_{+spacing} + delta_{-spacing})/2 for cosine and
-    (delta_{+spacing} - delta_{-spacing})/(2i) for sine; the result is
-    e^{-t a} exp(t b mu).  Atoms land on the lattice of ``unit`` (defaults
-    to the spacing itself) at index multiples of ``index``.  With
-    ``with_report`` the result comes with the ``ExpSeriesReport`` of the
-    exp series.
+    ``trig`` is cos or sin according to ``kind``.  With s = index * unit the
+    base measure is mu = (delta_{+s} + delta_{-s})/2 for cosine and
+    (delta_{+s} - delta_{-s})/(2i) for sine; the result is
+    e^{-t a} exp(t b mu) on the lattice of ``unit``.  A negative index
+    reverses the ends, which for sine is the odd term -b sin(|s| x).
     """
     if not 0.0 <= t <= 1.0:
         raise ValueError("term measures are built for t in [0, 1]")
-    if unit is None:
-        unit = spacing
-    if unit_tag is None:
-        unit_tag = f"u{unit:.17g}"
-    if abs(index * unit - spacing) > 1e-12 * max(1.0, abs(spacing)):
-        raise ValueError("spacing must equal index * unit on the shared lattice")
     if index == 0:
         raise ValueError("term measures need a nonzero lattice index")
     if kind == "cos":
@@ -345,16 +339,16 @@ def term_measure(a: complex, b: complex, kind: str, spacing: float, t: float,
         raise ValueError(f"scale factor must be finite, got {z!r}")
     base = np.zeros(2 * abs(index) + 1, dtype=np.complex128)
     base[0], base[-1] = ends if index > 0 else ends[::-1]
-    mu = LatticeComplexMeasure.from_array(unit, unit_tag, -abs(index), base * z)
-    series, report = exp_measure(mu, tol, with_report=True)
-    P = series.scale(cmath.exp(-t * complex(a)))
-    return (P, report) if with_report else P
+    mu = LatticeComplexMeasure.from_array(unit, _LATTICE_TAG.format(unit), -abs(index), base * z)
+    series, report = exp_measure(mu, tol)
+    return series.scale(cmath.exp(-t * complex(a))), report
 
 
-def build_term_measure(coef: complex, kind: str, spacing: float, t: float,
-                       tol: float = 1e-12, **kwargs):
-    """Dominance-rewrite term: transform exp(t(coef trig(spacing x) - |coef|))."""
-    return term_measure(abs(coef), coef, kind, spacing, t, tol, **kwargs)
+def build_term_measure(coef: complex, kind: str, unit: float, index: int, t: float,
+                       tol: float = 1e-12):
+    """Dominance-rewrite term: transform exp(t(coef trig(index unit x) - |coef|)),
+    with its ``ExpSeriesReport``."""
+    return term_measure(abs(coef), coef, kind, unit, index, t, tol)
 
 
 @dataclass(frozen=True)
@@ -390,6 +384,7 @@ class TermMeasureReport:
 def verify_term_measure(P: LatticeComplexMeasure, a: complex, b: complex,
                         kind: str, spacing: float, t: float, xgrid,
                         tol: float = 1e-8) -> TermMeasureReport:
+    """Audit P; the oracle takes ``spacing`` from its caller, never from P."""
     x = np.asarray(xgrid, dtype=float)
     trig = np.cos if kind == "cos" else np.sin
     target = np.exp(t * (complex(b) * trig(spacing * x) - complex(a)))
@@ -465,16 +460,12 @@ def assemble_majorant(fs: FourierSymbol, u: float, t: float, ncut: int, xgrid,
             f"{rewritten.real:.3g} at u = {u}; dominance fails"
         )
     unit = fs.k
-    unit_tag = f"series-k{fs.k:.17g}"
-    parts = [dirac(0, unit, unit_tag, cmath.exp(t * rewritten))]
+    parts = [dirac(0, unit, _LATTICE_TAG.format(unit), cmath.exp(t * rewritten))]
     series = []
     for n_j, a_n, b_n in zip(n.tolist(), a.tolist(), b.tolist()):
-        # sin is odd: fold onto |n|
-        for coef, kind in ((a_n, "cos"), (b_n if n_j > 0 else -b_n, "sin")):
+        for coef, kind in ((a_n, "cos"), (b_n, "sin")):
             if abs(coef) > 0.0:
-                P_n, rep = build_term_measure(coef, kind, fs.k * abs(n_j), t, 1e-9,
-                                              unit=unit, unit_tag=unit_tag,
-                                              index=abs(n_j), with_report=True)
+                P_n, rep = build_term_measure(coef, kind, unit, n_j, t, 1e-9)
                 parts.append(P_n)
                 series.append(rep)
     P = convolve_sequence(parts)
@@ -640,6 +631,8 @@ def groenwall_verify(ts, phis, c: float, beta=None) -> GronwallReport:
     phis = [float(p) for p in phis]
     if not ts or len(ts) != len(phis) or not all(map(math.isfinite, ts + phis)):
         raise ValueError("time and value tables must be non-empty, finite and equally long")
+    if not math.isfinite(c):
+        raise ValueError(f"the Groenwall rate c must be finite, got {c!r}")
     if any(b <= a for a, b in zip(ts, ts[1:])):
         raise ValueError("time grid must be strictly increasing")
     beta_fn = beta if beta is not None else lambda dt: 0.0

@@ -22,7 +22,7 @@ from pathlib import Path as FsPath
 
 import numpy as np
 
-from . import checks, mcstats, simulate, svgplot, symbols
+from . import checks, mcstats, selftest, simulate, svgplot, symbols
 from .errors import (BudgetExceeded, DomainError, UnitMismatch, UnsupportedSpec,
                      ViolatedDominance)
 
@@ -220,10 +220,8 @@ def cmd_nonuniq(args) -> int:
 
 
 def cmd_measure_selftest(args) -> int:
-    from .selftest import measure_algebra_sweep, term_measure_sweep
-
-    algebra = measure_algebra_sweep(args.trials, args.seed)
-    terms = term_measure_sweep(args.term_trials, args.seed + 1)
+    algebra = selftest.measure_algebra_sweep(args.trials, args.seed)
+    terms = selftest.term_measure_sweep(args.term_trials, args.seed + 1)
     for line in algebra.lines + terms.lines:
         print(line)
     if not (algebra.passed and terms.passed):

@@ -2,7 +2,7 @@
 
 
 class UnitMismatch(ValueError):
-    """Two lattice measures with different units or unit tags were combined."""
+    """Two lattices differ in unit or tag: two measures, or a jump rule and its start."""
 
 
 class BudgetExceeded(RuntimeError):

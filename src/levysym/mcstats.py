@@ -26,7 +26,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import simulate
+from . import rng, simulate
 from .checks import DEFAULT_UGRID
 from .errors import DegenerateSample, RepresentationLost
 from .measures import _modulus
@@ -354,6 +354,4 @@ def dynkin_residual(spec, tf: TestFunction, x0: ExactState, horizon: float,
 
 
 def _split_seed(seed: int, index: int) -> int:
-    from . import rng
-
     return int(rng.path_keys(seed ^ 0xD1B54A32D192ED03, [index])[0])

@@ -382,9 +382,9 @@ def _series_order(norm: float, tol: float) -> tuple[int, float]:
     )
 
 
-def exp_measure(mu: LatticeComplexMeasure, tol: float = 1e-12,
-                with_report: bool = False):
-    """Truncated convolution exponential sum_{m<=M} mu^{*m} / m!.
+def exp_measure(mu: LatticeComplexMeasure, tol: float = 1e-12):
+    """Truncated convolution exponential sum_{m<=M} mu^{*m} / m! and the
+    ``ExpSeriesReport`` of M and its tail bound.
 
     M is the smallest order whose crude tail bound sum_{m>M} ||mu||^m/m!
     falls below ``tol``; raises BudgetExceeded when that would take more
@@ -412,8 +412,7 @@ def exp_measure(mu: LatticeComplexMeasure, tol: float = 1e-12,
         first += lo
         part = total[first:first + term.size]
         part += term
-    result = mu._of(start, total)  # |weights| <= e^norm: no modulus overflows
-    return (result, ExpSeriesReport(order, tail)) if with_report else result
+    return mu._of(start, total), ExpSeriesReport(order, tail)  # |weights| <= e^norm
 
 
 # ----------------------------------------------------------------------

@@ -108,7 +108,7 @@ def measure_algebra_sweep(trials: int = 500, seed: int = 2024) -> SweepResult:
         # exponential moment identities (mass / first / second); the series
         # tail is amplified by atom locations squared in the second moment,
         # so the truncation runs well below the identity tolerance
-        emu = exp_measure(mu, 1e-14)
+        emu, _ = exp_measure(mu, 1e-14)
         mass = mu.total_mass()
         m1 = mu.moment(1)
         m2 = mu.moment(2)
@@ -130,7 +130,7 @@ def measure_algebra_sweep(trials: int = 500, seed: int = 2024) -> SweepResult:
         odd_a = np.zeros(2 * s_idx + 1, dtype=np.complex128)
         odd_a[0], odd_a[-1] = -z, z
         odd = LatticeComplexMeasure.from_array(1.0, "unit", -s_idx, odd_a)
-        tv_exp = exp_measure(odd, 1e-12).total_variation()
+        tv_exp = exp_measure(odd, 1e-12)[0].total_variation()
         worst["odd_exp_tv_symmetry"] = max(
             worst["odd_exp_tv_symmetry"], (tv_exp - tv_exp.mirror()).sup_norm()
         )
@@ -163,7 +163,7 @@ def term_measure_sweep(trials: int = 200, seed: int = 2025) -> SweepResult:
         spacing = float(rng.uniform(0.2, 3.0))
         t = float(rng.uniform(0.0, 1.0))
         kind = "cos" if rng.uniform() < 0.5 else "sin"
-        P = checks.term_measure(a, b, kind, spacing, t, tol=1e-12)
+        P, _ = checks.term_measure(a, b, kind, spacing, 1, t, tol=1e-12)
         xgrid = np.linspace(-3.0 / spacing, 3.0 / spacing, 101)
         rep = checks.verify_term_measure(P, a, b, kind, spacing, t, xgrid)
         worst["fourier"] = max(worst["fourier"], rep.fourier_error)

@@ -53,7 +53,7 @@ from typing import Callable
 import numpy as np
 
 from . import rng
-from .errors import UnsupportedSpec
+from .errors import UnitMismatch, UnsupportedSpec
 from .symbols import IncreasingDoublingApprox, SymmetricDoublingApprox
 
 
@@ -113,6 +113,7 @@ class JumpRule:
     same order, every time it is called with equal states.  Both engines
     call it once per state and reuse the answer, the lock-step engine in its
     chain table and the per-path engine in a memo that lasts one ensemble.
+    A start x0 lies on the rule's lattice (``initial_state``), else UnitMismatch.
     """
 
     moves: Callable[[ExactState], tuple[tuple[float, tuple[int, int]], ...]]
@@ -355,10 +356,18 @@ def _run_path(rule: JumpRule, x0: ExactState, cfg: SimConfig, key, record: bool,
     return state, events, truncated, times, states, observed
 
 
+def _require_start(rule: JumpRule, x0: ExactState) -> None:
+    """UnitMismatch unless x0 lies on the rule's lattice."""
+    if (x0.unit_tag, x0.k) != (rule.unit_tag, rule.k):
+        raise UnitMismatch(f"cannot start a rule on lattice ({rule.k!r}, {rule.unit_tag!r}) "
+                           f"at a state on ({x0.k!r}, {x0.unit_tag!r})")
+
+
 def simulate_path(rule: JumpRule, x0: ExactState, cfg: SimConfig,
                   path_index: int = 0) -> Path:
     """One trajectory, deterministic in (cfg.seed, path_index), an integer in
-    [0, 2**64)."""
+    [0, 2**64); x0 lies on the rule's lattice."""
+    _require_start(rule, x0)
     if isinstance(path_index, bool) or not isinstance(path_index, numbers.Integral):
         raise ValueError(f"path_index must be an integer, got {path_index!r}")
     if not 0 <= path_index < 1 << 64:
@@ -370,13 +379,14 @@ def simulate_path(rule: JumpRule, x0: ExactState, cfg: SimConfig,
 
 
 def simulate_ensemble(rule: JumpRule, x0: ExactState, cfg: SimConfig) -> EnsembleResult:
-    """N independent paths; endpoints and observed states always, trajectories
-    on request.
+    """N independent paths from x0, which lies on the rule's lattice;
+    endpoints and observed states always, trajectories on request.
 
     Built-in families route to a vectorized lock-step engine when only
     endpoints are needed; the streams consumed are identical either way.  An
     input the lock-step engine cannot carry exactly runs per path instead.
     """
+    _require_start(rule, x0)
     lockstep = None
     if not cfg.store_paths and cfg.paths > 1:
         if rule.family == "symmetric_doubling":

@@ -135,15 +135,15 @@ def test_K_values():
 def test_build_term_measure_trivial_cases():
     from levysym.measures import dirac
 
-    assert build_term_measure(0.0, "cos", 1.0, 0.7) == dirac(0, 1.0, "u1")
-    P = build_term_measure(1.5, "sin", 2.0, 0.0)
+    assert build_term_measure(0.0, "cos", 1.0, 1, 0.7)[0] == dirac(0, 1.0, "u1")
+    P, _ = build_term_measure(1.5, "sin", 2.0, 1, 0.0)
     assert P == dirac(0, 2.0, "u2")
 
 
 def test_term_measure_atom_oracle():
     # exp(mu) weight at 0 for mu = (delta_1 + delta_-1)/2: sum over even m of
     # (1/2)^m/m! * C(m, m/2), scaled by e^-1 -- brute-force big-int series
-    P = build_term_measure(1.0, "cos", 1.0, 1.0, tol=1e-14)
+    P, _ = build_term_measure(1.0, "cos", 1.0, 1, 1.0, tol=1e-14)
     oracle = math.exp(-1.0) * sum(
         0.5**m / math.factorial(m) * math.comb(m, m // 2) for m in range(0, 60, 2)
     )
@@ -157,7 +157,7 @@ def test_term_measure_fourier_identity():
         b = complex(rng.normal(), rng.normal())
         a = abs(b) + 0.3
         t, spacing = 0.6, 1.7
-        P = term_measure(a, b, kind, spacing, t, tol=1e-13)
+        P, _ = term_measure(a, b, kind, spacing, 1, t, tol=1e-13)
         trig = math.cos if kind == "cos" else math.sin
         for x in np.linspace(-2.0, 2.0, 21):
             target = cmath.exp(t * (b * trig(spacing * x) - a))
@@ -166,7 +166,7 @@ def test_term_measure_fourier_identity():
 
 def test_verify_term_measure_flags_hypothesis_breach():
     # Re(a) < |b|: tv bound may fail, report must flag the breach
-    rep_obj = term_measure(0.1, 2.0, "cos", 1.0, 1.0, tol=1e-12)
+    rep_obj, _ = term_measure(0.1, 2.0, "cos", 1.0, 1, 1.0, tol=1e-12)
     rep = verify_term_measure(rep_obj, 0.1, 2.0, "cos", 1.0, 1.0, XGRID)
     assert not rep.hypothesis_ok
     assert rep.tv_norm > 1.0
@@ -174,7 +174,7 @@ def test_verify_term_measure_flags_hypothesis_breach():
 
 def test_term_measure_rejects_bad_t():
     with pytest.raises(ValueError):
-        term_measure(1.0, 1.0, "cos", 1.0, 1.5)
+        term_measure(1.0, 1.0, "cos", 1.0, 1, 1.5)
 
 
 def test_term_measure_on_a_sublattice_with_either_sign_of_index():
@@ -182,7 +182,7 @@ def test_term_measure_on_a_sublattice_with_either_sign_of_index():
     for kind, trig in (("cos", math.cos), ("sin", math.sin)):
         for index in (3, -3):
             spacing = index * 0.5
-            P = term_measure(a, b, kind, spacing, t, tol=1e-13, unit=0.5, index=index)
+            P, _ = term_measure(a, b, kind, 0.5, index, t, tol=1e-13)
             for x in np.linspace(-2.0, 2.0, 9):
                 target = cmath.exp(t * (b * trig(spacing * x) - a))
                 assert abs(P.fourier(x) - target) < 1e-10
@@ -190,9 +190,9 @@ def test_term_measure_on_a_sublattice_with_either_sign_of_index():
 
 def test_term_measure_rejects_non_finite_factor_and_zero_index():
     with pytest.raises(ValueError, match="finite"):
-        term_measure(1.0, complex(math.inf, 0.0), "cos", 1.0, 0.5)
+        term_measure(1.0, complex(math.inf, 0.0), "cos", 1.0, 1, 0.5)
     with pytest.raises(ValueError, match="nonzero"):
-        term_measure(1.0, 1.0, "cos", 0.0, 0.5, unit=1.0, index=0)
+        term_measure(1.0, 1.0, "cos", 1.0, 0, 0.5)
 
 
 # ----------------------------------------------------------------------
@@ -254,10 +254,20 @@ def test_majorant_reports_term_series(fs, u, t, ncut):
                            (b_n if n > 0 else -b_n, {i: -0.5j, -i: 0.5j})):
             if abs(coef) > 0.0:
                 mu = LatticeComplexMeasure(fs.k, "series", base).scale(t * coef)
-                reports.append(exp_measure(mu, 1e-9, with_report=True)[1])
+                reports.append(exp_measure(mu, 1e-9)[1])
     assert rep.series_order == max((r.terms for r in reports), default=0)
     assert rep.series_tail == sum(r.tail_bound for r in reports)
     assert (rep.series_order > 0) == bool(fs.n.size)
+
+
+def test_term_and_majorant_measures_share_one_lattice_tag():
+    # one tag rule for the lattice unit * Z: a term measure and a majorant on
+    # the same unit convolve, and the transform of the fold is the product
+    fs = fourier_symbol_of_product_cosine(BrownianNegative())
+    P, _ = assemble_majorant(fs, 1.0, 0.5, 1, XGRID)
+    T, _ = build_term_measure(0.3 - 0.2j, "sin", fs.k, 2, 0.5)
+    both = P.convolve(T)
+    assert np.max(np.abs(both.fourier(XGRID) - P.fourier(XGRID) * T.fourier(XGRID))) < 1e-12
 
 
 # ----------------------------------------------------------------------
@@ -634,6 +644,13 @@ def test_groenwall_flags_violating_table():
     rep = groenwall_verify(ts, phis, 1.0)
     assert not rep.hypothesis_ok
     assert rep.first_violation is not None
+
+
+@pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf])
+def test_groenwall_rejects_a_rate_that_is_not_finite(c):
+    # at c = nan every comparison is false, so both checks would read ok
+    with pytest.raises(ValueError, match="rate c must be finite"):
+        groenwall_verify([0.0, 0.5, 1.0], [1.0, 5.0, 50.0], c)
 
 
 def test_groenwall_recursion_tables():

@@ -510,6 +510,16 @@ def test_groenwall_table_io(tmp_path):
         assert main(["groenwall", "--table", str(table), "--c", "1.0"]) == EXIT_INPUT
 
 
+@pytest.mark.parametrize("c", ["nan", "inf", "-inf"])
+def test_groenwall_rejects_a_rate_that_is_not_finite(c, tmp_path, capsys):
+    table = tmp_path / "phi.csv"
+    table.write_text("t,phi\n0,1\n0.5,5\n1,50\n")
+    code = main(["groenwall", "--table", str(table), f"--c={c}"])
+    doc = json.loads(capsys.readouterr().out.splitlines()[-1])
+    assert code == EXIT_INPUT and doc["reason"] == "input error"
+    assert "rate c must be finite" in doc["detail"]
+
+
 def test_selftest_quick():
     assert main(["measure-selftest", "--trials", "40", "--term-trials", "15"]) == 0
 

@@ -13,6 +13,7 @@ DEMOS = Path(__file__).resolve().parents[1] / "demos"
     [
         ("demo_measure_algebra.py", "minus its mirror, largest atom: 0.0"),
         ("demo_fourier_conditions.py", "dominance: pass"),
+        ("demo_gronwall.py", "hypothesis ok = False, first violated pair = (0, 1)"),
         # the audit's ratio tables hold Python floats, printed as plain numbers;
         # the id names the line so that it does not change with the values
         pytest.param(

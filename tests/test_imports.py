@@ -1,6 +1,6 @@
 """The package imports only itself, NumPy's public namespace and the
-standard library, and only the CLI, the one writer of artifacts, imports
-``json``."""
+standard library, all at module level, and only the CLI, the one writer of
+artifacts, imports ``json``."""
 
 import ast
 import sys
@@ -33,6 +33,15 @@ def test_package_imports_only_numpy_and_the_standard_library():
     bad = [f"{path.name}:{line} imports {module}"
            for path in files for line, module in _imports(path) if not _allowed(module)]
     assert not bad, bad
+
+
+def test_no_module_imports_inside_a_function():
+    nested = [f"{path.name}:{node.lineno}"
+              for path in sorted(SRC.rglob("*.py"))
+              for fn in ast.walk(ast.parse(path.read_text(), str(path)))
+              if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+              for node in ast.walk(fn) if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert not nested, nested
 
 
 def test_only_the_cli_imports_json():

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from levysym import mcstats, simulate
-from levysym.errors import DegenerateSample, RepresentationLost
+from levysym.errors import DegenerateSample, RepresentationLost, UnitMismatch
 from levysym.mcstats import (
     DEFAULT_UGRID,
     Sample,
@@ -435,6 +435,15 @@ def test_dynkin_needs_two_paths():
     x0 = jump_rule_of(spec).initial_state()
     with pytest.raises(DegenerateSample):
         dynkin_residual(spec, tf, x0, 1.0, np.linspace(0.0, 1.0, 3), 1, 1)
+
+
+def test_dynkin_rejects_a_start_off_the_rules_lattice():
+    # from the k = 1 origin a sqrt2 rule read a residual of -0.506 at SE 0.012
+    spec = SymmetricDoublingApprox(KS2, 4)
+    tf = TestFunction(lambda x: x * x, lambda x: 2.0 * x, lambda x: 2.0)
+    with pytest.raises(UnitMismatch, match="cannot start a rule"):
+        dynkin_residual(spec, tf, ExactState("1", 1.0, 0, 0), 1.0,
+                        np.linspace(0.0, 1.0, 5), 200, 1)
 
 
 def test_dynkin_seed_is_checked_where_it_enters():

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from levysym import rng, simulate
-from levysym.errors import UnsupportedSpec
+from levysym.errors import UnitMismatch, UnsupportedSpec
 from levysym.mcstats import Sample, support_audit
 from levysym.simulate import (
     ExactState,
@@ -760,6 +760,22 @@ def test_empty_rule_constant_path():
     assert path.times == ()
     assert path.endpoint.m == 0
     assert not path.truncated
+
+
+@pytest.mark.parametrize("x0", [ExactState("1", 1.0, 0, 0), ExactState("sqrt2", 1.0, 0, 0),
+                                ExactState("1", KS2.value, 0, 0)],
+                         ids=["k-1-origin", "k-differs", "tag-differs"])
+@pytest.mark.parametrize("run", [
+    lambda rule, x0: simulate_ensemble(rule, x0, SimConfig(horizon=1.0, seed=1, paths=8)),
+    lambda rule, x0: simulate_ensemble(rule, x0, SimConfig(horizon=1.0, seed=1, paths=8,
+                                                           store_paths=True)),
+    lambda rule, x0: simulate_path(rule, x0, SimConfig(horizon=1.0, seed=1)),
+], ids=["lock-step", "per-path", "path"])
+def test_a_start_off_the_rules_lattice_is_rejected(run, x0):
+    # a sqrt2 rule run from the k = 1 origin would tag its sample 1
+    rule = jump_rule_of(SymmetricDoublingApprox(KS2, 4))
+    with pytest.raises(UnitMismatch, match="cannot start a rule"):
+        run(rule, x0)
 
 
 def test_event_budget_truncates():
