@@ -1,15 +1,20 @@
 """Simulation and verification toolkit for Markov jump processes defined by
 state-dependent Levy exponents.
 
-The package has five layers:
+Each module imports only the package modules named after it here (the
+table is in ``tests/test_imports.py``):
 
-* :mod:`levysym.measures` - exact complex-measure algebra on 1-D lattices;
-* :mod:`levysym.symbols` - symbols q(x, u), triplets and generators;
-* :mod:`levysym.simulate` - exact-lattice kinetic Monte Carlo simulation;
-* :mod:`levysym.mcstats` - moments, empirical characteristic functions,
-  support audits, martingale residuals;
-* :mod:`levysym.checks` - Fourier-series dominance, term measures, majorant
-  assembly, ellipticity audits, Groenwall verification.
+* ``errors``, ``rng`` (Philox streams) and ``svgplot``: none;
+* ``measures`` (complex-measure algebra on 1-D lattices) and ``symbols``
+  (symbols q(x, u), triplets, generators): ``errors``;
+* ``simulate`` (exact-lattice kinetic Monte Carlo): ``errors``, ``rng``, ``symbols``;
+* ``checks`` (Fourier-series dominance, term measures, majorants, ellipticity
+  audits, Groenwall verification): ``errors``, ``measures``, ``symbols``;
+* ``mcstats`` (moments, empirical characteristic functions, support audits,
+  martingale residuals): ``errors``, ``measures``, ``rng``, ``simulate``, ``symbols``;
+* ``selftest`` (property sweeps): ``checks``, ``measures``;
+* ``cli`` (batch front-end, the one writer of artifacts): ``checks``, ``errors``,
+  ``mcstats``, ``selftest``, ``simulate``, ``svgplot``, ``symbols``.
 """
 
 from .checks import (

@@ -23,9 +23,11 @@ The pipeline mirrors the structure of the uniqueness argument:
     decide whether the localized construction is applicable at all.  It
     takes the x-derivatives of a symbol entire in x from Cauchy's integral
     on a small circle around each state (``fd_derivative``: a 32-node
-    trapezoid sum, one FFT for every order), and ``groenwall_verify``
-    checks the discrete Groenwall lemma on finite tables.  Each check has
-    one fixed setting (dominance allowance, exp-series tail, state grid).
+    trapezoid sum, one FFT for every order).  ``groenwall_verify`` checks
+    the discrete Groenwall lemma (perturbation beta = 0) on a table of times
+    and values: one array comparison per row of time pairs for the
+    hypothesis, one against phi(0) e^{c t} for the conclusion.  Each check
+    has one fixed setting (dominance allowance, exp-series tail, state grid).
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ from .errors import (
 )
 from .measures import (
     LatticeComplexMeasure,
+    _index,
     _modulus,
     convolve_sequence,
     dirac,
@@ -53,7 +56,7 @@ from .measures import (
 )
 from .symbols import ConstantSymbol, ProductCosine, SymmetricDoubling, eval_symbol
 
-#: default frequency grid for the dominance, K and ECF-distance scans
+#: default frequency grid for the dominance and K scans
 DEFAULT_UGRID = np.linspace(-20.0, 20.0, 201)
 
 #: the one tag of the lattice unit * Z, shared by term measures and majorants
@@ -160,8 +163,8 @@ def localize_fourierize(spec, x0: float, ell: int, nmax: int = 64) -> FourierSym
     edge coefficients exceed 1e-3 of the total coefficient mass at u = 1
     or u = 5; the rows of both frequencies go into the memo.
     """
-    if ell < 1:
-        raise ValueError("window parameter ell must be a positive integer")
+    if isinstance(ell, bool) or not isinstance(ell, numbers.Integral) or ell < 1:
+        raise ValueError(f"window parameter ell must be a positive integer, got {ell!r}")
     nodes = 4096
     if (isinstance(nmax, bool) or not isinstance(nmax, numbers.Integral)
             or not 1 <= nmax < nodes // 2):
@@ -313,6 +316,13 @@ def compute_K(fs: FourierSymbol, ugrid=None) -> KReport:
 # ----------------------------------------------------------------------
 # term measures (one series term -> one complex measure)
 # ----------------------------------------------------------------------
+def _is_cos(kind: str) -> bool:
+    """True for the term kind 'cos', False for 'sin'; ValueError for any other."""
+    if kind not in ("cos", "sin"):
+        raise ValueError(f"kind must be 'cos' or 'sin', got {kind!r}")
+    return kind == "cos"
+
+
 def term_measure(a: complex, b: complex, kind: str, unit: float, index: int,
                  t: float, tol: float = 1e-12):
     """Measure with Fourier transform exp(t (b trig(index unit x) - a)) and
@@ -326,14 +336,9 @@ def term_measure(a: complex, b: complex, kind: str, unit: float, index: int,
     """
     if not 0.0 <= t <= 1.0:
         raise ValueError("term measures are built for t in [0, 1]")
-    if index == 0:
+    if (index := _index(index)) == 0:
         raise ValueError("term measures need a nonzero lattice index")
-    if kind == "cos":
-        ends = (0.5, 0.5)  # the weights at -index and at +index
-    elif kind == "sin":
-        ends = (0.5j, -0.5j)
-    else:
-        raise ValueError(f"kind must be 'cos' or 'sin', got {kind!r}")
+    ends = (0.5, 0.5) if _is_cos(kind) else (0.5j, -0.5j)  # weights at -index, +index
     z = complex(t * b)
     if not cmath.isfinite(z):
         raise ValueError(f"scale factor must be finite, got {z!r}")
@@ -384,9 +389,10 @@ class TermMeasureReport:
 def verify_term_measure(P: LatticeComplexMeasure, a: complex, b: complex,
                         kind: str, spacing: float, t: float, xgrid,
                         tol: float = 1e-8) -> TermMeasureReport:
-    """Audit P; the oracle takes ``spacing`` from its caller, never from P."""
+    """Audit P; the oracle takes ``spacing`` from its caller, never from P, and
+    rejects the kinds ``term_measure`` rejects."""
     x = np.asarray(xgrid, dtype=float)
-    trig = np.cos if kind == "cos" else np.sin
+    trig = np.cos if _is_cos(kind) else np.sin
     target = np.exp(t * (complex(b) * trig(spacing * x) - complex(a)))
     worst = float(np.max(np.abs(P.fourier(x) - target), initial=0.0))
     tv = P.total_variation()
@@ -604,20 +610,18 @@ def audit_ellipticity(spec, exponent_spec, x0: float, radius: float,
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class GronwallReport:
-    """Hypothesis and conclusion checks of the perturbed Groenwall lemma.
+    """Hypothesis and conclusion checks of the discrete Groenwall lemma.
 
-    Hypothesis: phi(t_j) <= (1 + (t_j - t_i) c) phi(t_i) + beta(t_j - t_i)
-    on every grid pair i < j, not only adjacent ones (beta = 0 unless
-    given).  Conclusion: phi(t) <= phi(0) e^{c t} up to a 1e-12 relative
-    float allowance.
+    Hypothesis: phi(t_j) <= (1 + (t_j - t_i) c) phi(t_i) on every grid pair
+    i < j, with beta = 0 (ROADMAP item 8: report the least beta instead);
+    ``first_violation`` is the first failing pair in row order.  Conclusion:
+    phi(t) <= phi(0) e^{c t} up to a 1e-12 relative float allowance.
 
-    A table of the recursion phi_{m+1} = (1 + c h) phi_m
-    (``groenwall_recursion_table``) meets the hypothesis on adjacent pairs
-    only: for c h > 0 and phi_0 > 0 a pair m >= 2 steps apart fails it,
-    because (1 + c h)^m > 1 + m c h (once the relative excess, about
-    m (m - 1) (c h)^2 / 2, clears the float allowance).  Its conclusion
-    holds, as (1 + c h)^m <= e^{m c h}, so checks of recursion tables
-    (acceptance criterion 10, the benchmark) read only ``conclusion_ok``.
+    A recursion table (``groenwall_recursion_table``: phi_{m+1} = (1 + c h)
+    phi_m) with c h > 0 and phi_0 > 0 fails the hypothesis on pairs m >= 2
+    steps apart, as (1 + c h)^m > 1 + m c h beyond the float allowance, and
+    meets the conclusion, as (1 + c h)^m <= e^{m c h}; checks of recursion
+    tables (acceptance criterion 10, the benchmark) read only ``conclusion_ok``.
     """
 
     hypothesis_ok: bool
@@ -626,48 +630,38 @@ class GronwallReport:
     max_conclusion_excess: float
 
 
-def groenwall_verify(ts, phis, c: float, beta=None) -> GronwallReport:
-    ts = [float(t) for t in ts]
-    phis = [float(p) for p in phis]
-    if not ts or len(ts) != len(phis) or not all(map(math.isfinite, ts + phis)):
-        raise ValueError("time and value tables must be non-empty, finite and equally long")
+def groenwall_verify(ts, phis, c: float) -> GronwallReport:
+    """The report of the table (ts, phis) at the rate c, one row of pairs at a time."""
+    ts, phis = np.asarray(ts, dtype=float), np.asarray(phis, dtype=float)
+    if (ts.ndim != 1 or ts.shape != phis.shape or not ts.size
+            or not np.isfinite([ts, phis]).all()):
+        raise ValueError("time and value tables must be one-dimensional, non-empty, "
+                         "finite and equally long")
     if not math.isfinite(c):
         raise ValueError(f"the Groenwall rate c must be finite, got {c!r}")
-    if any(b <= a for a, b in zip(ts, ts[1:])):
+    if np.any(ts[1:] <= ts[:-1]):
         raise ValueError("time grid must be strictly increasing")
-    beta_fn = beta if beta is not None else lambda dt: 0.0
-    hypothesis_ok = True
     first = None
-    for i in range(len(ts)):
-        for j in range(i + 1, len(ts)):
-            dt = ts[j] - ts[i]
-            bound = (1.0 + dt * c) * phis[i] + beta_fn(dt)
-            if phis[j] > bound * (1.0 + 1e-12) + 1e-300:
-                hypothesis_ok = False
-                first = (i, j)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and nan as in float math
+        for i in range(ts.size - 1):  # row i: the pairs (i, j > i)
+            bound = (1.0 + (ts[i + 1:] - ts[i]) * c) * phis[i]
+            bad = phis[i + 1:] > bound * (1.0 + 1e-12) + 1e-300
+            if bad.any():
+                first = (i, i + 1 + int(np.argmax(bad)))
                 break
-        if first is not None:
-            break
-    conclusion_ok = True
-    excess = 0.0
-    for t, p in zip(ts, phis):
-        bound = phis[0] * math.exp(c * t) * (1.0 + 1e-12)
-        if p > bound:
-            conclusion_ok = False
-        excess = max(excess, p - phis[0] * math.exp(c * t))
-    return GronwallReport(hypothesis_ok, first, conclusion_ok, excess)
+        grown = phis[0] * np.array([math.exp(c * t) for t in ts.tolist()])
+        excess = phis - grown
+        return GronwallReport(first is None, first, not np.any(phis > grown * (1.0 + 1e-12)),
+                              float(np.max(excess, where=excess > 0.0, initial=0.0)))
 
 
 def groenwall_recursion_table(phi0: float, c: float, horizon: float, steps: int):
-    """Table from the discrete recursion phi_{m+1} = (1 + c h) phi_m,
-    h = horizon / steps; the horizon must be finite and positive, steps >= 1."""
+    """Arrays (ts, phis) of phi_{m+1} = (1 + c h) phi_m from (0, phi0), h = horizon
+    / steps, accumulated in order; needs a finite positive horizon and steps >= 1."""
     if steps < 1 or not 0.0 < horizon < math.inf:
         raise ValueError(f"recursion tables need steps >= 1 and a finite positive "
                          f"horizon, got steps = {steps}, horizon = {horizon!r}")
     h = horizon / steps
-    ts = [0.0]
-    phis = [phi0]
-    for _ in range(steps):
-        ts.append(ts[-1] + h)
-        phis.append((1.0 + c * h) * phis[-1])
-    return ts, phis
+    ts, phis = np.full(steps + 1, h), np.full(steps + 1, 1.0 + c * h)
+    ts[0], phis[0] = 0.0, phi0
+    return np.add.accumulate(ts), np.multiply.accumulate(phis)

@@ -67,10 +67,13 @@ def _table(path: FsPath, header: str, rows):
 def _manifest(outdir: FsPath, cfg, ensembles):
     """Write the manifest of a run: its config, and under ``"ensembles"`` one
     entry per (k_token, spec, result) triple run under ``cfg``, in order, with
-    the lattice token, the spec, the total events and the truncated paths."""
+    the lattice token, the spec as ``{variant, k: {value, tag}, n}``, the total
+    events and the truncated paths."""
     doc = {"config": {"horizon": cfg.horizon, "seed": cfg.seed, "paths": cfg.paths,
                       "max_events": cfg.max_events},
-           "ensembles": [{"k_token": token, "spec": spec.to_json(),
+           "ensembles": [{"k_token": token,
+                          "spec": {"variant": spec.wire_name, "n": spec.n,
+                                   "k": {"value": spec.k.value, "tag": spec.k.tag}},
                           "total_events": int(sum(result.event_counts)),
                           "truncated_paths": result.truncated_count}
                          for token, spec, result in ensembles]}

@@ -3,7 +3,7 @@
 Covers the closed-form moments of the two doubling families, CLT-based
 moment estimates, empirical characteristic functions, the weighted
 sup-distance sup_u |phi_A(u) - phi_B(u)| / (1 + u^2) between two ensembles
-(on the fixed grid ``DEFAULT_UGRID``, refined about its arg max), exact
+(on the fixed grid ``ECF_UGRID``, refined about its arg max), exact
 audits of the geometric lattice supports, and the martingale (Dynkin)
 residual E f(X(T)) - f(x0) - int_0^T E[Af(X(s))] ds.
 
@@ -27,11 +27,14 @@ from fractions import Fraction
 import numpy as np
 
 from . import rng, simulate
-from .checks import DEFAULT_UGRID
 from .errors import DegenerateSample, RepresentationLost
 from .measures import _modulus
 from .simulate import ExactState, SimConfig
 from .symbols import TestFunction, apply_generator
+
+#: frequency grid of the ECF distance (its own window, apart from the dominance
+#: and K scan grid of ``checks``)
+ECF_UGRID = np.linspace(-20.0, 20.0, 201)
 
 
 @dataclass(frozen=True, eq=False)
@@ -205,14 +208,14 @@ def ecf_distance(sample_a: Sample, sample_b: Sample) -> EcfDistanceReport:
     """max over u of |phi_A(u) - phi_B(u)| / (1 + u^2), with SE bound.
 
     The gap of real samples is even in u (phi(-u) = conj phi(u)), so the
-    argmax on ``DEFAULT_UGRID`` is taken over u >= 0 and, inside the grid,
+    argmax on ``ECF_UGRID`` is taken over u >= 0 and, inside the grid,
     polished by a golden-section pass on the bracketing interval: ``u_at``
     is never negative.  The SE bound stays conservative (sum of both per-u
     standard errors, same weighting as the distance).
     """
     if sample_a.horizon != sample_b.horizon:
         raise ValueError("samples must share the same horizon")
-    u = DEFAULT_UGRID
+    u = ECF_UGRID
     ecf_a, ecf_b = ecf(sample_a, u), ecf(sample_b, u)
     gap = _weighted_gap(ecf_a.mean, ecf_b.mean, u)
     u_half, gap_half = u[u >= 0.0], gap[u >= 0.0]

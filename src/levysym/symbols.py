@@ -85,9 +85,6 @@ class LatticeUnit:
         value = float(token)
         return LatticeUnit(value, token)
 
-    def to_json(self) -> dict:
-        return {"value": self.value, "tag": self.tag}
-
 
 @dataclass(frozen=True)
 class LevyTriplet:
@@ -192,9 +189,6 @@ class SymmetricDoublingApprox:
         h = self.floor
         return SymmetricDoubling().triplet(x if abs(x) >= h else h)
 
-    def to_json(self) -> dict:
-        return {"variant": self.wire_name, "k": self.k.to_json(), "n": self.n}
-
 
 @dataclass(frozen=True)
 class IncreasingDoubling:
@@ -239,9 +233,6 @@ class IncreasingDoublingApprox:
 
     def triplet(self, x: float) -> LevyTriplet:
         return IncreasingDoubling().triplet(float(self.clamp(x)))
-
-    def to_json(self) -> dict:
-        return {"variant": self.wire_name, "k": self.k.to_json(), "n": self.n}
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@
 majorant assembly, localization, ellipticity, Groenwall."""
 
 import cmath
+import hashlib
 import math
 
 import numpy as np
@@ -193,6 +194,24 @@ def test_term_measure_rejects_non_finite_factor_and_zero_index():
         term_measure(1.0, complex(math.inf, 0.0), "cos", 1.0, 1, 0.5)
     with pytest.raises(ValueError, match="nonzero"):
         term_measure(1.0, 1.0, "cos", 1.0, 0, 0.5)
+
+
+@pytest.mark.parametrize("index", [1.5, 2.0, True, "1"])
+def test_term_measure_takes_integer_indices_only(index):
+    # as every lattice index: no float, bool or string stands for an integer
+    with pytest.raises(ValueError, match="lattice indices must be integers"):
+        term_measure(1.0, 0.5, "cos", 1.0, index, 0.5)
+
+
+@pytest.mark.parametrize("kind", ["cosine", "sine", "COS", ""])
+def test_verify_term_measure_rejects_the_kinds_term_measure_rejects(kind):
+    # the oracle reads an unknown kind as an error, never as sine
+    P, _ = term_measure(1.0, 0.5, "sin", 1.0, 1, 0.5)
+    assert verify_term_measure(P, 1.0, 0.5, "sin", 1.0, 0.5, XGRID).all_ok
+    for build in (lambda: term_measure(1.0, 0.5, kind, 1.0, 1, 0.5),
+                  lambda: verify_term_measure(P, 1.0, 0.5, kind, 1.0, 0.5, XGRID)):
+        with pytest.raises(ValueError, match="kind must be 'cos' or 'sin'"):
+            build()
 
 
 # ----------------------------------------------------------------------
@@ -394,6 +413,12 @@ def test_localize_rejects_nmax_outside_what_the_quadrature_resolves(nmax):
     # 4 096 nodes resolve |n| <= 2047; past that c_n repeats lower wavenumbers
     with pytest.raises(ValueError, match="nmax must be an integer in 1..2047"):
         localize_fourierize(PRODCOS, 3.14159, 1, nmax=nmax)
+
+
+@pytest.mark.parametrize("ell", [0, -2, 1.5, 1.0, True, "1"])
+def test_localize_takes_a_positive_integer_ell_only(ell):
+    with pytest.raises(ValueError, match="ell must be a positive integer"):
+        localize_fourierize(PRODCOS, 3.14159, ell, nmax=8)
 
 
 def test_localize_takes_the_largest_resolved_nmax():
@@ -631,10 +656,8 @@ def test_groenwall_exponential_with_matching_beta():
     c, T = 1.3, 1.0
     ts = np.linspace(0.0, T, 21)
     phis = 2.0 * np.exp(c * ts)
-    # e^{c d} <= 1 + c d + beta(d) with beta(d) = e^{cT} c^2 d^2 / 2 * phi-scale
-    beta = lambda d: 2.0 * math.exp(c * T) * c * c * d * d / 2.0 * math.exp(c * T)
-    rep = groenwall_verify(ts, phis, c, beta)
-    assert rep.hypothesis_ok
+    # the hypothesis is checked with beta = 0, so only the conclusion is asserted
+    rep = groenwall_verify(ts, phis, c)
     assert rep.conclusion_ok
 
 
@@ -677,8 +700,7 @@ def test_groenwall_recursion_rejects_bad_inputs(horizon, steps):
 def test_groenwall_beta_as_table():
     ts = [0.0, 0.5]
     phis = [1.0, 1.4]
-    rep = groenwall_verify(ts, phis, 0.5, beta={0.5: 0.2}.__getitem__)
-    assert rep.hypothesis_ok    # 1.4 <= 1.25 + 0.2
+    rep = groenwall_verify(ts, phis, 0.5)
     assert not rep.conclusion_ok  # 1.4 > e^0.25
 
 
@@ -688,7 +710,43 @@ def test_groenwall_beta_as_table():
     ([0.0, math.inf], [1.0, 1.0]),
     ([0.0, 1.0], [1.0, math.nan]),
     ([0.0, 1.0], [-math.inf, 1.0]),
+    ([[0.0, 1.0], [2.0, 3.0]], [[1.0, 1.0], [1.0, 1.0]]),
+    ([0.0, 1.0, 2.0], [1.0, 1.0]),
+    ([0.0, 1.0], [1.0, 1.0, 1.0]),
+    ([0.0], []),
 ])
 def test_groenwall_rejects_tables_it_cannot_check(ts, phis):
     with pytest.raises(ValueError, match="non-empty|finite"):
         groenwall_verify(ts, phis, 1.0)
+
+
+#: (c, steps) -> ts[-1].hex(), phis[-1].hex() and the first 16 hex digits of the
+#: SHA-256 of every entry's .hex() joined by commas (ts, then phis), recorded
+#: from the loop phi_{m+1} = (1 + c h) phi_m at phi0 = 1, horizon 1
+RECURSION_PINS = {
+    (-1.0, 1): ("0x1.0000000000000p+0", "0x0.0p+0", "023dd4f353f68718"),
+    (-1.0, 10): ("0x1.fffffffffffffp-1", "0x1.650bf60432fdap-2", "96a1ac1094de6bbd"),
+    (-1.0, 1000): ("0x1.0000000000003p+0", "0x1.788526411ed6ep-2", "8b89d814c5363a66"),
+    (0.5, 1): ("0x1.0000000000000p+0", "0x1.8000000000000p+0", "b1d41fbfcf4f2a5f"),
+    (0.5, 10): ("0x1.fffffffffffffp-1", "0x1.a0ff3cfea3a53p+0", "73412a147a8adfc1"),
+    (0.5, 1000): ("0x1.0000000000003p+0", "0x1.a60518a19b35dp+0", "52cc37be5a2e01c0"),
+    (2.0, 1): ("0x1.0000000000000p+0", "0x1.8000000000000p+1", "2f8099e68dfa1451"),
+    (2.0, 10): ("0x1.fffffffffffffp-1", "0x1.8c4568d7ea3e1p+2", "2bc2999e679905c6"),
+    (2.0, 1000): ("0x1.0000000000003p+0", "0x1.d7f4bbf4c3e27p+2", "4b5405f4a5cdeef1"),
+}
+
+
+@pytest.mark.parametrize("c, steps", sorted(RECURSION_PINS))
+def test_groenwall_recursion_table_is_pinned(c, steps):
+    ts, phis = groenwall_recursion_table(1.0, c, 1.0, steps)
+    assert len(ts) == len(phis) == steps + 1
+    # the table is the in-order loop, bit for bit
+    t, phi, ts_loop, phis_loop = 0.0, 1.0, [0.0], [1.0]
+    for _ in range(steps):
+        t, phi = t + 1.0 / steps, (1.0 + c * (1.0 / steps)) * phi
+        ts_loop.append(t)
+        phis_loop.append(phi)
+    entries = [float(x).hex() for x in [*ts, *phis]]
+    assert entries == [x.hex() for x in ts_loop + phis_loop]
+    digest = hashlib.sha256(",".join(entries).encode()).hexdigest()[:16]
+    assert (entries[steps], entries[-1], digest) == RECURSION_PINS[c, steps]

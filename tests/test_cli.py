@@ -151,7 +151,7 @@ def test_nonuniq_small(tmp_path):
 
 
 def test_nonuniq_reports_the_ecfs_its_distance_computed(tmp_path, monkeypatch):
-    # ecf_report.csv has a row per frequency of DEFAULT_UGRID, where each
+    # ecf_report.csv has a row per frequency of ECF_UGRID, where each
     # lattice's ECF is computed once, by ecf_distance
     from levysym import mcstats
 
@@ -162,10 +162,10 @@ def test_nonuniq_reports_the_ecfs_its_distance_computed(tmp_path, monkeypatch):
     out = tmp_path / "nu"
     assert main(["nonuniq", "--n", "4", "--paths", "300", "--distance-ratio", "1e-6",
                  "--out", str(out)]) == 0
-    assert grids.count(mcstats.DEFAULT_UGRID.size) == 2
+    assert grids.count(mcstats.ECF_UGRID.size) == 2
     rows = (out / "ecf_report.csv").read_text().splitlines()
     assert rows[0] == "u,re_a,im_a,re_b,im_b,weighted_abs_diff"
-    assert len(rows) == 1 + mcstats.DEFAULT_UGRID.size
+    assert len(rows) == 1 + mcstats.ECF_UGRID.size
     assert rows[1].startswith("-20,") and rows[-1].startswith("20,")
     assert rows[101] == "0,1,0,1,0,0"  # both ECFs are exactly 1 at u = 0
 
@@ -508,6 +508,26 @@ def test_groenwall_table_io(tmp_path):
     for text in ("t,phi\n", "t,phi\n0,1\n0.5\n", "t,phi\n0,1\n0.5,nan\n"):
         table.write_text(text)
         assert main(["groenwall", "--table", str(table), "--c", "1.0"]) == EXIT_INPUT
+
+
+@pytest.mark.parametrize("argv, code, out", [
+    (["--c", "1"], 0, "hypothesis: violated at (0, 2); conclusion: ok (max excess 0)\n"),
+    (["--c", "2", "--steps", "1000"], 0,
+     "hypothesis: violated at (0, 2); conclusion: ok (max excess 0)\n"),
+    (["--c", "0.5", "--phi0", "0", "--steps", "7"], 0,
+     "hypothesis: ok; conclusion: ok (max excess 0)\n"),
+    # hypothesis and conclusion both fail: exit 2 with the JSON line
+    (["--table", "phi.csv", "--c", "1"], EXIT_CHECK_FAILED,
+     "hypothesis: violated at (0, 1); conclusion: violated (max excess 47.3)\n"
+     '{"failed": true, "max_excess": 47.28171817154095, '
+     '"reason": "groenwall conclusion violated"}\n'),
+])
+def test_groenwall_output_is_pinned(argv, code, out, tmp_path, monkeypatch, capsys):
+    # stdout and exit codes as recorded before the array rewrite of the check
+    (tmp_path / "phi.csv").write_text("t,phi\n0,1\n0.5,5\n1,50\n")
+    monkeypatch.chdir(tmp_path)
+    assert main(["groenwall", *argv]) == code
+    assert capsys.readouterr().out == out
 
 
 @pytest.mark.parametrize("c", ["nan", "inf", "-inf"])

@@ -10,7 +10,7 @@ import pytest
 from levysym import mcstats, simulate
 from levysym.errors import DegenerateSample, RepresentationLost, UnitMismatch
 from levysym.mcstats import (
-    DEFAULT_UGRID,
+    ECF_UGRID,
     Sample,
     closed_moment,
     dynkin_residual,
@@ -254,16 +254,16 @@ def test_counted_ecf_matches_per_path(sample_pairs):
 def test_counted_ecf_distance_matches_per_path(sample_pairs):
     for a, b in sample_pairs:
         xa, xb = a.to_floats(), b.to_floats()
-        ma, _ = _oracle_ecf(xa, DEFAULT_UGRID)
-        mb, _ = _oracle_ecf(xb, DEFAULT_UGRID)
-        gap = np.abs(ma - mb) / (1.0 + DEFAULT_UGRID**2)
+        ma, _ = _oracle_ecf(xa, ECF_UGRID)
+        mb, _ = _oracle_ecf(xb, ECF_UGRID)
+        gap = np.abs(ma - mb) / (1.0 + ECF_UGRID**2)
         # the first arg max among u >= 0: the gap is even in u
-        i = int(np.argmax(np.where(DEFAULT_UGRID >= 0.0, gap, -1.0)))
+        i = int(np.argmax(np.where(ECF_UGRID >= 0.0, gap, -1.0)))
         fine = ecf_distance(a, b)
-        assert np.array_equal(fine.u, DEFAULT_UGRID)
+        assert np.array_equal(fine.u, ECF_UGRID)
         assert _close(fine.weighted_gap, gap)
         # the refinement stays in the grid arg max's bracket and never loses to it
-        assert abs(fine.u_at - DEFAULT_UGRID[i]) <= DEFAULT_UGRID[1] - DEFAULT_UGRID[0]
+        assert abs(fine.u_at - ECF_UGRID[i]) <= ECF_UGRID[1] - ECF_UGRID[0]
         (pa,), (ea,) = _oracle_ecf(xa, fine.u_at)
         (pb,), (eb,) = _oracle_ecf(xb, fine.u_at)
         weight = 1.0 / (1.0 + fine.u_at**2)
