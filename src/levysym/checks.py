@@ -185,6 +185,7 @@ def localize_fourierize(spec, x0: float, ell: int, nmax: int = 64) -> FourierSym
     bump = plateau_bump(ys)
     states = (ys - 0.5) / ell + x0  # gamma_ell(y)
     idx = np.arange(-nmax, nmax + 1)
+    pick = idx % nodes  # FFT bins of n = -nmax..nmax
     n = idx[idx != 0]
     phase = np.exp(2j * math.pi * n * (0.5 - ell * x0))
     rows: dict[str, tuple[complex, np.ndarray, float]] = {}
@@ -193,7 +194,7 @@ def localize_fourierize(spec, x0: float, ell: int, nmax: int = 64) -> FourierSym
         """c_n(u) for n = -nmax..nmax (index shifted by nmax)."""
         psi_u = eval_symbol(spec, x0, u)
         windowed = bump * (eval_symbol(spec, states, u) - psi_u) + psi_u
-        return (np.fft.fft(windowed) / nodes)[idx % nodes]
+        return np.fft.fft(windowed)[pick] / nodes
 
     def remember(u: float, c: np.ndarray):
         """Store and return the row (a0, a, residual) of the spectrum c at u."""
@@ -630,6 +631,21 @@ class GronwallReport:
     max_conclusion_excess: float
 
 
+def _grown(phi0: float, ct: float) -> float:
+    """phi0 e^(ct): ``phi0 * math.exp(ct)`` while e^(ct) is a float, and past
+    that e^(ct + log|phi0|) with phi0's sign (0 for phi0 = 0), inf where that
+    passes the float range too."""
+    try:
+        return phi0 * math.exp(ct)
+    except OverflowError:
+        if phi0 == 0.0:
+            return 0.0
+        try:
+            return math.copysign(math.exp(ct + math.log(abs(phi0))), phi0)
+        except OverflowError:
+            return math.copysign(math.inf, phi0)
+
+
 def groenwall_verify(ts, phis, c: float) -> GronwallReport:
     """The report of the table (ts, phis) at the rate c, one row of pairs at a time."""
     ts, phis = np.asarray(ts, dtype=float), np.asarray(phis, dtype=float)
@@ -649,7 +665,7 @@ def groenwall_verify(ts, phis, c: float) -> GronwallReport:
             if bad.any():
                 first = (i, i + 1 + int(np.argmax(bad)))
                 break
-        grown = phis[0] * np.array([math.exp(c * t) for t in ts.tolist()])
+        grown = np.array([_grown(float(phis[0]), c * t) for t in ts.tolist()])
         excess = phis - grown
         return GronwallReport(first is None, first, not np.any(phis > grown * (1.0 + 1e-12)),
                               float(np.max(excess, where=excess > 0.0, initial=0.0)))

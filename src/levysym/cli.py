@@ -94,9 +94,9 @@ def cmd_simulate(args) -> int:
     multi_k = len(k_tokens) > 1
     svg_series = []
     ensembles = []
-    for token in k_tokens:
-        spec = _approx_spec(args.spec, token, args.n)
-        rule = simulate.jump_rule_of(spec)
+    specs = [_approx_spec(args.spec, token, args.n) for token in k_tokens]
+    rules = [simulate.jump_rule_of(spec) for spec in specs]  # every input checked first
+    for token, spec, rule in zip(k_tokens, specs, rules):
         x0 = rule.initial_state()
         store = bool(args.svg) or args.store_paths
         cfg = simulate.SimConfig(

@@ -26,10 +26,22 @@ their raw arrays can overflow, cancel to zero or underflow below the
 threshold.  ``shift``, ``mirror`` and ``total_variation`` skip it: the
 moduli of a canonical array are finite, its pruned entries are exact zeros
 whose modulus is zero, and translating, reversing or taking moduli keeps
-the end atoms atoms, so those arrays are canonical by construction.  Past
-the float range a weight or modulus is the pass's ``ValueError`` and a norm
-or mass is ``inf``, never a NumPy warning (at most one ``np.errstate`` per
-result).
+the end atoms atoms, so those arrays are canonical by construction.
+
+A measure stores, read-only beside its weights, the entry moduli that the
+pass computed and a bound b on them; ``shift``, ``mirror`` and
+``total_variation`` pass both on, and the norms read the moduli instead of
+measuring the weights again.  The bounds bound what an operation can
+produce: |x +- y| <= b(x) + b(y), |z x| <= |z| b(x), |x * y| <= min(len x,
+len y) b(x) b(y), and a sum over a measure is at most its length times
+b.  While that bound is below ``OVERFLOW_GUARD`` nothing can overflow: the
+operation runs bare, and the pass skips the finiteness test and keeps the
+operation's bound as the result's b.  Otherwise the operation runs
+guarded, under ``np.errstate``, and the pass takes the maximum modulus as
+the finiteness test and as b, so that past the float range a weight or
+modulus is the pass's ``ValueError`` and a norm or mass is ``inf``, never a
+NumPy warning.  Both constructors and ``exp_measure`` have no bound to
+give and always take the maximum.
 
 The class closes under the convolution Banach-algebra operations: addition,
 scalar multiple, convolution (exact integer index addition, which is why
@@ -43,6 +55,7 @@ on purpose.
 from __future__ import annotations
 
 import cmath
+import contextlib
 import math
 import numbers
 import warnings
@@ -57,6 +70,11 @@ from .errors import BudgetExceeded, UnitMismatch
 #: small weights carry tail information and must survive)
 PRUNE_THRESHOLD = 1e-300
 
+#: an operation whose bound on every sum, product and modulus it forms is below
+#: this runs without the overflow guard: 2**1000 stays 2**24 times below the
+#: largest float, and a measure spans at most 2**20 entries
+OVERFLOW_GUARD = 2.0 ** 1000
+
 #: hard cap on the number of power-series terms in ``exp_measure``
 EXP_TERM_CAP = 512
 
@@ -68,6 +86,18 @@ MAX_SPAN = 1 << 20
 def _modulus(a: np.ndarray) -> np.ndarray:
     """Entry-wise |a|, rounded as Python's abs(complex) rounds (np.abs is not)."""
     return np.hypot(a.real, a.imag)
+
+
+_UNGUARDED = contextlib.nullcontext()
+
+
+def _guard(bound: float):
+    """No guard while ``bound`` is below ``OVERFLOW_GUARD``; otherwise an
+    ``np.errstate`` that leaves an overflow (and the inf - inf behind it) to
+    the canonical pass's ValueError or to an ``inf`` norm."""
+    if bound < OVERFLOW_GUARD:
+        return _UNGUARDED
+    return np.errstate(over="ignore", invalid="ignore")
 
 
 def _check_span(span: int) -> None:
@@ -90,7 +120,7 @@ class LatticeComplexMeasure:
     weights; weights must be finite.
     """
 
-    __slots__ = ("unit", "unit_tag", "_lo", "_a")
+    __slots__ = ("unit", "unit_tag", "_lo", "_a", "_mod", "_bound")
 
     def __init__(self, unit: float, unit_tag: str, weights):
         self._set_lattice(unit, unit_tag)
@@ -101,7 +131,7 @@ class LatticeComplexMeasure:
         _check_span(span)
         a = np.zeros(span, dtype=np.complex128)
         a[[j - lo for j in keys]] = [complex(z) for z in weights.values()]
-        with np.errstate(over="ignore"):  # as in _store
+        with _guard(math.inf):  # given weights have no bound
             self._store(lo, a)
 
     @classmethod
@@ -119,7 +149,7 @@ class LatticeComplexMeasure:
         if a.ndim != 1:
             raise ValueError(f"weights must be one-dimensional, got shape {a.shape}")
         _check_span(a.size)
-        with np.errstate(over="ignore"):  # as in _store
+        with _guard(math.inf):  # given weights have no bound
             mu._store(lo, a)
         return mu
 
@@ -132,52 +162,66 @@ class LatticeComplexMeasure:
         object.__setattr__(self, "unit", float(unit))
         object.__setattr__(self, "unit_tag", str(unit_tag))
 
-    def _store(self, lo: int, a) -> None:
+    def _store(self, lo: int, a, bound: float = math.inf) -> None:
         """Set the canonical form of the weights ``a`` starting at index ``lo``.
 
         This is the one canonical-form pass: it rejects non-finite weights,
         turns weights of modulus at most ``PRUNE_THRESHOLD`` into exact
         zeros and trims the array to its first and last atoms.  The moduli
-        are computed once and give both the finiteness test and the kept
-        entries; when those form one contiguous run nothing is pruned, so
-        the count and the copy are skipped.  Both constructors, ``add``,
-        ``-``, ``scale``, ``convolve`` and ``exp_measure`` run it; results
-        canonical by construction (``shift``, ``mirror``,
-        ``total_variation``) go to ``_set`` directly.  Callers whose moduli can
-        pass the float range run it under ``np.errstate(over="ignore")``.
+        are computed once and give the kept entries; the trimmed moduli
+        (zero where a weight was pruned) are stored with the weights.  When
+        the kept entries form one contiguous run nothing is pruned, so the
+        count and the copies are skipped.
+
+        ``bound`` bounds the moduli of ``a``.  Below ``OVERFLOW_GUARD`` it
+        proves them finite and is stored as the measure's bound; otherwise
+        (``inf`` where no bound is known) their maximum is the finiteness
+        test and the stored bound, and a caller whose moduli may pass the
+        float range runs the pass under its guard.  Both
+        constructors, ``add``, ``-``, ``scale``, ``convolve`` and
+        ``exp_measure`` run it; results canonical by construction
+        (``shift``, ``mirror``, ``total_variation``) go to ``_set`` with the
+        moduli and bound they inherit.
         """
         a = np.asarray(a, dtype=np.complex128)
         mod = _modulus(a)
-        if not mod.max(initial=0.0) < math.inf:  # an inf or NaN weight
-            raise ValueError("measure weights must be finite")
+        if not bound < OVERFLOW_GUARD:
+            bound = float(np.maximum.reduce(mod, initial=0.0))
+            if not bound < math.inf:  # an inf or NaN weight
+                raise ValueError("measure weights must be finite")
         keep = mod > PRUNE_THRESHOLD
         nz = keep.nonzero()[0]
         if nz.size:
             first, last = int(nz[0]), int(nz[-1]) + 1
-            a = a[first:last]
+            a, mod = a[first:last], mod[first:last]
             if last - first > nz.size and np.count_nonzero(a) > nz.size:
-                a = np.where(keep[first:last], a, 0j)  # nonzero weights to prune
+                kept = keep[first:last]  # nonzero weights to prune
+                a, mod = np.where(kept, a, 0j), np.where(kept, mod, 0.0)
             lo += first
         else:
-            lo, a = 0, np.zeros(0, dtype=np.complex128)
-        self._set(lo, a)
+            lo, a, mod, bound = 0, np.zeros(0, dtype=np.complex128), np.zeros(0), 0.0
+        a.flags.writeable = mod.flags.writeable = False
+        self._set(lo, a, mod, bound)
 
-    def _set(self, lo: int, a: np.ndarray) -> None:
-        """Set weights ``a`` that are already in canonical form, read-only."""
-        a.flags.writeable = False
+    def _set(self, lo: int, a: np.ndarray, mod: np.ndarray, bound: float) -> None:
+        """Set read-only weights ``a`` that are already in canonical form,
+        with their read-only moduli ``mod`` and a bound on those."""
         object.__setattr__(self, "_lo", int(lo))
         object.__setattr__(self, "_a", a)
+        object.__setattr__(self, "_mod", mod)
+        object.__setattr__(self, "_bound", bound)
 
-    def _of(self, lo: int, a, canonical: bool = False) -> "LatticeComplexMeasure":
-        """Measure on this lattice with weights ``a`` starting at index ``lo``;
-        ``canonical`` skips the canonical-form pass for arrays already in it."""
+    def _of(self, lo: int, a, mod=None, bound: float = math.inf) -> "LatticeComplexMeasure":
+        """Measure on this lattice with weights ``a`` starting at index
+        ``lo`` whose moduli are at most ``bound``; an array already in
+        canonical form comes with its moduli ``mod`` and skips the pass."""
         mu = object.__new__(LatticeComplexMeasure)
         object.__setattr__(mu, "unit", self.unit)
         object.__setattr__(mu, "unit_tag", self.unit_tag)
-        if canonical:
-            mu._set(lo, a)
+        if mod is None:
+            mu._store(lo, a, bound)
         else:
-            mu._store(lo, a)
+            mu._set(lo, a, mod, bound)
         return mu
 
     def __setattr__(self, name, value):
@@ -232,7 +276,7 @@ class LatticeComplexMeasure:
     # ------------------------------------------------------------------
     def total_mass(self) -> complex:
         """Measure of the whole line, sum of all weights."""
-        with np.errstate(over="ignore"):
+        with _guard(self._a.size * self._bound):
             return complex(self._a.sum())
 
     def total_variation(self) -> "LatticeComplexMeasure":
@@ -241,16 +285,18 @@ class LatticeComplexMeasure:
         Canonical by construction: the moduli of canonical weights are
         finite, pruned entries stay zero and the end atoms stay atoms.
         """
-        return self._of(self._lo, _modulus(self._a).astype(np.complex128), canonical=True)
+        a = self._mod.astype(np.complex128)
+        a.flags.writeable = False
+        return self._of(self._lo, a, self._mod, self._bound)
 
     def tv_norm(self) -> float:
         """Total variation norm, sum of atom moduli."""
-        with np.errstate(over="ignore"):
-            return float(_modulus(self._a).sum())
+        with _guard(self._a.size * self._bound):
+            return float(self._mod.sum())
 
     def sup_norm(self) -> float:
         """Largest atom modulus, 0 for the zero measure."""
-        return float(_modulus(self._a).max(initial=0.0))
+        return float(np.maximum.reduce(self._mod, initial=0.0))
 
     # ------------------------------------------------------------------
     # linear structure
@@ -269,11 +315,10 @@ class LatticeComplexMeasure:
         total = np.zeros(hi - lo, dtype=np.complex128)
         total[self._lo - lo:self._lo - lo + self._a.size] += self._a
         part = total[other._lo - lo:other._lo - lo + other._a.size]
-        # an overflow in the sum or in _store's moduli is _store's ValueError,
-        # not a NumPy warning
-        with np.errstate(over="ignore", invalid="ignore"):
+        bound = self._bound + other._bound
+        with _guard(bound):
             op(part, other._a, out=part)
-            return self._of(lo, total)
+            return self._of(lo, total, bound=bound)
 
     def add(self, other: "LatticeComplexMeasure") -> "LatticeComplexMeasure":
         return self._combine(other, np.add)
@@ -282,8 +327,9 @@ class LatticeComplexMeasure:
         z = complex(z)
         if not cmath.isfinite(z):
             raise ValueError(f"scale factor must be finite, got {z!r}")
-        with np.errstate(over="ignore", invalid="ignore"):  # as in _combine
-            return self._of(self._lo, self._a * z)
+        bound = abs(z) * self._bound
+        with _guard(bound):
+            return self._of(self._lo, self._a * z, bound=bound)
 
     def shift(self, k: int) -> "LatticeComplexMeasure":
         """Translate by ``k`` lattice steps (convolution with ``dirac(k)``),
@@ -291,7 +337,7 @@ class LatticeComplexMeasure:
         k = _index(k)
         if not self._a.size:
             return self
-        return self._of(self._lo + k, self._a, canonical=True)
+        return self._of(self._lo + k, self._a, self._mod, self._bound)
 
     def __add__(self, other):
         return self.add(other)
@@ -313,8 +359,9 @@ class LatticeComplexMeasure:
         if not self._a.size or not other._a.size:
             return self._of(0, ())
         _check_span(self._a.size + other._a.size - 1)
-        with np.errstate(over="ignore"):  # as in _store
-            return self._of(self._lo + other._lo, np.convolve(self._a, other._a))
+        bound = min(self._a.size, other._a.size) * self._bound * other._bound
+        with _guard(bound):
+            return self._of(self._lo + other._lo, np.convolve(self._a, other._a), bound=bound)
 
     # ------------------------------------------------------------------
     # transforms and moments
@@ -345,7 +392,8 @@ class LatticeComplexMeasure:
         """The reflection x -> -x, canonical by construction."""
         if not self._a.size:
             return self
-        return self._of(-(self._lo + self._a.size - 1), self._a[::-1], canonical=True)
+        hi = self._lo + self._a.size - 1
+        return self._of(-hi, self._a[::-1], self._mod[::-1], self._bound)
 
 
 # ----------------------------------------------------------------------

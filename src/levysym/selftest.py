@@ -30,11 +30,11 @@ class SweepResult:
 def _random_measure(rng, max_atoms: int = 6, span: int = 8,
                     norm_cap: float = 3.0) -> LatticeComplexMeasure:
     count = int(rng.integers(1, max_atoms + 1))
-    idx = rng.integers(-span, span + 1, size=count)
+    idx = rng.integers(-span, span + 1, size=count).tolist()
     w = rng.normal(size=count) + 1j * rng.normal(size=count)
-    lo = int(idx.min())
-    a = np.zeros(int(idx.max()) - lo + 1, dtype=np.complex128)
-    for j, z in zip(idx.tolist(), w.tolist()):  # a repeated index keeps its last draw
+    lo = min(idx)
+    a = np.zeros(max(idx) - lo + 1, dtype=np.complex128)
+    for j, z in zip(idx, w.tolist()):  # a repeated index keeps its last draw
         a[j - lo] = z
     tv = float(_modulus(a).sum())
     if tv > norm_cap:

@@ -218,8 +218,24 @@ def jump_rule_of(spec) -> JumpRule:
 
     Event counts of the symmetric family started at 0 grow like 2**n per
     unit time (diffusive local time near the lattice floor), so n <= 16 is
-    the practical envelope under the default event budget.
+    the practical envelope under the default event budget.  The rate at the
+    floor state k 2**-n is the largest of either family; a (k, n) whose
+    floor rate is not a finite positive float (k * k underflowing to 0, 4**n
+    or 1 / k past the float range) is a ValueError, before any simulation.
     """
+    rule = _rule_of(spec)
+    try:
+        rate = rule.moves(ExactState(rule.unit_tag, rule.k, 1, spec.n))[0][0]
+    except (OverflowError, ZeroDivisionError):
+        rate = math.nan
+    if not 0.0 < rate < math.inf:
+        raise ValueError(f"the jump rate at the floor state k 2^-n is not a finite "
+                         f"positive float for k = {rule.k!r}, n = {spec.n}")
+    return rule
+
+
+def _rule_of(spec) -> JumpRule:
+    """The jump rule of ``jump_rule_of``, unchecked."""
     if isinstance(spec, SymmetricDoublingApprox):
         k, n = spec.k, spec.n
 

@@ -677,7 +677,7 @@ def test_groenwall_rejects_a_rate_that_is_not_finite(c):
 
 
 def test_groenwall_recursion_tables():
-    for c in (0.5, 2.0):
+    for c in (0.5, 2.0, 800.0):
         for steps in (10, 100, 1000):
             ts, phis = groenwall_recursion_table(1.0, c, 1.0, steps)
             rep = groenwall_verify(ts, phis, c)
@@ -688,6 +688,22 @@ def test_groenwall_recursion_tables():
     assert max(abs(p) for p in phis) <= 1e-15
     rep = groenwall_verify(ts, phis, 2.0)
     assert rep.conclusion_ok and rep.hypothesis_ok
+
+
+def test_groenwall_growth_past_the_float_range():
+    # e^(800 t) passes the float range from t = 0.89 on; phi0 e^(ct) does not
+    # for a tiny phi0, and is 0 for phi0 = 0
+    ts, phis = groenwall_recursion_table(1.0, 800.0, 1.0, 100)
+    rep = groenwall_verify(ts, phis, 800.0)
+    assert rep.conclusion_ok and rep.max_conclusion_excess == 0.0
+    assert not rep.hypothesis_ok and rep.first_violation == (0, 2)
+    assert groenwall_verify([0.0, 1.0], [1e-300, 1.0], 800.0).conclusion_ok
+    tiny = groenwall_verify([0.0, 1.0], [1e-300, 1e50], 800.0)
+    assert not tiny.conclusion_ok
+    grown = 1e-300 * math.exp(400) * math.exp(400)
+    assert tiny.max_conclusion_excess == pytest.approx(1e50 - grown)
+    zero = groenwall_verify([0.0, 1.0], [0.0, 5.0], 800.0)
+    assert not zero.conclusion_ok and zero.max_conclusion_excess == 5.0
 
 
 @pytest.mark.parametrize("horizon, steps", [(1.0, 0), (1.0, -3), (math.nan, 10),

@@ -497,6 +497,28 @@ def test_nonuniq_rejects_fewer_than_two_paths_before_simulating(tmp_path, capsys
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["--k", "1e-200", "--n", "2"],  # k * k underflows to 0
+    ["--n", "600"],  # 4**n passes the float range
+    ["--k", "1e200"],  # 2 k * k does, so every rate would be 0
+    ["--k", "1,1e200"],  # the second lattice is rejected before the first runs
+])
+def test_simulate_rejects_rates_outside_the_float_range(argv, tmp_path, capsys, monkeypatch):
+    from levysym import simulate
+
+    def unreachable(*args):
+        raise AssertionError("simulate ran before checking its inputs")
+
+    monkeypatch.setattr(simulate, "simulate_ensemble", unreachable)
+    out = tmp_path / "a"
+    code = main(["simulate", "--spec", "ex31approx", "--paths", "3", *argv,
+                 "--out", str(out)])
+    doc = json.loads(capsys.readouterr().out.splitlines()[-1])
+    assert code == EXIT_INPUT and doc["reason"] == "input error"
+    assert "floor state" in doc["detail"]
+    assert not out.exists()
+
+
 def test_groenwall_table_io(tmp_path):
     table = tmp_path / "phi.csv"
     table.write_text("t,phi\n0,1\n0.5,1.1\n1.0,1.2\n")
@@ -521,6 +543,8 @@ def test_groenwall_table_io(tmp_path):
      "hypothesis: violated at (0, 1); conclusion: violated (max excess 47.3)\n"
      '{"failed": true, "max_excess": 47.28171817154095, '
      '"reason": "groenwall conclusion violated"}\n'),
+    # e^(ct) passes the float range from t = 0.89 on
+    (["--c", "800"], 0, "hypothesis: violated at (0, 2); conclusion: ok (max excess 0)\n"),
 ])
 def test_groenwall_output_is_pinned(argv, code, out, tmp_path, monkeypatch, capsys):
     # stdout and exit codes as recorded before the array rewrite of the check

@@ -15,6 +15,7 @@ from levysym.errors import BudgetExceeded, UnitMismatch
 from levysym.measures import (
     EXP_TERM_CAP,
     MAX_SPAN,
+    OVERFLOW_GUARD,
     PRUNE_THRESHOLD,
     ExpSeriesReport,
     LatticeComplexMeasure,
@@ -444,8 +445,16 @@ EDGE_WEIGHTS = [
     1e-150, -1e-150j, 1e-160,
     0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0),
     1e154, -1e300j, 1e308, complex(-1e308, 1e308),
+    # bounds just below, at and just above OVERFLOW_GUARD (G = 2**1000): sums
+    # of two halves, products of two 2**500 (and their sums over two
+    # entries), a single weight (norms, scaling by one)
+    OVERFLOW_GUARD / 2, OVERFLOW_GUARD / 2 * (1.0 - 2.0**-52),
+    -1j * float(np.nextafter(OVERFLOW_GUARD / 2, math.inf)),
+    2.0**500, float(np.nextafter(2.0**500, 0.0)), -float(np.nextafter(2.0**500, math.inf)),
+    float(np.nextafter(OVERFLOW_GUARD, 0.0)), OVERFLOW_GUARD * 1j,
 ]
-EDGE_FACTORS = [0.0, -0.0, -1.0, 1j, 1e-150, 1e-300, 1e-310, 1e150, 1e300]
+EDGE_FACTORS = [0.0, -0.0, -1.0, 1j, 1e-150, 1e-300, 1e-310, 1e150, 1e300,
+                1.0, float(np.nextafter(1.0, 0.0)), 2.0**500, -1j * 2.0**500]
 edge_dicts = st.dictionaries(
     st.integers(-4, 4), st.one_of(complex_weights, st.sampled_from(EDGE_WEIGHTS)),
     max_size=6,
@@ -485,6 +494,10 @@ def _raw_exp_series(mu, tol):
     return start, total
 
 
+def _bits(x):
+    return np.array(x).tobytes()
+
+
 def _assert_canonical(mu):
     assert not mu._a.flags.writeable
     modulus = _modulus(mu._a)
@@ -494,6 +507,18 @@ def _assert_canonical(mu):
         assert np.all((modulus == 0.0) | (modulus > PRUNE_THRESHOLD))
     else:
         assert mu._lo == 0
+    # the stored moduli, the norms and the mass equal their recomputation
+    # from the weights, bit for bit, and the stored bound is at least the
+    # largest modulus, to within rounding
+    assert not mu._mod.flags.writeable
+    assert mu._mod.dtype == np.float64 and _bits(mu._mod) == _bits(modulus)
+    assert mu._bound >= modulus.max(initial=0.0) * (1.0 - 1e-15)
+    assert type(mu.sup_norm()) is float
+    assert _bits(mu.sup_norm()) == _bits(modulus.max(initial=0.0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        tv, mass = float(modulus.sum()), complex(mu._a.sum())
+    assert _bits(mu.tv_norm()) == _bits(tv)
+    assert _bits(mu.total_mass()) == _bits(mass)
 
 
 def _assert_result_is_full_pass(result, lo, raw):
@@ -541,6 +566,11 @@ def test_every_result_is_in_canonical_form(pair, z, k):
         lambda: LatticeComplexMeasure.from_array(1.0, "unit", y._lo - 2, padded),
         y._lo - 2, padded,
     )
+    # moduli passed on, not recomputed: of a mirror's mirror, a shift's
+    # shift, and the total variation of a mirror and a total variation
+    _assert_canonical(x.mirror().mirror())
+    _assert_canonical(x.shift(k).shift(-k).mirror())
+    _assert_canonical(x.mirror().total_variation().total_variation())
     if x.sup_norm() <= 4.0:  # larger weights overflow the series
         start, raw = _raw_exp_series(x, 1e-12)
         _assert_result_is_full_pass(lambda: exp_measure(x, 1e-12)[0], start, raw)
@@ -563,6 +593,71 @@ def test_overflow_raises_value_error_not_runtime_warning(op):
     # must not pre-empt the typed error
     with pytest.raises(ValueError, match="finite"):
         op()
+
+
+G = OVERFLOW_GUARD
+
+
+def _count_errstates(monkeypatch) -> list:
+    """The keywords of every ``np.errstate`` entered from now on."""
+    entered = []
+    errstate = np.errstate
+    monkeypatch.setattr(np, "errstate", lambda **kw: entered.append(kw) or errstate(**kw))
+    return entered
+
+
+# a constructed measure's bound b is its largest modulus
+@pytest.mark.parametrize("x, y, op, guarded", [
+    # |x + y| <= b(x) + b(y): just below G, at G
+    ({0: G / 2}, {0: G / 2 * (1.0 - 2.0**-52)}, "add", False),
+    ({0: G / 2}, {1: G / 2}, "add", True),
+    ({0: G / 2}, {0: -G / 4j}, "sub", False),
+    ({0: G / 2}, {0: G / 2}, "sub", True),
+    # |z x| <= |z| b(x)
+    ({0: float(np.nextafter(G, 0.0)), 3: 1.0}, 1.0, "scale", False),
+    ({0: G / 2}, 2.0, "scale", True),
+    # |x * y| <= min(len) b(x) b(y)
+    ({0: 2.0**500}, {0: float(np.nextafter(2.0**500, 0.0))}, "convolve", False),
+    ({0: 2.0**500}, {0: 2.0**500}, "convolve", True),
+    ({0: 2.0**499, 1: 2.0**499}, {0: 2.0**500, 1: 1.0}, "convolve", True),
+    # a sum over a measure is at most its length times b
+    ({0: float(np.nextafter(G, 0.0))}, None, "tv_norm", False),
+    ({0: G / 2, 1: G / 2}, None, "tv_norm", True),
+    ({0: float(np.nextafter(G, 0.0))}, None, "total_mass", False),
+    ({0: G / 2, 1: -G / 2}, None, "total_mass", True),
+])
+def test_overflow_guard_runs_only_where_the_bound_reaches_it(x, y, op, guarded, monkeypatch):
+    mx = meas(x)
+    other = meas(y) if isinstance(y, dict) else y
+    run = {
+        "add": lambda: mx + other, "sub": lambda: mx - other,
+        "scale": lambda: mx.scale(other), "convolve": lambda: mx.convolve(other),
+        "tv_norm": mx.tv_norm, "total_mass": mx.total_mass,
+    }[op]
+    expected = run()
+    entered = _count_errstates(monkeypatch)
+    got = run()
+    assert len(entered) == guarded
+    # both paths compute the same thing
+    if op in ("tv_norm", "total_mass"):
+        assert _bits(got) == _bits(expected)
+    else:
+        assert got == expected
+        if guarded:  # the pass stores the largest modulus as the bound
+            assert got._bound == got.sup_norm()
+
+
+def test_a_loose_bound_gives_way_to_the_largest_modulus(monkeypatch):
+    # x - y cancels to 2**947 under a bound just below G; doubling that bound
+    # passes G, so x - y + (x - y) runs guarded and stores its true maximum
+    x, y = meas({0: 2.0**999}), meas({0: 2.0**999 - 2.0**947})
+    assert x._bound == 2.0**999
+    diff = x - y
+    assert diff.sup_norm() == 2.0**947 and 2.0**999 < diff._bound < G
+    entered = _count_errstates(monkeypatch)
+    total = diff + diff
+    assert len(entered) == 1
+    assert total == meas({0: 2.0**948}) and total._bound == 2.0**948
 
 
 # ----------------------------------------------------------------------
