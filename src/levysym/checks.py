@@ -673,11 +673,20 @@ def groenwall_verify(ts, phis, c: float) -> GronwallReport:
 
 def groenwall_recursion_table(phi0: float, c: float, horizon: float, steps: int):
     """Arrays (ts, phis) of phi_{m+1} = (1 + c h) phi_m from (0, phi0), h = horizon
-    / steps, accumulated in order; needs a finite positive horizon and steps >= 1."""
+    / steps, accumulated in order; needs a finite positive horizon, steps >= 1,
+    a finite c and phi0, and a table inside the float range."""
     if steps < 1 or not 0.0 < horizon < math.inf:
         raise ValueError(f"recursion tables need steps >= 1 and a finite positive "
                          f"horizon, got steps = {steps}, horizon = {horizon!r}")
+    if not (math.isfinite(c) and math.isfinite(phi0)):
+        raise ValueError(f"recursion tables need a finite c and phi0, got c = {c!r}, "
+                         f"phi0 = {phi0!r}")
     h = horizon / steps
     ts, phis = np.full(steps + 1, h), np.full(steps + 1, 1.0 + c * h)
     ts[0], phis[0] = 0.0, phi0
-    return np.add.accumulate(ts), np.multiply.accumulate(phis)
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.multiply.accumulate(phis, out=phis)
+    if not np.isfinite(phis).all():
+        raise ValueError(f"phi0 (1 + c h)^m leaves the float range for c = {c!r}, "
+                         f"horizon = {horizon!r}, steps = {steps}")
+    return np.add.accumulate(ts), phis

@@ -10,16 +10,17 @@ always reproduces the same ensemble bit for bit.  :func:`event_uniforms` is
 the one reader of the event streams.  The lock-step engine calls it on a
 tile of consecutive counters for all active path keys at once.  The per-path
 engine calls it on counters 0 .. 255 for a group of path keys at once, and
-for a path that runs past them on further blocks of 1 024 counters of its own
-key.  Either way event j of path i is counter j of stream i, so drawing a
-counter early, drawing it beside other keys' counters, or drawing one that no
-event uses changes no result.  A :func:`philox2x64` call allocates its
-scratch in one block of six slots, each of its broadcast size: four round
-temporaries, the one ``lo`` trades with the second output word, and the key
-schedule; the two words it returns are fresh arrays.  The schedule keeps the
-key's own shape (a scalar for key derivation and per-path blocks, a row of
-keys in a tile) and is broadcast into each round's xor, so advancing it
-costs one add on the key's shape per round.
+for a path that runs past them on further blocks of its own key: 256, 512,
+then 1 024 counters each.  Either way event j of path i is counter j of
+stream i, so drawing a counter early, drawing it beside other keys'
+counters, or drawing one that no event uses changes no result.  A
+:func:`philox2x64` call allocates its scratch in one block of six slots,
+each of its broadcast size: four round temporaries, the one ``lo`` trades
+with the second output word, and the key schedule; the two words it returns
+are fresh arrays.  The schedule keeps the key's own shape (a scalar for key
+derivation and per-path blocks, a row of keys in a tile) and is broadcast
+into each round's xor, so advancing it costs one add on the key's shape per
+round.
 
 The 64x64 -> 128 bit multiply is emulated with 32-bit limbs, which keeps
 everything inside NumPy uint64 vector arithmetic (exactness is covered by

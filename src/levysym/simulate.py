@@ -12,14 +12,16 @@ independent of scheduling.  Both engines draw counters ahead of use through
 only on (key, counter).  The lock-step engine draws tiles of consecutive
 counters for all active paths, about 16 384 uniforms per call.  The per-path
 engine draws counters 0 .. 255 for 64 paths in one call (the same tile
-size), and a path that runs past them reads its own stream in further blocks
-of 1 024 counters.  Each Philox call allocates its own scratch, so the
-engines hand ``rng`` only keys and counters.
+size), and a path that runs past them reads its own stream in blocks that
+double from 256 counters up to 1 024: 256, 512, 1 024, 1 024, ...  Each
+Philox call allocates its own scratch, so the engines hand ``rng`` only keys
+and counters.
 
 The generic per-path engine works for any ``JumpRule``, retains
 trajectories on request and is the oracle.  It runs on Python floats, and
-within one ensemble it computes each state's rates and successors once: a
-memo keeps them for every state a path has been to.  Endpoint-only
+within one ensemble it computes each state's rates, their running sums and
+its successors once: a memo keeps them for every state a path has been to,
+and a move is chosen by bisecting the running sums.  Endpoint-only
 ensembles of the two doubling families run instead in one vectorized
 lock-step loop, ``_lockstep``, which steps int64 levels through a chain
 table: the states the chain reaches from x0 whose m and s fit int64, each
@@ -44,7 +46,9 @@ same seed and horizon ``observe[q]``.
 
 from __future__ import annotations
 
+import bisect
 import functools
+import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -113,7 +117,9 @@ class JumpRule:
     same order, every time it is called with equal states.  Both engines
     call it once per state and reuse the answer, the lock-step engine in its
     chain table and the per-path engine in a memo that lasts one ensemble.
-    A start x0 lies on the rule's lattice (``initial_state``), else UnitMismatch.
+    Rates are nonnegative: the per-path engine raises ValueError at a state
+    with a negative one.  A start x0 lies on the rule's lattice
+    (``initial_state``), else UnitMismatch.
     """
 
     moves: Callable[[ExactState], tuple[tuple[float, tuple[int, int]], ...]]
@@ -279,7 +285,8 @@ def _rule_of(spec) -> JumpRule:
 #: counters of each path's first draw; ``_TILE // _FIRST`` paths draw them in
 #: one Philox call
 _FIRST = 256
-#: counters a path draws at a time from its own key past the first ones
+#: the largest block of counters a path draws at a time from its own key past
+#: the first ones; the blocks before it double from ``_FIRST``
 _BLOCK = 1024
 
 
@@ -297,15 +304,19 @@ def _first_draws(keys) -> list[tuple[list, list]]:
 
 
 def _entry(memo: dict, rule: JumpRule, state: ExactState) -> tuple:
-    """``memo``'s entry for ``state``: (state, in-order total rate, moves, the
-    entries of the successors, None until a path takes that move)."""
+    """``memo``'s entry for ``state``: (state, in-order total rate, the running
+    sums of the rates before the last move, moves, the entries of the
+    successors, None until a path takes that move).  The running sums are the
+    additions that give the total, in order; a negative rate is a ValueError,
+    so they never decrease."""
     entry = memo.get(state)
     if entry is None:
         move_list = rule.moves(state)
-        total = 0.0
-        for r, _ in move_list:
-            total += r
-        entry = memo[state] = (state, total, move_list, [None] * len(move_list))
+        if any(r < 0.0 for r, _ in move_list):
+            raise ValueError(f"negative jump rate at {state!r}: {move_list!r}")
+        cum = list(itertools.accumulate((r for r, _ in move_list), initial=0.0))
+        entry = memo[state] = (state, cum[-1], cum[1:-1], move_list,
+                               [None] * len(move_list))
     return entry
 
 
@@ -316,60 +327,67 @@ def _run_path(rule: JumpRule, x0: ExactState, cfg: SimConfig, key, record: bool,
     are kept only with ``record``.
 
     Event j reads counter j of the stream ``key``: ``first`` holds the
-    (-log u1, u2) draws of counters 0 .. ``_FIRST`` - 1 as Python floats, and
-    past them the path draws ``_BLOCK`` counters at a time of its own key,
-    in one Philox call each.  ``memo`` holds the ``_entry`` of every state the
-    rule's paths have been to; it may come from earlier paths of the same
-    rule, since ``rule.moves`` is a pure function of the state.
+    (-log u1, u2) draws of counters 0 .. ``_FIRST`` - 1 as Python floats.  A
+    path that runs past them draws continuation blocks of its own key, one
+    Philox call each, as long as all its counters drawn so far but at most
+    ``_BLOCK``: 256, 512, 1 024, 1 024, ... counters after a first draw of 256.
+    The move is the first whose running sum of rates exceeds u2 * total,
+    found by bisecting the entry's sums before the last move, so it is the
+    last move where rounding puts the target past all of them.  ``memo`` holds the
+    ``_entry`` of every state the rule's paths have been to; it may come from
+    earlier paths of the same rule, since ``rule.moves`` is a pure function of
+    the state.
+
+    Wherever the path stops (past the horizon, absorbed or at ``max_events``)
+    its state fills every observation time it has not passed, so one check
+    per event, against the next observation time or else the horizon, finds
+    both; the counter that needs a draw and event ``max_events`` share one
+    check too.
     """
-    e1, u2 = first
-    base, limit = 0, len(e1)  # the draws cover counters base .. limit - 1
-    entry = _entry(memo, rule, x0)
-    state = x0
-    t = 0.0
+    e1, u2 = first  # the draws of counters base .. base + len(e1) - 1
+    base, i = 0, 0  # the path has made base + i events
+    horizon, max_events = cfg.horizon, cfg.max_events
+    mark = min(len(e1), max_events)  # the next i that draws or truncates
+    pending = list(cfg.observe[::-1])  # the next observation time last
+    stop = pending[-1] if pending else horizon
+    observed: list[ExactState] = []
     times: list[float] = []
     states: list[ExactState] = [x0]
-    pending = list(cfg.observe[::-1])  # the next observation time last
-    observed: list[ExactState] = []
-    events = 0
+    entry = _entry(memo, rule, x0)
     truncated = False
-    horizon, max_events = cfg.horizon, cfg.max_events
+    t = 0.0
     while True:
-        state, total, move_list, succ = entry
+        state, total, cum, move_list, succ = entry
         if total <= 0.0:
             break  # absorbing state
-        if events == limit:
-            base, limit = events, events + _BLOCK
-            e1, u2 = _draws(key, np.arange(base, limit, dtype=np.uint64))
-        i = events - base
+        if i == mark:
+            if i == len(e1):
+                base += i
+                e1, u2 = _draws(key, np.arange(base, base + min(base, _BLOCK),
+                                               dtype=np.uint64))
+                i = 0
+            if base + i == max_events:
+                truncated = not t + e1[i] / total > horizon
+                break
+            mark = min(len(e1), max_events - base)
         t += e1[i] / total
-        while pending and t > pending[-1]:
-            pending.pop()
-            observed.append(state)
-        if t > horizon:
-            break
-        if events >= max_events:
-            truncated = True
-            break
-        # categorical choice proportional to rates
-        c = len(move_list) - 1
-        if c:
-            target = u2[i] * total
-            acc = 0.0
-            for c_try, (r, _) in enumerate(move_list):
-                acc += r
-                if target < acc:
-                    c = c_try
-                    break
+        if t > stop:
+            if t > horizon:
+                break
+            while pending and t > pending[-1]:
+                pending.pop()
+                observed.append(state)
+            stop = pending[-1] if pending else horizon
+        c = bisect.bisect_right(cum, u2[i] * total)
         entry = succ[c]
         if entry is None:
             entry = succ[c] = _entry(memo, rule, state.shifted(*move_list[c][1]))
-        events += 1
+        i += 1
         if record:
             times.append(t)
             states.append(entry[0])
-    observed += [state] * len(pending)  # absorbed or truncated before these times
-    return state, events, truncated, times, states, observed
+    observed += [state] * len(pending)  # every time the path has not passed
+    return state, base + i, truncated, times, states, observed
 
 
 def _require_start(rule: JumpRule, x0: ExactState) -> None:
@@ -536,13 +554,16 @@ def _lockstep(table: _ChainTable, cfg: SimConfig) -> EnsembleResult:
     reads these rows.  A path's times never decrease, so its count of rows
     with time <= ``cfg.observe[q]`` is its first row past that time, and the
     position there fills column q for the paths that had not passed it when
-    the tile began.  The first row past the horizon (an ``argmax``) is where
-    a path ends: its position and event index go to the outputs and the
-    path is dropped.  A path at level -1 has rate NaN, so its times are NaN
-    from there on and it never ends: the live paths are checked for it at
-    each tile's end, before they truncate, and one there raises
-    ``_LockstepUnfit``.  At ``max_events`` the live paths truncate, and
-    their last position fills the columns they have not passed.
+    the tile began.  The count is taken only for the paths that pass the
+    time in the tile; when they are fewer than a quarter of the active paths
+    their columns are gathered first, else the whole tile is compared.  The
+    first row past the horizon (an ``argmax``) is where a path ends: its
+    position and event index go to the outputs and the path is dropped.  A
+    path at level -1 has rate NaN, so its times are NaN from there on and it
+    never ends: the live paths are checked for it at each tile's end, before
+    they truncate, and one there raises ``_LockstepUnfit``.  At
+    ``max_events`` the live paths truncate, and their last position fills
+    the columns they have not passed.
     """
     N = cfg.paths
     keys = rng.path_keys(cfg.seed, np.arange(N))
@@ -598,8 +619,11 @@ def _lockstep(table: _ChainTable, cfg: SimConfig) -> EnsembleResult:
                 # a path's first row past a time: the count of its rows not past it
                 row = 0  # a tile of one row needs no count
                 if r:
-                    np.less_equal(T, tnext, flags)
-                    row = np.minimum(np.count_nonzero(flags, axis=0)[rows], r)
+                    if 4 * rows.size < n:  # few pass: gather their columns alone
+                        row = (T[:, rows] <= tnext[rows]).sum(0)
+                    else:
+                        row = np.less_equal(T, tnext, flags).sum(0)[rows]
+                    row = np.minimum(row, r)
                 obs_at[q, idx[rows]] = P[row, rows]  # row r: truncated before it
                 nxt[idx[rows]] = q + 1
                 tnext[rows] = taus[q + 1]

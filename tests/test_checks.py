@@ -4,6 +4,7 @@ majorant assembly, localization, ellipticity, Groenwall."""
 import cmath
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -711,6 +712,25 @@ def test_groenwall_growth_past_the_float_range():
 def test_groenwall_recursion_rejects_bad_inputs(horizon, steps):
     with pytest.raises(ValueError, match="steps >= 1 and a finite positive horizon"):
         groenwall_recursion_table(1.0, 1.0, horizon, steps)
+
+
+@pytest.mark.parametrize("phi0, c, steps", [(1.0, 1e6, 100), (1.0, -1e6, 100),
+                                            (-1.0, 1e6, 100), (0.0, 1e308, 1)])
+def test_groenwall_recursion_rejects_a_table_past_the_float_range(phi0, c, steps):
+    # phi0 (1 + c h)^m overflows (or is 0 * inf at phi0 = 0), with no warning
+    detail = f"float range for c = {c!r}, horizon = 2.0, steps = {steps}"
+    with pytest.raises(ValueError, match=re.escape(detail) + "$"):
+        groenwall_recursion_table(phi0, c, 2.0, steps)
+    # a tiny phi0 keeps the same growth finite; phi0 = 0 keeps it at 0
+    assert np.isfinite(groenwall_recursion_table(1e-300, 700.0, 1.0, 10)[1]).all()
+    assert not groenwall_recursion_table(0.0, 1e6, 1.0, 100)[1].any()
+
+
+@pytest.mark.parametrize("phi0, c", [(1.0, math.nan), (1.0, math.inf), (math.inf, 1.0),
+                                     (math.nan, 1.0)])
+def test_groenwall_recursion_rejects_a_rate_or_start_that_is_not_finite(phi0, c):
+    with pytest.raises(ValueError, match="a finite c and phi0"):
+        groenwall_recursion_table(phi0, c, 1.0, 10)
 
 
 def test_groenwall_beta_as_table():

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -562,6 +563,20 @@ def test_groenwall_rejects_a_rate_that_is_not_finite(c, tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out.splitlines()[-1])
     assert code == EXIT_INPUT and doc["reason"] == "input error"
     assert "rate c must be finite" in doc["detail"]
+
+
+@pytest.mark.parametrize("c", ["1e6", "-1e6"])
+def test_groenwall_rejects_a_rate_whose_table_leaves_the_float_range(c, capsys):
+    # (1 + c / 100)^100 passes the float range: the input error names c, the
+    # horizon and the steps, with no NumPy warning on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["groenwall", f"--c={c}"])
+    captured = capsys.readouterr()
+    doc = json.loads(captured.out.splitlines()[-1])
+    assert code == EXIT_INPUT and doc["failed"] and doc["reason"] == "input error"
+    assert f"c = {float(c)!r}, horizon = 1.0, steps = 100" in doc["detail"]
+    assert "float range" in doc["detail"] and "Warning" not in captured.err
 
 
 def test_selftest_quick():

@@ -675,7 +675,8 @@ def test_small_tile_lockstep_agrees_with_per_path(spec, horizon, monkeypatch):
 
 def test_single_paths_past_first_draw_and_block_equal_stored_paths():
     # one move at rate 1: about 2 000 events cross the first draw of 256
-    # counters and a block of 1 024; the 130 paths take three first draws
+    # counters and the continuation blocks of 256 and 512 into one of 1 024;
+    # the 130 paths take three first draws
     rule = jump_rule_of(IncreasingDoublingApprox(K1, 0))
     x0 = rule.initial_state()
     cfg = SimConfig(horizon=2000.0, seed=13, paths=130, store_paths=True)
@@ -684,6 +685,108 @@ def test_single_paths_past_first_draw_and_block_equal_stored_paths():
         path = simulate_path(rule, x0, cfg, path_index=i)
         assert len(path.times) > simulate._FIRST + simulate._BLOCK
         assert path == res.paths[i]
+
+
+def _linear_choice(rates, target):
+    """The move a running-sum scan picks: the first whose sum exceeds target."""
+    acc = 0.0
+    for c, r in enumerate(rates):
+        acc += r
+        if target < acc:
+            return c
+    return len(rates) - 1
+
+
+@pytest.mark.parametrize("rates", [(1.0, 2.0, 1.0), (1.0, 0.0, 1.0), (3.0,)],
+                         ids=["boundaries", "zero-rate-middle", "one-move"])
+def test_move_choice_equals_a_linear_scan_on_crafted_draws(rates):
+    # move c shifts m by 10**c, so the states spell out the moves taken; the
+    # totals are powers of two or one move, so u2 * total lands exactly on
+    # every running sum, and the draws take both sides of each, 0 and 1
+    rule = JumpRule(lambda state: tuple((r, (10**c, 0)) for c, r in enumerate(rates)),
+                    "1", 1.0)
+    total = sum(rates)
+    sums = np.cumsum(rates)
+    u2 = [0.0, 1.0, 1.0 - 2.0**-53]
+    for b in (sums / total).tolist():
+        assert b * total in sums  # on a running sum exactly
+        u2 += [b, float(np.nextafter(b, 0.0)), float(np.nextafter(b, 2.0))]
+    first = ([1.0] * (len(u2) + 1), u2 + [0.5])
+    cfg = SimConfig(horizon=1e9, seed=0, max_events=len(u2))  # truncates at counter len(u2)
+    key = rng.path_keys(0, [0])[0]
+    state, events, truncated, times, states, _ = simulate._run_path(
+        rule, rule.initial_state(), cfg, key, True, first, {})
+    assert (events, truncated) == (len(u2), True)
+    taken = [int(math.log10(b.m - a.m)) for a, b in zip(states, states[1:])]
+    assert taken == [_linear_choice(rates, u * total) for u in u2]
+    assert set(taken) == {c for c, r in enumerate(rates) if r > 0.0}
+
+
+def test_a_negative_rate_is_rejected():
+    rule = JumpRule(lambda state: ((2.0, (1, 0)), (-1.0, (-1, 0))), "1", 1.0)
+    with pytest.raises(ValueError, match="negative jump rate"):
+        simulate_path(rule, rule.initial_state(), SimConfig(horizon=1.0, seed=1))
+
+
+@pytest.mark.parametrize("horizon, max_events, blocks", [
+    (4000.0, 10_000_000, [(256, 512), (512, 1024), (1024, 2048), (2048, 3072),
+                          (3072, 4096)]),
+    (4000.0, 512, [(256, 512), (512, 1024)]),  # event 512 reads counter 512
+    (4000.0, 511, [(256, 512)]),
+    (4000.0, 256, [(256, 512)]),
+    (4000.0, 255, []),
+    (300.0, 10_000_000, [(256, 512)]),
+], ids=["long", "budget-512", "budget-511", "budget-256", "budget-255", "short"])
+def test_continuation_blocks_grow_to_the_largest_block(horizon, max_events, blocks,
+                                                       monkeypatch):
+    # one move at rate 1: about 4 000 events; after the first draw of 256
+    # counters a path draws blocks of 256, 512 and then 1 024 counters
+    rule = jump_rule_of(IncreasingDoublingApprox(K1, 0))
+    x0 = rule.initial_state()
+    cfg = SimConfig(horizon=horizon, seed=13, max_events=max_events)
+    calls = []
+    draw = rng.event_uniforms
+    monkeypatch.setattr(rng, "event_uniforms", lambda k, c: calls.append(c) or draw(k, c))
+    path = simulate_path(rule, x0, cfg)
+    first, *rest = calls
+    assert first.ravel().tolist() == list(range(simulate._FIRST))
+    assert [(int(c[0]), int(c[-1]) + 1) for c in rest] == blocks
+    assert all(np.array_equal(c, np.arange(c[0], c[-1] + 1)) for c in rest)
+    assert len(path.times) <= max_events
+    assert len(path.times) < (blocks[-1][1] if blocks else simulate._FIRST)
+    monkeypatch.undo()
+    assert simulate_path(rule, x0, cfg) == path
+
+
+@pytest.mark.parametrize("spec, horizon, rows", [
+    (SymmetricDoublingApprox(K1, 3), 1.0, 32),
+    (SymmetricDoublingApprox(KS2, 2), 2.0, 24),
+    (IncreasingDoublingApprox(K1, 4), 1.0, 8),
+    (IncreasingDoublingApprox(KS2, 6), 2.0, 12),
+], ids=["sym-k1", "sym-ks2", "inc-k1", "inc-ks2"])
+def test_observation_pass_over_an_eleven_point_grid_agrees_with_per_path(
+        spec, horizon, rows, monkeypatch):
+    # an 11-point observation grid and tiles of at least ``rows`` rows: some
+    # path passes all 11 times within fewer events than a tile has rows, so
+    # one tile holds at least six of its passes; early in a tile most of the
+    # paths pass a time, late in it few do
+    rule = jump_rule_of(spec)
+    x0 = rule.initial_state()
+    paths = 60
+    cfg = dict(horizon=horizon, seed=31, paths=paths,
+               observe=tuple(horizon * q / 12 for q in range(1, 12)))
+    oracle = simulate_ensemble(rule, x0, SimConfig(**cfg, store_paths=True))
+    spans = [sum(t <= cfg["observe"][-1] for t in p.times)
+             - sum(t <= cfg["observe"][0] for t in p.times) for p in oracle.paths]
+    assert min(spans) < rows
+    monkeypatch.setattr(simulate, "_TILE", rows * paths)
+    fast = simulate_ensemble(rule, x0, SimConfig(**cfg))
+    assert fast.m.dtype == np.int64  # the lock-step engine ran
+    assert fast.m_at.tolist() == oracle.m_at.tolist()
+    assert fast.s_at.tolist() == oracle.s_at.tolist()
+    assert fast.m.tolist() == oracle.m.tolist() and fast.s.tolist() == oracle.s.tolist()
+    assert fast.event_counts == oracle.event_counts
+    assert fast.truncated_count == oracle.truncated_count
 
 
 @pytest.mark.parametrize("index", [1.7, 1.0, True, "1", None, -1, 2**64])
