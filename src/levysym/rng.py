@@ -11,7 +11,7 @@ the one reader of the event streams.  The lock-step engine calls it on a
 tile of consecutive counters for all active path keys at once.  The per-path
 engine calls it on counters 0 .. 255 for a group of path keys at once, and
 for a path that runs past them on further blocks of its own key: 256, 512,
-then 1 024 counters each.  Either way event j of path i is counter j of
+then 1 024 counters at a time.  Either way event j of path i is counter j of
 stream i, so drawing a counter early, drawing it beside other keys'
 counters, or drawing one that no event uses changes no result.  A
 :func:`philox2x64` call allocates its scratch in one block of six slots,

@@ -329,14 +329,14 @@ def _run_path(rule: JumpRule, x0: ExactState, cfg: SimConfig, key, record: bool,
     Event j reads counter j of the stream ``key``: ``first`` holds the
     (-log u1, u2) draws of counters 0 .. ``_FIRST`` - 1 as Python floats.  A
     path that runs past them draws continuation blocks of its own key, one
-    Philox call each, as long as all its counters drawn so far but at most
+    Philox call each, each as long as all the counters drawn before it, up to
     ``_BLOCK``: 256, 512, 1 024, 1 024, ... counters after a first draw of 256.
     The move is the first whose running sum of rates exceeds u2 * total,
-    found by bisecting the entry's sums before the last move, so it is the
-    last move where rounding puts the target past all of them.  ``memo`` holds the
-    ``_entry`` of every state the rule's paths have been to; it may come from
-    earlier paths of the same rule, since ``rule.moves`` is a pure function of
-    the state.
+    found by bisecting the entry's sums before the last move; where rounding
+    puts the target past all of them, it is the last move.  ``memo`` holds
+    the ``_entry`` of every state the rule's paths have been to; it may come
+    from earlier paths of the same rule, since ``rule.moves`` is a pure
+    function of the state.
 
     Wherever the path stops (past the horizon, absorbed or at ``max_events``)
     its state fills every observation time it has not passed, so one check
