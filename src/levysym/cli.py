@@ -91,6 +91,8 @@ def _fail(reason: str, **info) -> int:
 def cmd_simulate(args) -> int:
     outdir = FsPath(args.out)
     k_tokens = args.k.split(",")
+    if len(set(k_tokens)) < len(k_tokens):  # two runs would write one endpoint file
+        raise ValueError(f"--k lists a lattice more than once: {args.k}")
     multi_k = len(k_tokens) > 1
     svg_series = []
     ensembles = []
@@ -127,6 +129,9 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_moments(args) -> int:
+    orders = [int(o) for o in args.orders.split(",")]
+    if min(orders) < 1:
+        raise ValueError("moment order must be >= 1")
     spec = _approx_spec(args.spec, args.k, args.n)
     rule = simulate.jump_rule_of(spec)
     cfg = simulate.SimConfig(horizon=args.t, seed=args.seed, paths=args.paths)
@@ -134,7 +139,7 @@ def cmd_moments(args) -> int:
     sample = mcstats.Sample.from_ensemble(result)
     rows = []
     all_ok = True
-    for order in (int(o) for o in args.orders.split(",")):
+    for order in orders:
         est = mcstats.moment_ci(sample, order)
         closed = mcstats.closed_moment(rule.family, order, args.t)
         err = abs(est.mean - closed)

@@ -6,21 +6,25 @@ keyed by ``(master seed, path index)``; the j-th event of a path reads
 counter ``j`` and receives two independent uint64 words, i.e. two uniforms.
 Because outputs are a pure function of (key, counter), results do not
 depend on execution order, scheduling, or batch size: the same master seed
-always reproduces the same ensemble bit for bit.  :func:`event_uniforms` is
-the one reader of the event streams.  The lock-step engine calls it on a
-tile of consecutive counters for all active path keys at once.  The per-path
-engine calls it on counters 0 .. 255 for a group of path keys at once, and
-for a path that runs past them on further blocks of its own key: 256, 512,
-then 1 024 counters at a time.  Either way event j of path i is counter j of
-stream i, so drawing a counter early, drawing it beside other keys'
-counters, or drawing one that no event uses changes no result.  A
-:func:`philox2x64` call allocates its scratch in one block of six slots,
-each of its broadcast size: four round temporaries, the one ``lo`` trades
-with the second output word, and the key schedule; the two words it returns
-are fresh arrays.  The schedule keeps the key's own shape (a scalar for key
-derivation and per-path blocks, a row of keys in a tile) and is broadcast
-into each round's xor, so advancing it costs one add on the key's shape per
-round.
+always reproduces the same ensemble bit for bit.  :func:`event_words` is
+the one reader of the event streams, and word w maps to the uniform
+((w >> 11) + 1/2) 2**-53 in (0, 1] (:func:`_to_unit_interval`).  The
+per-path engine calls :func:`event_uniforms`, that reader plus the map of
+both words: u1 gives the holding time, u2 the move.  It reads counters
+0 .. 255 for a group of path keys at once, and for a path that runs past
+them further blocks of its own key: 256, 512, then 1 024 counters at a
+time.  The lock-step engine calls :func:`event_words` on a tile of
+consecutive counters for all active path keys at once, maps the first word
+to u1 and takes the move from the second word's top bit, which is 1 exactly
+when u2 >= 0.5.  Either way event j of path i is counter j of stream i, so
+drawing a counter early, drawing it beside other keys' counters, or drawing
+one that no event uses changes no result.  A :func:`philox2x64` call
+allocates its scratch in one block of six slots, each of its broadcast
+size: four round temporaries, the one ``lo`` trades with the second output
+word, and the key schedule; the two words it returns are fresh arrays.  The
+schedule keeps the key's own shape (a scalar for key derivation and
+per-path blocks, a row of keys in a tile) and is broadcast into each
+round's xor, so advancing it costs one add on the key's shape per round.
 
 The 64x64 -> 128 bit multiply is emulated with 32-bit limbs, which keeps
 everything inside NumPy uint64 vector arithmetic (exactness is covered by
@@ -128,8 +132,22 @@ def philox2x64(c0, c1, key):
 
 
 def _to_unit_interval(words):
-    """Map uint64 words to floats strictly inside (0, 1)."""
-    return ((words >> _S11).astype(np.float64) + 0.5) * 2.0**-53
+    """Map a uint64 array of words, in place, to floats in (0, 1]; return
+    them, the words' own buffer viewed as float64 (a copy where the words
+    are not contiguous).
+
+    Word w becomes ((w >> 11) + 1/2) 2**-53, rounded to the nearest float
+    (ties to even): 2**-54 at w = 0, 0.5 - 2**-54 just below 2**63 and 0.5
+    at 2**63.  The largest value below 1 is 1 - 2**-52, and the 2**11 words
+    from 2**64 - 2**11 up map to exactly 1.0, since 2**53 - 1/2 rounds to
+    2**53.
+    """
+    flat = np.right_shift(words, _S11, words).reshape(-1)
+    u = flat.view(np.float64)
+    np.copyto(u, flat, casting="unsafe")  # one dimension: cast in place, no temporary
+    np.add(u, 0.5, u)
+    np.multiply(u, 2.0**-53, u)
+    return u.reshape(words.shape)
 
 
 def path_keys(master_seed: int, indices) -> np.ndarray:
@@ -139,14 +157,23 @@ def path_keys(master_seed: int, indices) -> np.ndarray:
     return k0
 
 
-def event_uniforms(keys, counter):
-    """Two uniform(0,1) arrays for event ``counter`` of the given path keys.
+def event_words(keys, counter):
+    """The two uint64 words of event ``counter`` of the given path keys.
 
     ``keys`` and ``counter`` broadcast, and each output element depends only
     on its own (key, counter) pair: a column of counters against a row of
     keys gives a tile (counters x paths), as both engines draw them, and one
     key at a run of counters the per-path engine's later blocks.
     """
-    w0, w1 = philox2x64(np.asarray(counter, dtype=np.uint64), _EVENT_DOMAIN, keys)
-    return _to_unit_interval(w0), _to_unit_interval(w1)
+    return philox2x64(np.asarray(counter, dtype=np.uint64), _EVENT_DOMAIN, keys)
 
+
+def event_uniforms(keys, counter):
+    """The two words of :func:`event_words` as uniforms in (0, 1].
+
+    u1 is 1.0, and the event's holding time 0, with probability 2**-53 per
+    event, in both engines alike.  Their passes need only non-decreasing
+    times, and a clamp would cost a pass over every tile.
+    """
+    w0, w1 = event_words(keys, counter)
+    return _to_unit_interval(w0), _to_unit_interval(w1)

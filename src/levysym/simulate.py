@@ -7,15 +7,16 @@ integer arithmetic, never by float comparison.  Holding times are
 inverse-CDF exponentials driven by the counter-based streams of
 :mod:`levysym.rng`: event j of path i always consumes counter j of the
 stream keyed by (master seed, i), which makes ensembles reproducible and
-independent of scheduling.  Both engines draw counters ahead of use through
-``rng.event_uniforms``, which cannot change a result because a draw depends
-only on (key, counter).  The lock-step engine draws tiles of consecutive
-counters for all active paths, about 16 384 uniforms per call.  The per-path
-engine draws counters 0 .. 255 for 64 paths in one call (the same tile
-size), and a path that runs past them reads its own stream in blocks that
-double from 256 counters up to 1 024: 256, 512, 1 024, 1 024, ...  Each
-Philox call allocates its own scratch, so the engines hand ``rng`` only keys
-and counters.
+independent of scheduling.  Both engines draw counters ahead of use, which
+cannot change a result because a draw depends only on (key, counter).  The
+lock-step engine reads the raw words, ``rng.event_words``, in tiles of
+consecutive counters for all active paths, about 16 384 (counter, path)
+pairs per call.
+The per-path engine reads them as uniforms, ``rng.event_uniforms``: counters
+0 .. 255 for 64 paths in one call (the same tile size), and a path that runs
+past them reads its own stream in blocks that double from 256 counters up to
+1 024: 256, 512, 1 024, 1 024, ...  Each Philox call allocates its own
+scratch, so the engines hand ``rng`` only keys and counters.
 
 The generic per-path engine works for any ``JumpRule``, retains
 trajectories on request and is the oracle.  It runs on Python floats, and
@@ -26,15 +27,17 @@ ensembles of the two doubling families run instead in one vectorized
 lock-step loop, ``_lockstep``, which steps int64 levels through a chain
 table: the states the chain reaches from x0 whose m and s fit int64, each
 with its total rate and successors as the per-path engine's own rule
-computes them; an ensemble that leaves them runs per path.  An event index
-costs it six NumPy calls over the active paths and reads no live mask: a
-gather of the rates, a division and an in-place subtraction step the times,
-a reduction tells when every path has passed the horizon, and an add and a
-gather move the positions through the table's successor array.  The times
-and positions go into rows of the tile's draws that the steps have used up,
-and one first-passage pass over them at the tile's end finds where each
-path passes each observation time and the horizon, and scatters the
-observed states, endpoints and event counts once per tile.  Both
+computes them; an ensemble that leaves them runs per path.  A tile's first
+words become log(u1) and its second words their top bits, the moves, in
+their own buffers.  An event index then costs six NumPy calls over the
+active paths and reads no live mask: an int64 add turns the row of moves
+into positions plus moves, a gather of the rates, a division and an
+in-place subtraction step the times, a reduction tells when every path has
+passed the horizon, and a gather moves the positions through the table's
+successor array.  So the rows of the tile hold each event's time and its
+position plus move, and one first-passage pass over them at the tile's end
+finds where each path passes each observation time and the horizon, and
+scatters the observed states, endpoints and event counts once per tile.  Both
 engines give identical endpoints, event counts and truncations; an ensemble
 holds its endpoints as two columns, mantissas and scales, and builds
 ``ExactState`` endpoints on request, one per distinct state, shared by the
@@ -464,8 +467,9 @@ def simulate_ensemble(rule: JumpRule, x0: ExactState, cfg: SimConfig) -> Ensembl
 # ----------------------------------------------------------------------
 # vectorized lock-step engine (endpoint-only, built-in families)
 # ----------------------------------------------------------------------
-#: uniforms per Philox call: a lock-step tile (counters x active paths), and the
-#: per-path engine's first draws (``_FIRST`` counters x a group of paths)
+#: (counter, path) pairs per Philox call: a lock-step tile (counters x active
+#: paths), and the per-path engine's first draws (``_FIRST`` counters x a group
+#: of paths)
 _TILE = 16_384
 
 
@@ -536,34 +540,37 @@ def _lockstep(table: _ChainTable, cfg: SimConfig) -> EnsembleResult:
     Paths step through ``table``'s levels from level 0, each held as its
     position ``at`` = 2 * level in the flattened successor array: the total
     rate is ``rate[at]`` and the next position one gather, ``succ[at + c]``
-    with c = 1 if u2 >= 0.5 else 0 (the first move or the last; two moves
-    have equal rates, so this is the per-path engine's choice).  The table
-    doubles its depth whenever iteration j reaches it.  All active paths
-    have made j jumps at iteration j, so event j of path i reads counter j of
-    stream i, as in the per-path engine.  The uniforms are drawn a tile at a
-    time: counters j .. j + B - 1 for every active path in one call, B about
-    ``_TILE`` / active (never past ``max_events``).
+    with c the move, 0 for the first and 1 for the last (two moves have
+    equal rates).  c is the top bit of the event's second word, which is 1
+    exactly when its u2 >= 0.5, so this is the per-path engine's choice.
+    The table doubles its depth whenever iteration j reaches it.  All active
+    paths have made j jumps at iteration j, so event j of path i reads
+    counter j of stream i, as in the per-path engine.  The words are drawn
+    a tile at a time: counters j .. j + B - 1 for every active path in one
+    call, B about ``_TILE`` / active (never past ``max_events``).
 
-    A row of the loop only steps.  Row r of the tile's log(u1) becomes the
-    time of event j0 + r (the tile starts at event j0): the step subtracts
-    log(u1) / rate from t, which equals adding (-log u1) / rate bit for bit.
-    The tile's u2, viewed as int64 once the choices c are taken from it,
-    holds in row r the position before that event.  The loop stops early
-    when every path is past the horizon, and at ``max_events``; paths that
-    have ended step on, unread.  At the tile's end one first-passage pass
-    reads these rows.  A path's times never decrease, so its count of rows
-    with time <= ``cfg.observe[q]`` is its first row past that time, and the
-    position there fills column q for the paths that had not passed it when
-    the tile began.  The count is taken only for the paths that pass the
-    time in the tile; when they are fewer than a quarter of the active paths
-    their columns are gathered first, else the whole tile is compared.  The
-    first row past the horizon (an ``argmax``) is where a path ends: its
-    position and event index go to the outputs and the path is dropped.  A
-    path at level -1 has rate NaN, so its times are NaN from there on and it
-    never ends: the live paths are checked for it at each tile's end, before
-    they truncate, and one there raises ``_LockstepUnfit``.  At
-    ``max_events`` the live paths truncate, and their last position fills
-    the columns they have not passed.
+    A row of the loop only steps.  Row r of the tile's first words, mapped
+    in place to log(u1), becomes the time of event j0 + r (the tile starts
+    at event j0): the step subtracts log(u1) / rate from t, which equals
+    adding (-log u1) / rate bit for bit.  Row r of the second words, shifted
+    to their top bits and viewed as int64, holds the moves, and the row's
+    first add makes it the position before that event plus its move, which
+    the successor gather reads; the position's level is that value ``>> 1``.
+    The loop stops early when every path is past the horizon, and at
+    ``max_events``; paths that have ended step on, unread.  At the tile's
+    end one first-passage pass reads these rows.  A path's times never
+    decrease, so its count of rows with time <= ``cfg.observe[q]`` is its
+    first row past that time, and the level there fills column q for the
+    paths that had not passed it when the tile began.  The count is taken
+    only for the paths that pass the time in the tile; when they are fewer
+    than a quarter of the active paths their columns are gathered first,
+    else the whole tile is compared.  The first row past the horizon (an
+    ``argmax``) is where a path ends: its level and event index go to the
+    outputs and the path is dropped.  A path at level -1 has rate NaN, so
+    its times are NaN from there on and it never ends: the live paths are
+    checked for it at each tile's end, before they truncate, and one there
+    raises ``_LockstepUnfit``.  At ``max_events`` the live paths truncate,
+    and their last level fills the columns they have not passed.
     """
     N = cfg.paths
     keys = rng.path_keys(cfg.seed, np.arange(N))
@@ -573,40 +580,39 @@ def _lockstep(table: _ChainTable, cfg: SimConfig) -> EnsembleResult:
     Q = len(cfg.observe)
     taus = np.array(cfg.observe + (math.inf,))
     nxt = np.zeros(N, dtype=np.int64)  # per path: the next column to record, or Q
-    obs_at = np.zeros((Q, N), dtype=np.int64)  # column q: positions at observe[q]
+    obs_at = np.zeros((Q, N), dtype=np.int64)  # column q: 2 * level (+ move) at observe[q]
     out_at = np.zeros(N, dtype=np.int64)
     out_events = np.zeros(N, dtype=np.int64)
     truncated = np.zeros(N, dtype=bool)
-    moved = np.empty(N, dtype=np.int64)  # at + c, before the successor gather
     j = 0
     while idx.size:
         n = idx.size
         B = max(1, min(_TILE // n, cfg.max_events + 1 - j))
         last = j + B > cfg.max_events  # the tile's last row is event max_events
         counters = np.arange(j, j + B, dtype=np.uint64)
-        u1, u2 = rng.event_uniforms(keys[idx][None, :], counters[:, None])
-        T = np.log(u1, u1)  # row r: log(u1), then the time of event j0 + r
-        col = (u2 >= 0.5).view(np.int8)
-        P = u2.view(np.int64)  # row r: the position before event j0 + r
-        j0, moved_n = j, moved[:n]
-        P[0] = at
+        w0, w1 = rng.event_words(keys[idx][None, :], counters[:, None])
+        T = rng._to_unit_interval(w0)
+        np.log(T, T)  # row r: log(u1), then the time of event j0 + r
+        # row r: the move of event j0 + r, then the position before it plus the move
+        P = np.right_shift(w1, 63, w1).view(np.int64)
+        j0 = j
         for r in range(B):
             if j >= table.depth:
                 rate, succ = table.extend(2 * j + 1)
                 rate, succ = rate.repeat(2), 2 * succ.ravel()  # indexed by position
+            np.add(P[r], at, P[r])
             step = rate[at]
             np.divide(T[r], step, step)
             np.subtract(t, step, T[r])  # t += -log(u1) / rate, to the bit
             t = T[r]
             if j == cfg.max_events or t.min() > cfg.horizon:
                 break
-            np.add(at, col[r], moved_n)
             # "wrap" reads -2 and -1, the positions of level -1, as indexing does
-            at = succ.take(moved_n, None, P[r + 1] if r + 1 < B else None, "wrap")
+            succ.take(P[r], None, at, "wrap")
             j += 1
-        # col is used up: its bytes hold the tile's comparisons from here on
-        T, P, flags = T[:r + 1], P[:r + 1], col[:r + 1].view(bool)
-        stop = np.greater(T, cfg.horizon, flags).any(0)  # a NaN time never ends a path
+        T, P = T[:r + 1], P[:r + 1]
+        flags = np.greater(T, cfg.horizon)  # a NaN time never ends a path
+        stop = flags.any(0)
         ended = np.flatnonzero(stop)
         end_row = flags[:, ended].argmax(0)
         if Q:

@@ -520,6 +520,46 @@ def test_simulate_rejects_rates_outside_the_float_range(argv, tmp_path, capsys, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("k", ["1,1", "1,sqrt2,1"])
+def test_simulate_rejects_a_repeated_lattice(k, tmp_path, capsys, monkeypatch):
+    from levysym import simulate
+
+    def unreachable(*args):
+        raise AssertionError("simulate ran before checking its inputs")
+
+    monkeypatch.setattr(simulate, "simulate_ensemble", unreachable)
+    out = tmp_path / "a"
+    code = main(["simulate", "--spec", "ex31approx", "--n", "4", "--paths", "3", "--k", k,
+                 "--out", str(out)])
+    doc = json.loads(capsys.readouterr().out.splitlines()[-1])
+    assert code == EXIT_INPUT and doc["reason"] == "input error"
+    assert k in doc["detail"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("orders, detail", [
+    ("0", "moment order must be >= 1"),
+    ("2,-1", "moment order must be >= 1"),
+    ("x", "invalid literal for int() with base 10: 'x'"),
+    ("2,", "invalid literal for int() with base 10: ''"),
+], ids=["zero", "negative", "not-a-number", "empty"])
+def test_moments_checks_its_orders_before_it_simulates(orders, detail, tmp_path, capsys,
+                                                       monkeypatch):
+    from levysym import simulate
+
+    def unreachable(*args):
+        raise AssertionError("moments simulated before checking its orders")
+
+    monkeypatch.setattr(simulate, "simulate_ensemble", unreachable)
+    out = tmp_path / "a"
+    code = main(["moments", "--spec", "ex32approx", "--n", "4", "--paths", "20",
+                 "--orders", orders, "--out", str(out)])
+    doc = json.loads(capsys.readouterr().out.splitlines()[-1])
+    assert code == EXIT_INPUT and doc == {"failed": True, "reason": "input error",
+                                          "detail": detail}
+    assert not out.exists()
+
+
 def test_groenwall_table_io(tmp_path):
     table = tmp_path / "phi.csv"
     table.write_text("t,phi\n0,1\n0.5,1.1\n1.0,1.2\n")

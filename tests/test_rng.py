@@ -80,6 +80,27 @@ def test_uniforms_open_interval_and_moments():
         assert abs(u.var() - 1.0 / 12.0) < 0.01
 
 
+def test_unit_interval_map_at_its_ends():
+    # ((w >> 11) + 1/2) 2**-53, rounded to even: the 2**11 words from
+    # 2**64 - 2**11 up map to 1.0
+    words = np.array([0, 2**63 - 1, 2**63, 2**64 - 2**11 - 1, 2**64 - 2**11,
+                      2**64 - 1], dtype=np.uint64)
+    u = rng._to_unit_interval(words)
+    assert u.tolist() == [2.0**-54, 0.5 - 2.0**-54, 0.5, 1.0 - 2.0**-52, 1.0, 1.0]
+    assert np.shares_memory(u, words)  # mapped in place
+
+
+def test_top_bit_of_a_word_is_the_move_choice():
+    # the lock-step engine's move, w >> 63, is the per-path engine's u2 >= 0.5
+    edges = [0, 2**63 - 2**11 - 1, 2**63 - 1, 2**63, 2**63 + 2**11, 2**64 - 1]
+    random = np.random.default_rng(32).integers(0, 2**64, 10**6, dtype=np.uint64,
+                                                endpoint=False)
+    words = np.concatenate([np.array(edges, dtype=np.uint64), random])
+    half = rng._to_unit_interval(words.copy()) >= 0.5
+    assert np.array_equal(words >> 63, half)
+    assert half[:len(edges)].tolist() == [False, False, False, True, True, True]
+
+
 def test_path_keys_distinct():
     keys = rng.path_keys(7, np.arange(10_000))
     assert np.unique(keys).size == 10_000

@@ -288,8 +288,8 @@ def test_lockstep_freezes_paths_at_every_exit_of_a_tile(spec, horizon, seed, mon
     # one tile holds events 0 .. 6 of all 16 paths: some paths end at its
     # first row, some at its last, and the rest truncate there
     calls = []
-    draw = rng.event_uniforms
-    monkeypatch.setattr(rng, "event_uniforms", lambda *a: calls.append(a) or draw(*a))
+    draw = rng.event_words
+    monkeypatch.setattr(rng, "event_words", lambda *a: calls.append(a) or draw(*a))
     monkeypatch.setattr(simulate, "_TILE", 7 * 16)
     rule = jump_rule_of(spec)
     x0 = rule.initial_state()
@@ -318,8 +318,8 @@ def test_lockstep_records_paths_that_end_together_in_one_row(spec, horizon, seed
     # paths end while others pass the observation time, and the paths still
     # running at event 6 truncate there
     calls = []
-    draw = rng.event_uniforms
-    monkeypatch.setattr(rng, "event_uniforms", lambda *a: calls.append(a) or draw(*a))
+    draw = rng.event_words
+    monkeypatch.setattr(rng, "event_words", lambda *a: calls.append(a) or draw(*a))
     monkeypatch.setattr(simulate, "_TILE", 7 * 24)
     rule = jump_rule_of(spec)
     x0 = rule.initial_state()
